@@ -59,6 +59,8 @@ def validate_model(m: SourceModel) -> None:
         for sym, size in zip(tup, m.alphabet_sizes):
             if not isinstance(sym, int) or not 0 <= sym < size:
                 raise DocumentError(f"symbol {sym!r} outside alphabet of size {size}")
+        if isinstance(p, float) and not math.isfinite(p):
+            raise DocumentError(f"non-finite probability for {tup!r}")
         if p < 0:
             raise DocumentError(f"negative probability for {tup!r}")
     total = sum(m.pmf.values(), Fraction(0))
@@ -138,13 +140,17 @@ def source_model_to_document(m: SourceModel) -> dict:
     }
 
 
-def marginal_pmf(m: SourceModel, subset: Iterable[str]) -> dict:
-    """Marginal distribution over the given sources (exact when the pmf is)."""
-    S = frozenset(subset)
+def _positions(m: SourceModel, S: frozenset) -> list[int]:
     positions = [k for k, s in enumerate(m.sources) if s in S]
     if len(positions) != len(S):
         unknown = S - set(m.sources)
         raise ValueError(f"unknown sources {sorted(unknown)}")
+    return positions
+
+
+def marginal_pmf(m: SourceModel, subset: Iterable[str]) -> dict:
+    """Marginal distribution over the given sources (exact when the pmf is)."""
+    positions = _positions(m, frozenset(subset))
     out: dict = {}
     for tup, p in m.pmf.items():
         key = tuple(tup[k] for k in positions)
@@ -161,12 +167,41 @@ def _shannon_bits(probabilities: Iterable) -> float:
     return total
 
 
+def _integer_weights(m: SourceModel) -> tuple[dict, int]:
+    """The pmf as exact integer weights over one common denominator.
+
+    Float entries convert exactly through ``Fraction(p)``.  Returns
+    ``(weights, den)`` with ``pmf[tup] == weights[tup] / den`` exactly and
+    the pmf's key order.
+    """
+    exact = {tup: Fraction(p) for tup, p in m.pmf.items()}
+    den = math.lcm(*(p.denominator for p in exact.values()))
+    return {tup: p.numerator * (den // p.denominator) for tup, p in exact.items()}, den
+
+
+def _entropy_bits(weights: Iterable[int], den: int) -> float:
+    # int / int is correctly rounded, exactly like float(Fraction(w, den)),
+    # so rational pmfs give the same bits as _shannon_bits on marginal_pmf.
+    return _shannon_bits([w / den for w in weights])
+
+
 def joint_entropy(m: SourceModel, subset: Iterable[str]) -> float:
-    """Shannon entropy of the subset's marginal, in bits per symbol."""
+    """Shannon entropy of the subset's marginal, in bits per symbol.
+
+    The marginal is summed exactly on integer weights (see
+    :func:`entropy_profile`), so the result is bit-identical to the
+    profile's value for the same subset.
+    """
     S = frozenset(subset)
     if not S:
         raise ValueError("subset must be nonempty")
-    return _shannon_bits(marginal_pmf(m, S).values())
+    positions = _positions(m, S)
+    weights, den = _integer_weights(m)
+    marginal: dict = {}
+    for tup, w in weights.items():
+        key = tuple(tup[k] for k in positions)
+        marginal[key] = marginal.get(key, 0) + w
+    return _entropy_bits(marginal.values(), den)
 
 
 def conditional_entropy(m: SourceModel, subset: Iterable[str]) -> float:
@@ -193,13 +228,40 @@ class EntropyProfile:
 
 
 def entropy_profile(m: SourceModel, *, max_sources: int = DEFAULT_MAX_SOURCES) -> EntropyProfile:
+    """Joint and conditional entropies of every nonempty source subset.
+
+    Marginals come from a lattice walk on exact integer weights (see
+    :func:`_integer_weights`): starting from the full pmf, each child
+    marginal sums out one more coordinate of its parent's, removing
+    coordinates in increasing order so every subset is visited once.
+    Integer sums are exact and child dicts keep first-occurrence key
+    order, so every value is bit-identical to :func:`joint_entropy`.
+    """
     if len(m.sources) > max_sources:
         raise LimitError(
             f"{len(m.sources)} sources exceed the subset enumeration bound {max_sources}"
         )
     validate_model(m)
+    k = len(m.sources)
+    weights, den = _integer_weights(m)
+    by_mask: dict = {}
+
+    def shrink(mask: int, kept: list, marginal: dict, first: int):
+        by_mask[mask] = _entropy_bits(marginal.values(), den)
+        if len(kept) == 1:
+            return
+        for j in range(first, k):
+            at = kept.index(j)
+            child: dict = {}
+            for key, w in marginal.items():
+                key = key[:at] + key[at + 1:]
+                child[key] = child.get(key, 0) + w
+            shrink(mask & ~(1 << j), kept[:at] + kept[at + 1:], child, j + 1)
+
+    shrink((1 << k) - 1, list(range(k)), weights, 0)
     subsets = iter_nonempty_subsets(m.sources)
-    joint_values = {S: joint_entropy(m, S) for S in subsets}
+    position = {s: i for i, s in enumerate(m.sources)}
+    joint_values = {S: by_mask[sum(1 << position[s] for s in S)] for S in subsets}
     full = joint_values[frozenset(m.sources)]
     sigma_values = {}
     for S in subsets:

@@ -4,14 +4,15 @@ from sinks.
 ``rho_t(S)`` is the smallest cut value over bipartitions keeping the
 source subset S on one side and sink t on the other; ``rho_n(S)`` is its
 minimum over all sinks (the network-wide capacity function).  Max-flow
-computes these in exact rational arithmetic so that boundary instances
-are decided bit-exactly; :func:`enumerate_min_cut` is the brute-force
-reference used to cross-check it.
+computes these exactly, on integers scaled from the rational capacities,
+so that boundary instances are decided bit-exactly;
+:func:`enumerate_min_cut` is the brute-force reference used to
+cross-check it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +30,94 @@ DEFAULT_MAX_SOURCES = 16
 MAX_ENUMERATION_NODES = 24
 
 
+class _Residual:
+    """Integer residual graph of a network with a super-source in front of
+    ``sources``.
+
+    Arcs are stored flat: ``to[a]`` and ``cap[a]`` for arc ``a``, whose
+    paired reverse arc is ``a ^ 1``.  Finite capacities are scaled by the
+    LCM of their denominators; ``inf`` becomes ``big``, one more than the
+    total scaled finite capacity, so a flow value of at least ``big``
+    means every cut is infinite.  The super-source arc of ``sources[i]``
+    is ``source_arc[i]``, created with capacity 0 (disabled).
+    """
+
+    def __init__(self, net: Network, sources):
+        self.index = {name: k for k, name in enumerate(net.nodes)}
+        self.names = net.nodes
+        finite = [e.capacity for e in net.edges if not is_inf(e.capacity)]
+        self.scale = math.lcm(*(c.denominator for c in finite))
+        scaled = [c.numerator * (self.scale // c.denominator) for c in finite]
+        self.big = sum(scaled) + 1
+        self.root = len(net.nodes)
+        self.adj: list[list[int]] = [[] for _ in range(self.root + 1)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        caps = iter(scaled)
+        for e in net.edges:
+            cap = self.big if is_inf(e.capacity) else next(caps)
+            self._add_arc(self.index[e.tail], self.index[e.head], cap)
+        self.source_arc = [self._add_arc(self.root, self.index[s], 0) for s in sources]
+
+    def _add_arc(self, u: int, v: int, cap: int) -> int:
+        a = len(self.to)
+        self.adj[u].append(a)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(a + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return a
+
+    def augment(self, cap: list, sink: int, value: int):
+        """Edmonds-Karp from the feasible flow held in ``cap`` (residual
+        capacities, updated in place) whose value is ``value``.
+
+        Returns ``(value, reach)``: the maximum flow value and the node
+        indices reachable from the super-source in the final residual
+        graph, or ``reach = None`` once ``value >= big`` (infinite).
+        """
+        to, adj, root, big = self.to, self.adj, self.root, self.big
+        n = root + 1
+        while value < big:
+            parent = [-1] * n
+            parent[root] = -2
+            queue = [root]
+            for u in queue:
+                for a in adj[u]:
+                    v = to[a]
+                    if parent[v] == -1 and cap[a] > 0:
+                        parent[v] = a
+                        queue.append(v)
+                if parent[sink] != -1:
+                    break
+            else:
+                return value, queue
+            bottleneck = big
+            v = sink
+            while v != root:
+                a = parent[v]
+                if cap[a] < bottleneck:
+                    bottleneck = cap[a]
+                v = to[a ^ 1]
+            v = sink
+            while v != root:
+                a = parent[v]
+                cap[a] -= bottleneck
+                cap[a ^ 1] += bottleneck
+                v = to[a ^ 1]
+            value += bottleneck
+        return value, None
+
+    def result(self, value: int, reach, sink: int):
+        """``(rho, member_set)`` in network terms for one augment outcome."""
+        if reach is None:
+            # Every admissible cut is infinite; any member set is a witness.
+            return INF, frozenset(self.names) - {self.names[sink]}
+        names = self.names
+        return Fraction(value, self.scale), frozenset(names[u] for u in reach if u != self.root)
+
+
 def max_flow(net: Network, source_set: Iterable[str], sink: str):
     """Maximum flow from a set of sources to one sink, with a minimum cut.
 
@@ -37,6 +126,12 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
     not ``sink``), and ``cut_value(net, member_set) == value`` exactly.
     The source set is contracted through a virtual super-source attached
     by infinite-capacity arcs, so node identities survive in the cut.
+
+    Runs Edmonds-Karp on Python ints: finite capacities are scaled by the
+    LCM of their denominators and ``inf`` by a sentinel above their total
+    (see :class:`_Residual`).  The member set is the residual-reachable
+    set, the inclusion-minimal minimum cut, which does not depend on the
+    maximum flow found.
     """
     sources = list(dict.fromkeys(source_set))
     if not sources:
@@ -46,78 +141,12 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
             raise ValueError(f"unknown node {name!r}")
     if sink in sources:
         raise ValueError(f"sink {sink!r} is inside the source set")
-
-    index = {name: k for k, name in enumerate(net.nodes)}
-    n = len(net.nodes) + 1
-    super_source = n - 1
-
-    # Adjacency with paired residual arcs: arcs[k] = [to, cap, pair_index]
-    arcs: list[list] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_arc(u: int, v: int, cap):
-        adj[u].append(len(arcs))
-        arcs.append([v, cap, None])
-        adj[v].append(len(arcs))
-        arcs.append([u, Fraction(0), None])
-        arcs[-2][2] = len(arcs) - 1
-        arcs[-1][2] = len(arcs) - 2
-
-    for e in net.edges:
-        add_arc(index[e.tail], index[e.head], e.capacity)
-    for s in sources:
-        add_arc(super_source, index[s], INF)
-
-    t = index[sink]
-    value = Fraction(0)
-
-    while True:
-        parent_arc = [-1] * n
-        parent_arc[super_source] = -2
-        queue = deque([super_source])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            for a in adj[u]:
-                to, cap, _ = arcs[a]
-                if parent_arc[to] == -1 and cap > 0:
-                    parent_arc[to] = a
-                    queue.append(to)
-        if parent_arc[t] == -1:
-            break
-        # Bottleneck along the augmenting path.
-        bottleneck = INF
-        v = t
-        while v != super_source:
-            a = parent_arc[v]
-            bottleneck = min(bottleneck, arcs[a][1])
-            v = arcs[arcs[a][2]][0]
-        if is_inf(bottleneck):
-            # An all-infinite path exists, so every admissible cut is
-            # infinite; any member set works as a witness.
-            return INF, frozenset(net.nodes) - {sink}
-        v = t
-        while v != super_source:
-            a = parent_arc[v]
-            arcs[a][1] -= bottleneck
-            arcs[arcs[a][2]][1] += bottleneck
-            v = arcs[arcs[a][2]][0]
-        value += bottleneck
-
-    # Source side of the minimum cut: nodes reachable in the residual graph.
-    reach = [False] * n
-    reach[super_source] = True
-    queue = deque([super_source])
-    while queue:
-        u = queue.popleft()
-        for a in adj[u]:
-            to, cap, _ = arcs[a]
-            if not reach[to] and cap > 0:
-                reach[to] = True
-                queue.append(to)
-    members = frozenset(name for name, k in index.items() if reach[k])
-    return value, members
+    residual = _Residual(net, sources)
+    cap = list(residual.cap)
+    for a in residual.source_arc:
+        cap[a] = residual.big
+    t = residual.index[sink]
+    return residual.result(*residual.augment(cap, t, 0), t)
 
 
 def rho_t(net: Network, subset: Iterable[str], sink: str):
@@ -173,19 +202,51 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
 
     Subset enumeration is exponential in the number of sources by design;
     raises :class:`LimitError` past ``max_sources``.
+
+    One integer residual graph (see :func:`max_flow`) is built per network.
+    For each sink the subset lattice is walked depth-first, S -> S+{i}
+    with i after every source already in S, so each subset is visited
+    once.  Enabling source i's super-source arc keeps the parent's flow
+    feasible, so a child only augments the difference, and a child of an
+    infinite subset (flow at the sentinel) is infinite without a search.
+    Each DFS level holds one copy of the residual capacities.  Cuts are
+    the residual-reachable sets, identical to those of a cold
+    :func:`max_flow`.
     """
-    if len(net.sources) > max_sources:
+    k = len(net.sources)
+    if k > max_sources:
         raise LimitError(
-            f"{len(net.sources)} sources exceed the subset enumeration bound {max_sources}"
+            f"{k} sources exceed the subset enumeration bound {max_sources}"
         )
+    for t in net.sinks:
+        if t in net.source_set:
+            raise ValueError(f"sink {t!r} is inside the source set")
+    residual = _Residual(net, net.sources)
+    big, source_arc = residual.big, residual.source_arc
+    levels = [list(residual.cap) for _ in range(k)]
+
+    def grow(mask: int, cap: list, value: int, depth: int, sink: int, found: dict):
+        # Children of ``mask`` add one source after its highest member;
+        # ``levels[depth]`` holds their residual capacities in turn.
+        for i in range(mask.bit_length(), k):
+            child = mask | 1 << i
+            child_cap = levels[depth]
+            child_cap[:] = cap
+            child_cap[source_arc[i]] = big
+            child_value, reach = residual.augment(child_cap, sink, value)
+            found[child] = residual.result(child_value, reach, sink)
+            grow(child, child_cap, child_value, depth + 1, sink, found)
+
     subsets = iter_nonempty_subsets(net.sources)
+    position = {s: i for i, s in enumerate(net.sources)}
+    masks = [sum(1 << position[s] for s in S) for S in subsets]
     per_sink: dict = {t: {} for t in net.sinks}
     cuts: dict = {}
     for t in net.sinks:
-        for S in subsets:
-            value, members = max_flow(net, sorted(S, key=net.nodes.index), t)
-            per_sink[t][S] = value
-            cuts[(t, S)] = members
+        found: dict = {}
+        grow(0, residual.cap, 0, 0, residual.index[t], found)
+        for S, mask in zip(subsets, masks):
+            per_sink[t][S], cuts[(t, S)] = found[mask]
     network_wide = {S: min(per_sink[t][S] for t in net.sinks) for S in subsets}
     return CapacityProfile(
         sources=tuple(net.sources),

@@ -20,7 +20,7 @@ from .entropy import EntropyProfile, SourceModel, entropy_profile
 from .errors import DocumentError
 from .graph import Network, normalize_with_renaming, validate_acyclic
 from .mincut import DEFAULT_MAX_SOURCES, CapacityProfile, capacity_profile
-from .scalars import is_inf, snap_to_rational
+from .scalars import check_tolerance, is_inf, snap_to_rational
 from .setfunc import (
     AxiomReport,
     RatePoint,
@@ -191,6 +191,7 @@ def equivalence_check(
     max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> EquivalenceReport:
     """Evaluate the matching condition and the per-sink region test."""
+    check_tolerance(tol)
     _, profile, sigma, ep, _ = prepare_profiles(net, m, max_sources)
 
     min_margin = None
@@ -259,6 +260,7 @@ def separation_check(
     max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> SeparationReport:
     """Decide feasibility of the all-sinks intersection with the SW region."""
+    check_tolerance(tol)
     _, profile, sigma, ep, _ = prepare_profiles(net, m, max_sources)
     sw = _sw_constraints(sigma)
     sets = [sw] + [_cutset_constraints(profile, t) for t in profile.sinks]

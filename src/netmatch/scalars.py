@@ -50,6 +50,17 @@ def parse_scalar(value, *, allow_inf: bool = True):
     raise ValueError(f"not a numeric value: {value!r}")
 
 
+def check_tolerance(tol):
+    """Return ``tol`` if it is a finite nonnegative number.
+
+    Raises ValueError for NaN, infinities and negative values: compared
+    against such a tolerance, every margin would still yield a verdict.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def parse_probability(value):
     """Parse a pmf entry: JSON number, or exact rational string."""
     if isinstance(value, bool):

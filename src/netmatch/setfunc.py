@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DocumentError
-from .scalars import is_inf, parse_scalar, snap_to_rational
+from .scalars import check_tolerance, is_inf, parse_scalar, snap_to_rational
 from . import simplex
 
 
@@ -118,13 +118,15 @@ class AxiomReport:
 
 def _default_tol(f: SetFunction, tol):
     if tol is not None:
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        return tol
+        return check_tolerance(tol)
     return 0 if f.is_rational() else 1e-9
 
 
 def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
+    if f.is_rational():
+        # Exact values stay exact: a float tolerance would turn the sums
+        # below into floats, and rounding could fake a violation.
+        tol = Fraction(tol)
     subsets = (frozenset(),) + f.subsets
     # Monotonicity over comparable pairs (the empty set catches negativity,
     # which the constructor already excludes, but keep the check honest).

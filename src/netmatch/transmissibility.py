@@ -18,7 +18,7 @@ from .entropy import SourceModel
 from .graph import Edge, Network
 from .mincut import DEFAULT_MAX_SOURCES
 from .regions import DEFAULT_TOLERANCE, prepare_profiles
-from .scalars import format_scalar, is_inf
+from .scalars import check_tolerance, format_scalar, is_inf
 from .setfunc import iter_nonempty_subsets, subset_label
 
 
@@ -79,8 +79,7 @@ def check(
     deterministic order (subsets by size, then lexicographically by
     source position).
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     nnet, profile, sigma, ep, renaming = prepare_profiles(net, m, max_sources)
     original = {renaming[s]: s for s in renaming}
 

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, document output, round-trips."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +211,50 @@ def test_quiet_suppresses_output(paths, capsys):
                 "--source", paths["source"]])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, code", [("check_k6_pass", 0), ("check_k6_fail", 1)])
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
+def test_check_output_bytes_are_pinned(capsys, name, code, fmt, ext):
+    # Six-source layered instances from the benchmark's generator; the table
+    # form also pins the worst subset's cut edges.
+    argv = ["--format", fmt, "check", "--network", str(DATA / f"{name}.network.json"),
+            "--source", str(DATA / f"{name}.source.json")]
+    assert run(argv) == code
+    assert capsys.readouterr().out == (DATA / f"{name}.stdout.{ext}").read_text()
+
+
+def test_setfunc_verify_explicit_zero_tolerance(tmp_path, capsys):
+    fn = tmp_path / "poly.json"
+    fn.write_text(json.dumps({"ground": ["s1", "s2"],
+                              "values": {"s1": "7/3", "s2": "3", "s1+s2": "10/3"}}))
+    assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn),
+                "--tol", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "poly: axioms hold"
+
+
+def _assert_one_line_usage_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "tolerance" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_rejects_invalid_tolerance(tmp_path, paths, capsys, tol):
+    halved = tmp_path / "halved.json"
+    halved.write_text(json.dumps(network_to_document(fixtures.scaled_butterfly(Fraction(1, 2)))))
+    assert run(["check", "--network", str(halved), "--source", paths["source"],
+                "--tol", tol]) == 64
+    _assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_setfunc_verify_rejects_invalid_tolerance(tmp_path, capsys, tol):
+    fn = tmp_path / "notpoly.json"
+    fn.write_text(json.dumps({"ground": ["a", "b"], "values": {"a": "2", "b": "1", "a+b": "1"}}))
+    assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn), "--tol", tol]) == 64
+    _assert_one_line_usage_error(capsys)

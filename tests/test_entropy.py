@@ -14,7 +14,9 @@ from netmatch.entropy import (
     binary_entropy,
     conditional_entropy,
     entropy_profile,
+    _shannon_bits,
     joint_entropy,
+    marginal_pmf,
     parse_source_model,
     source_model_to_document,
     validate_model,
@@ -186,3 +188,27 @@ def test_empty_subset_rejected():
         joint_entropy(m, set())
     with pytest.raises(ValueError):
         conditional_entropy(m, set())
+
+
+@pytest.mark.parametrize("rational", [True, False])
+def test_profile_matches_joint_entropy_bitwise(rational):
+    # The lattice walk and the single-subset marginal share the integer
+    # weights, so they agree to the last bit for float pmfs as well; on
+    # rational pmfs both equal the direct Fraction marginal formula.
+    rng = random.Random(31 if rational else 32)
+    for _ in range(20):
+        sources = [f"s{k}" for k in range(rng.randint(1, 4))]
+        m = random_source_model(rng, sources, max_alphabet=4, rational=rational)
+        ep = entropy_profile(m)
+        for S in ep.joint.subsets:
+            assert ep.joint(S).hex() == joint_entropy(m, S).hex()
+            if rational:
+                direct = _shannon_bits(marginal_pmf(m, S).values())
+                assert ep.joint(S).hex() == direct.hex()
+
+
+def test_nan_probability_rejected():
+    doc = ('{"sources": ["a", "b"], "alphabets": [2, 2], "pmf": ['
+           '{"symbols": [0, 0], "p": NaN}, {"symbols": [1, 1], "p": 1}]}')
+    with pytest.raises(DocumentError, match="non-finite"):
+        parse_source_model(doc)

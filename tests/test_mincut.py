@@ -69,6 +69,32 @@ def _nonempty_subsets(names):
     return out
 
 
+def _with_infinite_edges(rng: random.Random, net: Network) -> Network:
+    edges = list(net.edges)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(edges))
+        edges[k] = edges[k]._replace(capacity=INF)
+    return Network(net.nodes, tuple(edges), net.sources, net.sinks)
+
+
+def test_capacity_profile_matches_cold_flow_and_enumeration():
+    # The warm-started lattice walk against a cold max_flow per subset and
+    # the exhaustive oracle, on networks with zero-capacity edges (drawn by
+    # random_network) and, in every other one, infinite edges.
+    rng = random.Random(2718)
+    for trial in range(60):
+        net = random_network(rng, max_nodes=9, max_sources=4, max_sinks=3)
+        if trial % 2:
+            net = _with_infinite_edges(rng, net)
+        profile = capacity_profile(net)
+        for t in net.sinks:
+            for S in _nonempty_subsets(net.sources):
+                rho, members = profile.per_sink[t][S], profile.cuts[(t, S)]
+                assert (rho, members) == max_flow(net, S, t)
+                assert rho == enumerate_min_cut(net, S, t)[0]
+                assert cut_value(net, members) == rho
+
+
 def test_flow_cut_duality_is_exact():
     rng = random.Random(5)
     for _ in range(40):

@@ -251,3 +251,11 @@ def test_added_capacity_never_breaks_separation():
             net.sinks,
         )
         assert separation_check(bumped, m).separable
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("checker", [equivalence_check, separation_check])
+def test_invalid_tolerance_rejected(checker, tol):
+    net = fixtures.butterfly_network()
+    with pytest.raises(ValueError, match="tolerance"):
+        checker(net, fixtures.uniform_pair_source(), tol)

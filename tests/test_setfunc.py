@@ -1,6 +1,7 @@
 """Polymatroid axioms, violation witnesses, and the sandwich feasibility test."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +47,24 @@ def test_zero_function_satisfies_both():
     f = sf(("a", "b"), 0, 0, 0)
     assert is_polymatroid(f).holds
     assert is_copolymatroid(f).holds
+
+
+def test_explicit_float_tolerance_keeps_rational_checks_exact():
+    # With the float tolerance added in, the pair (s2, s1+s2) would compare
+    # exact 19/3 against float(19/3), which rounds below it.
+    f = sf(("s1", "s2"), Fraction(7, 3), 3, Fraction(10, 3))
+    assert is_polymatroid(f).holds
+    assert is_polymatroid(f, tol=0.0).holds
+    assert is_polymatroid(f, tol=0).holds
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_invalid_tolerance_rejected(tol):
+    f = sf(("a", "b"), 1, 1, 2)
+    with pytest.raises(ValueError, match="tolerance"):
+        is_polymatroid(f, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        is_copolymatroid(f, tol=tol)
 
 
 def test_submodularity_violation_witness():
