@@ -20,7 +20,6 @@ from .entropy import (
 )
 from .errors import CycleError, DocumentError, LimitError, NetmatchError
 from .graph import (
-    Cut,
     Edge,
     Network,
     cut_value,
@@ -76,7 +75,6 @@ __all__ = [
     "CapacityProfile",
     "CodeInstance",
     "ConstraintSet",
-    "Cut",
     "CycleError",
     "DocumentError",
     "Edge",

@@ -189,35 +189,62 @@ def _cmd_check(args) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
+def _profile_subsets(profile) -> list:
+    return sorted(profile.network_wide, key=lambda S: (len(S), sorted(S)))
+
+
+def _profile_document(profile) -> dict:
+    """Per-sink and network-wide capacity functions keyed by subset label."""
+    subsets = _profile_subsets(profile)
+    return {
+        "per_sink": {
+            t: {subset_label(S, profile.sources): format_scalar(profile.per_sink[t][S])
+                for S in subsets}
+            for t in profile.sinks
+        },
+        "network_wide": {
+            subset_label(S, profile.sources): format_scalar(profile.network_wide[S])
+            for S in subsets
+        },
+    }
+
+
+def _profile_table(profile) -> str:
+    headers = ("subset",) + tuple(f"rho_{t}" for t in profile.sinks) + ("rho_N",)
+    rows = [
+        (subset_label(S, profile.sources),)
+        + tuple(format_scalar(profile.per_sink[t][S]) for t in profile.sinks)
+        + (format_scalar(profile.network_wide[S]),)
+        for S in _profile_subsets(profile)
+    ]
+    return _table(headers, rows)
+
+
+def _entropy_document(ep, sources) -> dict:
+    """Joint and conditional entropy rates keyed by subset label."""
+    return {
+        "joint": {subset_label(S, sources): _round9(ep.joint(S)) for S in ep.sigma.subsets},
+        "conditional": {subset_label(S, sources): _round9(ep.sigma(S)) for S in ep.sigma.subsets},
+    }
+
+
+def _entropy_table(ep, sources) -> str:
+    rows = [
+        (subset_label(S, sources), f"{ep.joint(S):.9g}", f"{ep.sigma(S):.9g}")
+        for S in ep.sigma.subsets
+    ]
+    return _table(("subset", "H(S)", "H(S|rest)"), rows)
+
+
 def _cmd_mincut(args) -> int:
     net = parse_network(_read(args.network))
     if args.all or not args.subset:
         profile = capacity_profile(net, max_sources=args.max_sources)
-        subsets = sorted(profile.network_wide, key=lambda S: (len(S), sorted(S)))
-        doc = {
-            "sources": list(profile.sources),
-            "sinks": list(profile.sinks),
-            "per_sink": {
-                t: {subset_label(S, profile.sources): format_scalar(profile.per_sink[t][S])
-                    for S in subsets}
-                for t in profile.sinks
-            },
-            "network_wide": {
-                subset_label(S, profile.sources): format_scalar(profile.network_wide[S])
-                for S in subsets
-            },
-        }
         if args.format == "json":
-            _emit(args, _dump(doc))
+            _emit(args, _dump({"sources": list(profile.sources), "sinks": list(profile.sinks),
+                               **_profile_document(profile)}))
         else:
-            headers = ("subset",) + tuple(f"rho_{t}" for t in profile.sinks) + ("rho_N",)
-            rows = [
-                (subset_label(S, profile.sources),)
-                + tuple(format_scalar(profile.per_sink[t][S]) for t in profile.sinks)
-                + (format_scalar(profile.network_wide[S]),)
-                for S in subsets
-            ]
-            _emit(args, _table(headers, rows))
+            _emit(args, _profile_table(profile))
         return EXIT_PASS
     subset = _split_subset(args.subset)
     if args.sink:
@@ -251,22 +278,11 @@ def _cmd_entropy(args) -> int:
             _emit(args, f"H({doc['subset']}|rest) = {sigma:.9g}")
         return EXIT_PASS
     ep = entropy_profile(model, max_sources=args.max_sources)
-    subsets = ep.sigma.subsets
     if args.format == "json":
-        doc = {
-            "sources": list(model.sources),
-            "joint": {subset_label(S, model.sources): _round9(ep.joint(S)) for S in subsets},
-            "conditional": {
-                subset_label(S, model.sources): _round9(ep.sigma(S)) for S in subsets
-            },
-        }
-        _emit(args, _dump(doc))
+        _emit(args, _dump({"sources": list(model.sources),
+                           **_entropy_document(ep, model.sources)}))
     else:
-        rows = [
-            (subset_label(S, model.sources), f"{ep.joint(S):.9g}", f"{ep.sigma(S):.9g}")
-            for S in subsets
-        ]
-        _emit(args, _table(("subset", "H(S)", "H(S|rest)"), rows))
+        _emit(args, _entropy_table(ep, model.sources))
     return EXIT_PASS
 
 
@@ -292,6 +308,10 @@ def _rate_point_doc(point, sources) -> dict:
     return {s: format_scalar(point.rates[s]) for s in sources}
 
 
+def _rate_point_line(point, sources) -> str:
+    return ", ".join(f"R[{s}]={format_scalar(point.rates[s])}" for s in sources)
+
+
 def _cmd_regions(args) -> int:
     net = parse_network(_read(args.network))
     model = parse_source_model(_read(args.source))
@@ -311,8 +331,7 @@ def _cmd_regions(args) -> int:
             _emit(args, f"separable: {report.separable}")
             _emit(args, f"rho_N polymatroid: {report.rho_n_polymatroid.holds}")
             if report.witness is not None:
-                _emit(args, "witness: " + ", ".join(
-                    f"R[{s}]={format_scalar(report.witness.rates[s])}" for s in report.sources))
+                _emit(args, "witness: " + _rate_point_line(report.witness, report.sources))
             if report.infeasibility is not None:
                 _emit(args, "contradiction:")
                 for line in report.infeasibility.describe(report.sources):
@@ -342,8 +361,8 @@ def _cmd_regions(args) -> int:
         _emit(args, f"regions nonempty: {report.regions_nonempty} [{report.agreement}]")
         for t, res in report.per_sink.items():
             if res.point is not None:
-                _emit(args, f"  {t}: feasible, witness " + ", ".join(
-                    f"R[{s}]={format_scalar(res.point.rates[s])}" for s in report.sources))
+                _emit(args, f"  {t}: feasible, witness "
+                            + _rate_point_line(res.point, report.sources))
             else:
                 _emit(args, f"  {t}: infeasible")
     if report.agreement == "inconsistent":
@@ -406,24 +425,10 @@ def _cmd_demo(args) -> int:
     profile = capacity_profile(net)
     ep = entropy_profile(model)
     report = transmissibility_check(net, model)
-    subsets = sorted(profile.network_wide, key=lambda S: (len(S), sorted(S)))
     doc = {
         "name": args.name,
-        "per_sink": {
-            t: {subset_label(S, profile.sources): format_scalar(profile.per_sink[t][S])
-                for S in subsets}
-            for t in profile.sinks
-        },
-        "network_wide": {
-            subset_label(S, profile.sources): format_scalar(profile.network_wide[S])
-            for S in subsets
-        },
-        "entropies": {
-            "joint": {subset_label(S, model.sources): _round9(ep.joint(S))
-                      for S in ep.joint.subsets},
-            "conditional": {subset_label(S, model.sources): _round9(ep.sigma(S))
-                            for S in ep.sigma.subsets},
-        },
+        **_profile_document(profile),
+        "entropies": _entropy_document(ep, model.sources),
         "verdict": report.verdict,
     }
     if args.name == "example1":
@@ -432,20 +437,9 @@ def _cmd_demo(args) -> int:
     if args.format == "json":
         _emit(args, _dump(doc))
         return EXIT_PASS
-    headers = ("subset",) + tuple(f"rho_{t}" for t in profile.sinks) + ("rho_N",)
-    rows = [
-        (subset_label(S, profile.sources),)
-        + tuple(format_scalar(profile.per_sink[t][S]) for t in profile.sinks)
-        + (format_scalar(profile.network_wide[S]),)
-        for S in subsets
-    ]
-    _emit(args, _table(headers, rows))
+    _emit(args, _profile_table(profile))
     _emit(args, "")
-    _emit(args, _table(
-        ("subset", "H(S)", "H(S|rest)"),
-        [(subset_label(S, model.sources), f"{ep.joint(S):.9g}", f"{ep.sigma(S):.9g}")
-         for S in ep.sigma.subsets],
-    ))
+    _emit(args, _entropy_table(ep, model.sources))
     _emit(args, "")
     _emit(args, diagnose(report))
     if args.name == "example1":

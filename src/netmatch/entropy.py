@@ -51,13 +51,13 @@ def validate_model(m: SourceModel) -> None:
     if len(m.alphabet_sizes) != len(m.sources):
         raise DocumentError("one alphabet size per source is required")
     for size in m.alphabet_sizes:
-        if not isinstance(size, int) or size < 1:
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise DocumentError(f"alphabet sizes must be positive integers, got {size!r}")
     for tup, p in m.pmf.items():
         if len(tup) != len(m.sources):
             raise DocumentError(f"symbol tuple {tup!r} has wrong arity")
         for sym, size in zip(tup, m.alphabet_sizes):
-            if not isinstance(sym, int) or not 0 <= sym < size:
+            if isinstance(sym, bool) or not isinstance(sym, int) or not 0 <= sym < size:
                 raise DocumentError(f"symbol {sym!r} outside alphabet of size {size}")
         if isinstance(p, float) and not math.isfinite(p):
             raise DocumentError(f"non-finite probability for {tup!r}")

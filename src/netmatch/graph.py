@@ -31,7 +31,8 @@ class Network:
     Parallel edges are allowed and kept distinct; their capacities add up
     in every cut.  Construction validates local shape only (endpoints,
     self-loops, capacity signs); acyclicity and normalization are separate
-    checks because several operations accept un-normalized input.
+    checks because several operations accept un-normalized input.  The
+    in- and out-edge index lists of every node are built once, here.
     """
 
     nodes: tuple[str, ...]
@@ -39,6 +40,8 @@ class Network:
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
     _node_set: frozenset = field(init=False, repr=False, compare=False)
+    _in_edges: dict = field(init=False, repr=False, compare=False)
+    _out_edges: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         node_set = frozenset(self.nodes)
@@ -71,6 +74,13 @@ class Network:
             if cap < 0:
                 raise DocumentError(f"negative capacity on edge ({edge.tail!r}, {edge.head!r})")
         object.__setattr__(self, "_node_set", node_set)
+        in_edges = {name: [] for name in self.nodes}
+        out_edges = {name: [] for name in self.nodes}
+        for k, edge in enumerate(self.edges):
+            in_edges[edge.head].append(k)
+            out_edges[edge.tail].append(k)
+        object.__setattr__(self, "_in_edges", {v: tuple(ks) for v, ks in in_edges.items()})
+        object.__setattr__(self, "_out_edges", {v: tuple(ks) for v, ks in out_edges.items()})
 
     @property
     def source_set(self) -> frozenset:
@@ -83,19 +93,13 @@ class Network:
     def has_node(self, name: str) -> bool:
         return name in self._node_set
 
-    def in_edges(self, node: str) -> list[int]:
-        return [k for k, e in enumerate(self.edges) if e.head == node]
+    def in_edges(self, node: str) -> tuple[int, ...]:
+        """Indices of the edges entering ``node``, in edge order."""
+        return self._in_edges[node]
 
-    def out_edges(self, node: str) -> list[int]:
-        return [k for k, e in enumerate(self.edges) if e.tail == node]
-
-
-@dataclass(frozen=True)
-class Cut:
-    """A node bipartition (member_set, rest) with its crossing capacity."""
-
-    member_set: frozenset
-    value: object
+    def out_edges(self, node: str) -> tuple[int, ...]:
+        """Indices of the edges leaving ``node``, in edge order."""
+        return self._out_edges[node]
 
 
 def parse_network(text: str) -> Network:
@@ -180,11 +184,8 @@ def validate_acyclic(net: Network) -> tuple[str, ...]:
     This order is also the coding order used by the simulator.
     """
     index = {name: k for k, name in enumerate(net.nodes)}
-    indegree = {name: 0 for name in net.nodes}
-    succs: dict[str, list[str]] = {name: [] for name in net.nodes}
-    for e in net.edges:
-        indegree[e.head] += 1
-        succs[e.tail].append(e.head)
+    indegree = {name: len(net.in_edges(name)) for name in net.nodes}
+    heads = [e.head for e in net.edges]
 
     ready = sorted((name for name, d in indegree.items() if d == 0), key=index.get)
     order: list[str] = []
@@ -192,7 +193,8 @@ def validate_acyclic(net: Network) -> tuple[str, ...]:
         node = ready.pop(0)
         order.append(node)
         changed = False
-        for nxt in succs[node]:
+        for k in net.out_edges(node):
+            nxt = heads[k]
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 ready.append(nxt)
@@ -206,7 +208,8 @@ def validate_acyclic(net: Network) -> tuple[str, ...]:
     # that still have a successor inside it, then walk until a repeat.
     remaining = {name for name, d in indegree.items() if d > 0}
     while True:
-        stuck = {n for n in remaining if not any(h in remaining for h in succs[n])}
+        stuck = {n for n in remaining
+                 if not any(heads[k] in remaining for k in net.out_edges(n))}
         if not stuck:
             break
         remaining -= stuck
@@ -214,7 +217,7 @@ def validate_acyclic(net: Network) -> tuple[str, ...]:
     seen: list[str] = []
     while node not in seen:
         seen.append(node)
-        node = next(h for h in succs[node] if h in remaining)
+        node = next(heads[k] for k in net.out_edges(node) if heads[k] in remaining)
     cycle = seen[seen.index(node):]
     raise CycleError(cycle)
 
@@ -282,8 +285,3 @@ def cut_value(net: Network, member_set: Iterable[str]):
         if e.tail in members and e.head not in members:
             total = total + e.capacity
     return total
-
-
-def make_cut(net: Network, member_set: Iterable[str]) -> Cut:
-    members = frozenset(member_set)
-    return Cut(member_set=members, value=cut_value(net, members))

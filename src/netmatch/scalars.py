@@ -106,7 +106,3 @@ def format_scalar(x) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{float(x):.9g}"
-
-
-def as_float(x) -> float:
-    return float(x)

@@ -12,6 +12,7 @@ the two compare pointwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -63,7 +64,7 @@ class SetFunction:
     """Total map from nonempty subsets of ``ground`` to extended values.
 
     The empty set is implicitly 0.  Values may be exact rationals, floats
-    (entropies) or infinity; they must be nonnegative.
+    (entropies) or infinity; they must be nonnegative and not NaN.
     """
 
     ground: tuple[str, ...]
@@ -82,6 +83,8 @@ class SetFunction:
                 f"({len(self.values)} given, {len(expected)} required)"
             )
         for S, v in self.values.items():
+            if isinstance(v, float) and math.isnan(v):
+                raise DocumentError(f"NaN value on subset {sorted(S)}")
             if not is_inf(v) and v < 0:
                 raise DocumentError(f"negative value on subset {sorted(S)}")
 

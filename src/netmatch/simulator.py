@@ -2,10 +2,15 @@
 
 Every edge (i, j) gets an index set of size floor(2^{n (c_ij + tau - delta)})
 (clamped to at least 1) and an independent uniformly random binning table
-from node i's inputs to that index set.  Encoding proceeds in topological
-order, each sink applies a joint-typicality decoder (unique typical
-preimage of what it received), and the empirical per-sink error rate is
-estimated over many trials with a fresh random code per trial by default.
+from node i's inputs to that index set.  One encoder, ``_encode``, chains
+the tables in topological order over arrays of source blocks: one block
+for :func:`propagate` and for each trial's transmitted block, the whole
+candidate space for decoding.  One decoder scan, ``_scan``, finds per sink
+the typical candidates received identically to the transmitted block
+(the joint-typicality decoder outputs the unique such preimage); both
+:func:`decode` and :func:`estimate_error` use it.  The empirical per-sink
+error rate is estimated over many trials with a fresh random code per
+trial by default.
 
 The decoder enumerates the whole candidate space, so this is strictly a
 desk-scale tool; enumeration and table sizes are guarded by configurable
@@ -80,9 +85,6 @@ class CodeInstance:
         self.tables = tables
         self.topo_order = topo_order
         self.node_domain = node_domain
-        self.in_edges = {v: [] for v in net.nodes}
-        for k, e in enumerate(net.edges):
-            self.in_edges[e.head].append(k)
 
     @property
     def source_order(self) -> tuple[str, ...]:
@@ -122,19 +124,12 @@ def build_code(
     node_domain: dict[str, int] = {}
     index_sizes: dict[int, int] = {}
     tables: dict[int, np.ndarray] = {}
-
-    out_edges = {v: [] for v in net.nodes}
-    in_edges = {v: [] for v in net.nodes}
-    for k, e in enumerate(net.edges):
-        out_edges[e.tail].append(k)
-        in_edges[e.head].append(k)
-
     for node in topo:
         if node in net.source_set:
             domain = int(alphabets[node]) ** n
         else:
             domain = 1
-            for k in in_edges[node]:
+            for k in net.in_edges(node):
                 domain *= index_sizes[k]
         if domain > max_table_entries:
             raise LimitError(
@@ -142,7 +137,7 @@ def build_code(
                 f"past the configured bound {max_table_entries}"
             )
         node_domain[node] = domain
-        for k in out_edges[node]:
+        for k in net.out_edges(node):
             cap = net.edges[k].capacity
             if is_inf(cap):
                 index_sizes[k] = domain
@@ -168,29 +163,28 @@ def _sequence_code(seq: Sequence[int], alphabet: int) -> int:
     return code
 
 
-def _propagate_codes(code: CodeInstance, source_codes: dict):
-    """Chain the binning tables on per-source sequence codes.
+def _encode(code: CodeInstance, source_codes: dict) -> dict:
+    """Chain the binning tables on arrays of per-source sequence codes.
 
-    Returns {sink: tuple of 0-based in-edge indices in edge order} plus the
-    full node-value map (used by tests probing interior nodes).
+    ``source_codes`` maps every source to an equally long int64 array.
+    Returns {sink: list of 0-based received-index arrays, one per in-edge
+    in edge order}.
     """
-    values: dict[str, int] = {}
+    net = code.net
+    values = dict(source_codes)
+    length = len(next(iter(source_codes.values())))
     for node in code.topo_order:
-        if node in code.net.source_set:
-            values[node] = source_codes[node]
-        else:
-            composite = 0
-            for k in code.in_edges[node]:
-                e = code.net.edges[k]
-                idx = int(code.tables[k][values[e.tail]])
-                composite = composite * code.index_sizes[k] + idx
-            values[node] = composite
-    received = {}
-    for t in code.net.sinks:
-        received[t] = tuple(
-            int(code.tables[k][values[code.net.edges[k].tail]]) for k in code.in_edges[t]
-        )
-    return received, values
+        if node in values or not net.out_edges(node):
+            continue
+        composite = np.zeros(length, dtype=np.int64)
+        for k in net.in_edges(node):
+            idx = code.tables[k][values[net.edges[k].tail]]
+            composite = composite * code.index_sizes[k] + idx
+        values[node] = composite
+    return {
+        t: [code.tables[k][values[net.edges[k].tail]] for k in net.in_edges(t)]
+        for t in net.sinks
+    }
 
 
 def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
@@ -205,9 +199,9 @@ def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
     source_codes = {}
     for pos, s in enumerate(code.source_order):
         seq = [step[pos] for step in x]
-        source_codes[s] = _sequence_code(seq, code.alphabets[s])
-    received, _ = _propagate_codes(code, source_codes)
-    return {t: tuple(i + 1 for i in z) for t, z in received.items()}
+        source_codes[s] = np.array([_sequence_code(seq, code.alphabets[s])], dtype=np.int64)
+    received = _encode(code, source_codes)
+    return {t: tuple(int(z[0]) + 1 for z in arrays) for t, arrays in received.items()}
 
 
 def _align_model(net: Network, m: SourceModel) -> SourceModel:
@@ -323,25 +317,30 @@ class _CandidateSpace:
         return out
 
 
-def _sink_indices_block(code: CodeInstance, space: _CandidateSpace, lo: int, hi: int) -> dict:
-    """Received-index arrays for candidates [lo, hi) at every sink."""
-    values: dict[str, np.ndarray] = {}
-    for node in code.topo_order:
-        if node in code.net.source_set:
-            values[node] = space.source_codes[node][lo:hi]
-        else:
-            composite = np.zeros(hi - lo, dtype=np.int64)
-            for k in code.in_edges[node]:
-                e = code.net.edges[k]
-                idx = code.tables[k][values[e.tail]]
-                composite = composite * code.index_sizes[k] + idx
-            values[node] = composite
-    out = {}
-    for t in code.net.sinks:
-        out[t] = [
-            code.tables[k][values[code.net.edges[k].tail]] for k in code.in_edges[t]
-        ]
-    return out
+def _scan(code: CodeInstance, space: _CandidateSpace, targets: dict) -> dict:
+    """Find the typical candidates each sink receives as its target.
+
+    ``targets`` maps sinks to tuples of 0-based received indices.  Returns
+    {sink: (matches, first matching candidate or -1)}; counting stops once
+    a sink has more than one match, so ``matches`` is exact only up to 2.
+    """
+    matches = {t: 0 for t in targets}
+    first = {t: -1 for t in targets}
+    for lo in range(0, space.total, _BLOCK):
+        live = [t for t in targets if matches[t] < 2]
+        if not live:
+            break
+        hi = min(space.total, lo + _BLOCK)
+        received = _encode(code, {s: c[lo:hi] for s, c in space.source_codes.items()})
+        for t in live:
+            mask = space.typical[lo:hi].copy()
+            for arr, want in zip(received[t], targets[t]):
+                mask &= arr == want
+            found = np.flatnonzero(mask)
+            if len(found) and first[t] < 0:
+                first[t] = lo + int(found[0])
+            matches[t] += len(found)
+    return {t: (matches[t], first[t]) for t in targets}
 
 
 def decode(
@@ -363,25 +362,12 @@ def decode(
     if sink not in code.net.sink_set:
         raise ValueError(f"{sink!r} is not a sink node")
     want = tuple(int(z) - 1 for z in z_t)
-    if len(want) != len(code.in_edges[sink]):
-        raise ValueError(
-            f"sink {sink!r} receives {len(code.in_edges[sink])} indices, got {len(want)}"
-        )
+    width = len(code.net.in_edges(sink))
+    if len(want) != width:
+        raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
     space = _CandidateSpace(code.net, m, code.n, float(lam), max_enumeration)
-    hits: list[int] = []
-    for lo in range(0, space.total, _BLOCK):
-        hi = min(space.total, lo + _BLOCK)
-        indices = _sink_indices_block(code, space, lo, hi)[sink]
-        mask = space.typical[lo:hi].copy()
-        for arr, target in zip(indices, want):
-            mask &= arr == target
-        found = np.flatnonzero(mask)
-        hits.extend(int(j) + lo for j in found)
-        if len(hits) > 1:
-            return None
-    if len(hits) != 1:
-        return None
-    return space.sequence_of(hits[0])
+    matches, first = _scan(code, space, {sink: want})[sink]
+    return space.sequence_of(first) if matches == 1 else None
 
 
 @dataclass(frozen=True)
@@ -461,9 +447,9 @@ def estimate_error(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    aligned = _align_model(net, m)
     lam = float(lam)
-    space = _CandidateSpace(net, aligned, n, lam, max_enumeration)
+    space = _CandidateSpace(net, m, n, lam, max_enumeration)
+    aligned = space.model
 
     joint = space.joint_size
     probs = np.zeros(joint)
@@ -501,26 +487,10 @@ def estimate_error(
         for sym in draws:
             truth = truth * joint + int(sym)
 
-        source_codes = {s: int(space.source_codes[s][truth]) for s in aligned.sources}
-        received, _ = _propagate_codes(code, source_codes)
-
-        hits = {t: 0 for t in net.sinks}
-        decoded = {t: -1 for t in net.sinks}
-        for lo in range(0, space.total, _BLOCK):
-            hi = min(space.total, lo + _BLOCK)
-            block = _sink_indices_block(code, space, lo, hi)
-            for t in net.sinks:
-                if hits[t] > 1:
-                    continue
-                mask = space.typical[lo:hi].copy()
-                for arr, target in zip(block[t], received[t]):
-                    mask &= arr == target
-                found = np.flatnonzero(mask)
-                hits[t] += len(found)
-                if len(found) and decoded[t] < 0:
-                    decoded[t] = int(found[0]) + lo
-        for t in net.sinks:
-            if hits[t] != 1 or decoded[t] != truth:
+        received = _encode(code, {s: c[truth:truth + 1] for s, c in space.source_codes.items()})
+        targets = {t: tuple(int(z[0]) for z in arrays) for t, arrays in received.items()}
+        for t, (matches, first) in _scan(code, space, targets).items():
+            if matches != 1 or first != truth:
                 errors[t] += 1
 
     return SimResult(

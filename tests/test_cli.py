@@ -227,6 +227,13 @@ def test_check_output_bytes_are_pinned(capsys, name, code, fmt, ext):
     assert capsys.readouterr().out == (DATA / f"{name}.stdout.{ext}").read_text()
 
 
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
+def test_demo_output_bytes_are_pinned(capsys, name, fmt, ext):
+    assert run(["--format", fmt, "demo", name]) == 0
+    assert capsys.readouterr().out == (DATA / f"demo_{name}.stdout.{ext}").read_text()
+
 def test_setfunc_verify_explicit_zero_tolerance(tmp_path, capsys):
     fn = tmp_path / "poly.json"
     fn.write_text(json.dumps({"ground": ["s1", "s2"],
@@ -240,6 +247,19 @@ def _assert_one_line_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:") and "tolerance" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["poly", "copoly"])
+@pytest.mark.parametrize("values", ['{"a": NaN, "b": 1, "a+b": 2}',
+                                    '{"a": 5, "b": 1, "a+b": NaN}'])
+def test_setfunc_verify_rejects_nan_values(tmp_path, capsys, kind, values):
+    fn = tmp_path / "nan.json"
+    fn.write_text('{"ground": ["a", "b"], "values": %s}' % values)
+    assert run(["setfunc", "verify", "--kind", kind, "--input", str(fn)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "NaN" in captured.err
     assert captured.err.count("\n") == 1
 
 

@@ -105,6 +105,21 @@ def test_validate_model_errors():
         validate_model(SourceModel(("a",), (2,), {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)}))
 
 
+def test_boolean_alphabet_sizes_and_symbols_rejected():
+    with pytest.raises(DocumentError, match="alphabet sizes"):
+        validate_model(SourceModel(("a", "b"), (True, 2), {(0, 0): Fraction(1)}))
+    with pytest.raises(DocumentError, match="symbol True"):
+        validate_model(SourceModel(("a",), (2,), {(True,): Fraction(1, 2), (0,): Fraction(1, 2)}))
+    doc = {"sources": ["a", "b"], "alphabets": [True, 2],
+           "pmf": [{"symbols": [0, 0], "p": "1/2"}, {"symbols": [0, 1], "p": "1/2"}]}
+    with pytest.raises(DocumentError, match="alphabet sizes"):
+        parse_source_model(json.dumps(doc))
+    doc["alphabets"] = [2, 2]
+    doc["pmf"][1]["symbols"] = [False, 1]
+    with pytest.raises(DocumentError, match="symbol False"):
+        parse_source_model(json.dumps(doc))
+
+
 def test_float_pmf_tolerance():
     good = SourceModel(("a",), (2,), {(0,): 0.5, (1,): 0.5 + 1e-13})
     validate_model(good)

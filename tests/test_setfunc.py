@@ -109,6 +109,24 @@ def test_incomplete_function_rejected():
         SetFunction(ground=("a", "b"), values={frozenset({"a"}): Fraction(1)})
 
 
+def _floats(*values):
+    subsets = iter_nonempty_subsets(("a", "b"))
+    return SetFunction(ground=("a", "b"), values=dict(zip(subsets, map(float, values))))
+
+
+@pytest.mark.parametrize("values", [(math.nan, 1, 2), (5, 1, math.nan)])
+def test_nan_value_rejected(values):
+    with pytest.raises(DocumentError, match="NaN"):
+        _floats(*values)
+    doc = '{"ground": ["a", "b"], "values": {"a": %r, "b": %r, "a+b": %r}}' % values
+    with pytest.raises(DocumentError, match="NaN"):
+        parse_setfunction(doc.replace("nan", "NaN"))
+
+
+def test_infinite_value_allowed():
+    assert is_polymatroid(_floats(1, math.inf, math.inf)).holds
+
+
 def test_sandwich_on_boundary_instance():
     sigma = sf(("s1", "s2"), 1, 1, 2)
     rho = sf(("s1", "s2"), 2, 1, 2)

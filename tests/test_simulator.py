@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +244,28 @@ def test_error_rate_decreases_with_blocklength_given_margin():
         p6 = high.per_sink[t].rate
         assert p6 < p2
         assert _z_gap(p2, p6, trials) > 1.645
+
+
+PINNED = Path(__file__).parent / "data" / "estimate_error"
+PINNED_INSTANCES = {
+    # name: (network, source model, typicality slack)
+    "butterfly": (fixtures.butterfly_network, fixtures.uniform_pair_source, Fraction(3, 32)),
+    "halved": (lambda: fixtures.scaled_butterfly(Fraction(1, 2)),
+               fixtures.uniform_pair_source, Fraction(3, 32)),
+    "dsbs": (fixtures.butterfly_network, lambda: fixtures.dsbs_source(Fraction(11, 100)),
+             Fraction(3, 32)),
+    # The three above err on every trial at some sink or all; this one
+    # decodes most blocks of a correlated source, so it pins the scan's hits.
+    "dsbs_wide": (lambda: fixtures.scaled_butterfly(Fraction(5, 4)),
+                  lambda: fixtures.dsbs_source(Fraction(11, 100)), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("mode", ["fresh", "fixed"])
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_estimate_error_documents_are_pinned(name, n, mode):
+    make_net, make_model, lam = PINNED_INSTANCES[name]
+    result = estimate_error(make_net(), make_model(), n, Fraction(1, 4), Fraction(1, 20), lam,
+                            trials=40, seed=7, fixed_code=mode == "fixed")
+    assert result.to_json() + "\n" == (PINNED / f"{name}_n{n}_{mode}.json").read_text()
