@@ -109,6 +109,9 @@ def parse_source_model(text: str) -> SourceModel:
         symbols = entry["symbols"]
         if not isinstance(symbols, list):
             raise DocumentError(f"pmf entry symbols must be a list: {entry!r}")
+        for sym in symbols:
+            if isinstance(sym, bool) or not isinstance(sym, int):
+                raise DocumentError(f"symbol {sym!r} in pmf entry {entry!r} is not an integer")
         tup = tuple(symbols)
         if tup in pmf:
             raise DocumentError(f"duplicate pmf entry for {tup!r}")

@@ -9,6 +9,7 @@ import pytest
 
 from netmatch.entropy import SourceModel
 from netmatch.graph import Edge, Network
+from netmatch.setfunc import AxiomReport, SetFunction
 
 
 def random_network(
@@ -61,6 +62,34 @@ def random_source_model(
     else:
         pmf = {t: w / total for t, w in zip(tuples, weights) if w}
     return SourceModel(sources=sources, alphabet_sizes=sizes, pmf=pmf)
+
+
+def reference_axioms(f: SetFunction, tol=None, *, submodular: bool) -> AxiomReport:
+    """The O(4^k) pair-by-pair axiom scan on frozensets: the test oracle.
+
+    Same tolerance defaults as ``is_polymatroid``/``is_copolymatroid``;
+    the witness is the first violating pair in canonical order, monotone
+    pairs (empty set included) before the proper pairs.
+    """
+    if tol is None:
+        tol = 0 if f.is_rational() else 1e-9
+    if f.is_rational():
+        tol = Fraction(tol)
+    subsets = (frozenset(),) + f.subsets
+    for S in subsets:
+        for T in subsets:
+            if S != T and S <= T and f(S) > f(T) + tol:
+                return AxiomReport(False, "monotonicity", (S, T))
+    kind = "submodularity" if submodular else "supermodularity"
+    proper = f.subsets
+    for i, S in enumerate(proper):
+        for T in proper[i + 1:]:
+            lhs = f(S & T) + f(S | T)
+            rhs = f(S) + f(T)
+            bad = lhs > rhs + tol if submodular else lhs < rhs - tol
+            if bad:
+                return AxiomReport(False, kind, (S, T))
+    return AxiomReport(True)
 
 
 _CRITERION_LINES: list[str] = []

@@ -278,3 +278,41 @@ def test_setfunc_verify_rejects_invalid_tolerance(tmp_path, capsys, tol):
     fn.write_text(json.dumps({"ground": ["a", "b"], "values": {"a": "2", "b": "1", "a+b": "1"}}))
     assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn), "--tol", tol]) == 64
     _assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("name, kind, tol, code", [
+    ("verify_k6_rational_pass", "poly", [], 0),
+    ("verify_k6_rational_fail", "poly", [], 1),
+    ("verify_float_pass", "copoly", ["--tol", "1e-9"], 0),
+    ("verify_float_fail", "copoly", ["--tol", "1e-9"], 1),
+])
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
+def test_setfunc_verify_output_bytes_are_pinned(capsys, name, kind, tol, code, fmt, ext):
+    # Six-source weighted coverage functions (one value raised in the failing
+    # one) and four-source conditional entropies (one value raised).
+    argv = ["--format", fmt, "setfunc", "verify", "--kind", kind,
+            "--input", str(DATA / f"{name}.json"), *tol]
+    assert run(argv) == code
+    assert capsys.readouterr().out == (DATA / f"{name}.stdout.{ext}").read_text()
+
+
+def _assert_one_line_data_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_setfunc_verify_rejects_non_object_values(tmp_path, capsys):
+    fn = tmp_path / "list.json"
+    fn.write_text(json.dumps({"ground": ["a"], "values": [1]}))
+    assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn)]) == 65
+    _assert_one_line_data_error(capsys)
+
+
+@pytest.mark.parametrize("symbols", [[[0]], [{"x": 0}], [0.5], ["0"]])
+def test_entropy_rejects_non_integer_symbols(tmp_path, capsys, symbols):
+    fn = tmp_path / "source.json"
+    fn.write_text(json.dumps({"sources": ["a"], "alphabets": [2],
+                              "pmf": [{"symbols": symbols, "p": "1"}]}))
+    assert run(["entropy", "--source", str(fn)]) == 65
+    _assert_one_line_data_error(capsys)

@@ -1,0 +1,56 @@
+"""Property tests: arbitrary JSON documents never crash the CLI parsers."""
+
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from netmatch.cli import run
+
+_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_scalars = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
+            | st.sampled_from(["1", "1/2", "0.25", "inf", "-1", "x", "1/0", ""]) | st.text(max_size=4))
+_json = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12)
+_names = st.lists(st.sampled_from(["a", "b", "c", "a+b", " a", ""]), max_size=3)
+
+#: Set-function documents: arbitrary JSON, and the documented shape with
+#: arbitrary parts.
+_setfunc_docs = _json | st.fixed_dictionaries({
+    "ground": _names | _json,
+    "values": st.dictionaries(st.sampled_from(["a", "b", "c", "a+b", "a+c", "b+c", "a+b+c", "z"]),
+                              _scalars, max_size=7) | _json,
+})
+
+_source_docs = _json | st.fixed_dictionaries({
+    "sources": st.just(["a"]) | _names | _json,
+    "alphabets": st.just([2]) | st.lists(st.integers(-1, 3) | _scalars, max_size=3) | _json,
+    "pmf": st.lists(st.fixed_dictionaries({
+        "symbols": st.lists(st.integers(-1, 2) | st.lists(st.integers(0, 1), max_size=1) | _json,
+                            max_size=3) | _json,
+        "p": _scalars,
+    }), max_size=4) | _json,
+})
+
+
+def _run_document(tmp_path, capsys, doc, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = run([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 64, 65)
+    if code in (64, 65):
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@_SETTINGS
+@given(doc=_setfunc_docs, kind=st.sampled_from(["poly", "copoly"]))
+def test_setfunc_verify_never_crashes(tmp_path, capsys, doc, kind):
+    _run_document(tmp_path, capsys, doc, ["setfunc", "verify", "--kind", kind, "--input"])
+
+
+@_SETTINGS
+@given(doc=_source_docs)
+def test_entropy_never_crashes(tmp_path, capsys, doc):
+    _run_document(tmp_path, capsys, doc, ["entropy", "--source"])

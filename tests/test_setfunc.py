@@ -10,6 +10,7 @@ import pytest
 from netmatch import fixtures
 from netmatch.entropy import entropy_profile
 from netmatch.errors import DocumentError
+from netmatch.graph import Edge, Network
 from netmatch.mincut import capacity_profile
 from netmatch.setfunc import (
     SetFunction,
@@ -22,8 +23,9 @@ from netmatch.setfunc import (
     subset_label,
 )
 from netmatch import simplex
+from netmatch.scalars import INF
 
-from conftest import random_network, random_source_model
+from conftest import random_network, random_source_model, reference_axioms
 
 
 def sf(ground, *values):
@@ -222,3 +224,114 @@ def test_parse_setfunction_errors():
         parse_setfunction(json.dumps({"ground": ["a"], "values": {"zz": 1}}))
     with pytest.raises(DocumentError, match="JSON"):
         parse_setfunction("{")
+
+
+# --- The axiom engine against the pair-by-pair oracle -----------------------
+
+#: Functions per family and ground set size: the oracle is O(4^k).
+_PER_SIZE = {1: 6, 2: 6, 3: 6, 4: 6, 5: 4, 6: 3, 7: 2, 8: 1}
+
+
+def _assert_matches_oracle(f, tol=None):
+    """Both checks return the oracle's (holds, axiom, witness); returns them."""
+    reports = (is_polymatroid(f, tol), is_copolymatroid(f, tol))
+    assert reports == (reference_axioms(f, tol, submodular=True),
+                       reference_axioms(f, tol, submodular=False))
+    return reports
+
+
+def _coverage(rng, ground, items=10):
+    """Weighted coverage function: a rational polymatroid."""
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(items)]
+    covers = {g: {i for i in range(items) if rng.random() < 0.35} for g in ground}
+    return SetFunction(ground=ground, values={
+        S: sum((weights[i] for i in set().union(*(covers[g] for g in S))), Fraction(0))
+        for S in iter_nonempty_subsets(ground)
+    })
+
+
+def _nudged(rng, f, delta):
+    """``f`` with one value, at a random subset, raised or lowered by ``delta``."""
+    S = rng.choice(f.subsets)
+    value = f(S) + delta if rng.random() < 0.5 else max(f(S) - delta, 0 * delta)
+    return SetFunction(ground=f.ground, values={**f.values, S: value})
+
+
+def _ground(k):
+    return tuple(f"g{p}" for p in range(k))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_axioms_match_oracle_on_rational_functions(k):
+    rng = random.Random(4100 + k)
+    failing = set()
+    for _ in range(_PER_SIZE[k]):
+        f = _coverage(rng, _ground(k))
+        assert _assert_matches_oracle(f)[0].holds
+        _assert_matches_oracle(_random_copolymatroid(rng, _ground(k)))
+        _assert_matches_oracle(_random_polymatroid(rng, _ground(k)))
+        for _ in range(4):
+            g = _nudged(rng, f, Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 6))))
+            failing.add(_assert_matches_oracle(g)[0].axiom)
+        # Raised past f(i) + f(N - i), the full set's value breaks submodularity.
+        full = f.subsets[-1]
+        g = SetFunction(ground=f.ground, values={**f.values, full: 2 * f(full) + 1})
+        failing.add(_assert_matches_oracle(g)[0].axiom)
+        # Scaled past int64 range: the same checks on Python integers.
+        for h in (f, g):
+            _assert_matches_oracle(SetFunction(ground=h.ground, values={
+                S: v * Fraction(2**70, 3**45) for S, v in h.values.items()}))
+    if k > 1:  # the witness path runs, for both polymatroid axioms
+        assert {"monotonicity", "submodularity"} <= failing
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_axioms_match_oracle_on_rational_functions_with_tolerance(k):
+    rng = random.Random(4200 + k)
+    for _ in range(_PER_SIZE[k]):
+        f = _coverage(rng, _ground(k))
+        for tol in (Fraction(1, 2), 0.25, 1e-9):
+            # Nudges of exactly the tolerance, and just beyond it.
+            for delta in (Fraction(tol), Fraction(tol) + Fraction(1, 6)):
+                _assert_matches_oracle(_nudged(rng, f, delta), tol)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_axioms_match_oracle_on_float_functions_near_ties(k):
+    # Float copies of coverage functions are tight up to rounding, so
+    # nudges at the scale of the tolerance decide the verdicts.
+    rng = random.Random(4250 + k)
+    for _ in range(_PER_SIZE[k]):
+        f = _coverage(rng, _ground(k))
+        f = SetFunction(ground=f.ground, values={S: float(v) for S, v in f.values.items()})
+        _assert_matches_oracle(f, 0.0)
+        for tol, delta in ((0.0, 1e-12), (1e-9, 5e-10), (1e-9, 3e-9)):
+            _assert_matches_oracle(_nudged(rng, f, delta), tol)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_axioms_match_oracle_on_entropy_profiles(k):
+    rng = random.Random(4300 + k)
+    for _ in range(_PER_SIZE[k]):
+        m = random_source_model(rng, _ground(k), max_alphabet=3 if k <= 5 else 2,
+                                rational=rng.random() < 0.5)
+        profile = entropy_profile(m)
+        for f in (profile.sigma, profile.joint):
+            _assert_matches_oracle(f)
+            _assert_matches_oracle(f, 1e-9)
+            _assert_matches_oracle(_nudged(rng, f, rng.choice((1e-10, 1e-3, 0.5))), 1e-9)
+
+
+def test_axioms_match_oracle_on_capacity_functions_with_infinite_edges():
+    rng = random.Random(4400)
+    seen_inf = 0
+    for _ in range(40):
+        net = random_network(rng, max_nodes=9, max_sources=5, max_sinks=3)
+        net = Network(nodes=net.nodes, sources=net.sources, sinks=net.sinks, edges=tuple(
+            Edge(e.tail, e.head, INF) if rng.random() < 0.25 else e for e in net.edges))
+        profile = capacity_profile(net)
+        for f in [profile.rho_n_function()] + [profile.rho_t_function(t) for t in net.sinks]:
+            seen_inf += INF in f.values.values()
+            for tol in (None, 0, 0.0, 1e-9):
+                _assert_matches_oracle(f, tol)
+    assert seen_inf >= 10
