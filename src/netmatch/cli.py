@@ -421,14 +421,12 @@ def _demo_instance(args):
 
 
 def _cmd_demo(args) -> int:
-    net, model = _demo_instance(args)
-    profile = capacity_profile(net)
-    ep = entropy_profile(model)
-    report = transmissibility_check(net, model)
+    report = transmissibility_check(*_demo_instance(args))
+    profile, ep = report.analysis.capacity, report.analysis.entropy
     doc = {
         "name": args.name,
         **_profile_document(profile),
-        "entropies": _entropy_document(ep, model.sources),
+        "entropies": _entropy_document(ep, profile.sources),
         "verdict": report.verdict,
     }
     if args.name == "example1":
@@ -439,7 +437,7 @@ def _cmd_demo(args) -> int:
         return EXIT_PASS
     _emit(args, _profile_table(profile))
     _emit(args, "")
-    _emit(args, _entropy_table(ep, model.sources))
+    _emit(args, _entropy_table(ep, profile.sources))
     _emit(args, "")
     _emit(args, diagnose(report))
     if args.name == "example1":

@@ -71,6 +71,13 @@ def validate_model(m: SourceModel) -> None:
         raise DocumentError(f"pmf sums to {float(total)!r}, not 1 within {PMF_TOLERANCE}")
 
 
+def check_source_names(m: SourceModel, sources) -> None:
+    """Raise DocumentError unless the model names exactly ``sources``, as a set."""
+    if set(m.sources) != set(sources):
+        raise DocumentError(f"source model names {sorted(m.sources)} do not match "
+                            f"network sources {sorted(sources)}")
+
+
 def parse_source_model(text: str) -> SourceModel:
     """Parse a source document (JSON) into a validated model.
 

@@ -142,6 +142,8 @@ def network_from_document(doc) -> Network:
         if not isinstance(entry, dict) or not {"from", "to", "capacity"} <= entry.keys():
             raise DocumentError(f"malformed edge entry: {entry!r}")
         tail, head = entry["from"], entry["to"]
+        if not (isinstance(tail, str) and isinstance(head, str)):
+            raise DocumentError(f"edge endpoints must be node names: {entry!r}")
         if (tail, head) in seen_pairs:
             raise DocumentError(f"duplicate edge ({tail!r}, {head!r})")
         seen_pairs.add((tail, head))

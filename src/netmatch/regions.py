@@ -6,7 +6,17 @@ entropies.  The transmissibility condition is equivalent to every per-sink
 intersection being nonempty, and the separation condition asks for one
 rate point inside all of them at once.  Feasibility runs on an exact
 rational phase-1 simplex; float entropy bounds are snapped to rationals at
-1e-12 first, so both routes of the equivalence see identical data.
+1e-12 first.
+
+Every check reads one :class:`Analysis`, built by :func:`prepare_profiles`.
+:func:`equivalence_check` compares exactly: its pointwise margins are
+rho_N(S) minus the snapped bounds of the same Slepian-Wolf rows its LPs
+receive, so both routes of the equivalence see identical data.
+:func:`transmissibility.check` reads the same analysis but compares float
+margins against a tolerance, so the two can differ below the snap grid:
+on the DSBS fixture at p = 0.11 (``demo example2``) ``check`` sees the
+margin 4.7e-13 and says transmissible, while here the margin is exactly 0
+and the verdict is boundary.
 """
 
 from __future__ import annotations
@@ -16,8 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .entropy import EntropyProfile, SourceModel, entropy_profile
-from .errors import DocumentError
+from .entropy import EntropyProfile, SourceModel, check_source_names, entropy_profile
 from .graph import Network, normalize_with_renaming, validate_acyclic
 from .mincut import DEFAULT_MAX_SOURCES, CapacityProfile, capacity_profile
 from .scalars import check_tolerance, is_inf, snap_to_rational
@@ -27,7 +36,6 @@ from .setfunc import (
     SetFunction,
     is_polymatroid,
     iter_nonempty_subsets,
-    subset_label,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -58,25 +66,17 @@ def cutset_polyhedron(net: Network, sink: str, profile: CapacityProfile) -> Cons
     """Upper-bound constraints sum_{i in S} R_i <= rho_t(S) for one sink."""
     if sink not in net.sink_set:
         raise ValueError(f"{sink!r} is not a sink node")
-    return _cutset_constraints(profile, sink)
-
-
-def sw_polyhedron(ep: EntropyProfile) -> ConstraintSet:
-    """Lower-bound constraints sum_{i in S} R_i >= H(X_S | X_rest)."""
-    return _sw_constraints(ep.sigma)
-
-
-def _cutset_constraints(profile: CapacityProfile, sink: str) -> ConstraintSet:
     rows = []
     for S in iter_nonempty_subsets(profile.sources):
         bound = profile.per_sink[sink][S]
-        if is_inf(bound):
-            continue
-        rows.append((S, "<=", Fraction(bound)))
+        if not is_inf(bound):
+            rows.append((S, "<=", Fraction(bound)))
     return ConstraintSet(name=f"cut[{sink}]", variables=profile.sources, constraints=tuple(rows))
 
 
-def _sw_constraints(sigma: SetFunction) -> ConstraintSet:
+def sw_polyhedron(ep: EntropyProfile) -> ConstraintSet:
+    """Lower-bound constraints sum_{i in S} R_i >= H(X_S | X_rest), snapped at 1e-12."""
+    sigma = ep.sigma
     rows = [(S, ">=", snap_to_rational(sigma(S))) for S in sigma.subsets]
     return ConstraintSet(name="slepian-wolf", variables=sigma.ground, constraints=tuple(rows))
 
@@ -135,29 +135,43 @@ def feasible(constraint_sets: Sequence[ConstraintSet]) -> FeasibilityResult:
     return FeasibilityResult(None, InfeasibilityWitness(witness))
 
 
-def prepare_profiles(net: Network, m: SourceModel, max_sources: int = DEFAULT_MAX_SOURCES):
-    """Normalize, validate, and compute both profiles with aligned names.
+@dataclass(frozen=True)
+class Analysis:
+    """One (network, source model) pair, validated and profiled once.
 
-    Shared plumbing for the top-level checks.  The model's source names
-    must equal the network's (pre-normalization) sources as a set; the
-    returned sigma is re-keyed to the normalized network's source names.
-    Returns (normalized net, capacity profile, sigma, entropy profile,
-    renaming original->network).
+    ``renaming`` maps model source names to the normalized ``network``'s;
+    ``entropy`` is keyed by network source names, and ``sw`` holds its
+    snapped Slepian-Wolf rows, which the LPs and the exact comparison read.
     """
-    if set(m.sources) != set(net.sources):
-        raise DocumentError(
-            f"source model names {sorted(m.sources)} do not match "
-            f"network sources {sorted(net.sources)}"
-        )
+
+    network: Network
+    renaming: dict
+    capacity: CapacityProfile
+    entropy: EntropyProfile
+    sw: ConstraintSet
+
+
+def prepare_profiles(net: Network, m: SourceModel,
+                     max_sources: int = DEFAULT_MAX_SOURCES) -> Analysis:
+    """Check source names, normalize, validate, and compute both profiles.
+
+    The one constructor of :class:`Analysis`.  The model's source names
+    must equal the network's (pre-normalization) sources as a set.
+    """
+    check_source_names(m, net.sources)
     nnet, renaming = normalize_with_renaming(net)
     validate_acyclic(nnet)
     profile = capacity_profile(nnet, max_sources=max_sources)
     ep = entropy_profile(m, max_sources=max_sources)
-    mapped = {
-        frozenset(renaming[s] for s in S): ep.sigma(S) for S in ep.sigma.subsets
-    }
-    sigma = SetFunction(ground=profile.sources, values=mapped)
-    return nnet, profile, sigma, ep, renaming
+
+    def rekey(f: SetFunction) -> SetFunction:
+        values = {frozenset(renaming[s] for s in S): v for S, v in f.values.items()}
+        return SetFunction(ground=profile.sources, values=values)
+
+    if profile.sources != tuple(m.sources):  # a source was renamed or reordered
+        ep = EntropyProfile(sigma=rekey(ep.sigma), joint=rekey(ep.joint))
+    return Analysis(network=nnet, renaming=renaming, capacity=profile, entropy=ep,
+                    sw=sw_polyhedron(ep))
 
 
 @dataclass(frozen=True)
@@ -192,28 +206,20 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Evaluate the matching condition and the per-sink region test."""
     check_tolerance(tol)
-    _, profile, sigma, ep, _ = prepare_profiles(net, m, max_sources)
+    analysis = prepare_profiles(net, m, max_sources)
+    profile, rows = analysis.capacity, analysis.sw.constraints
+    rho = profile.network_wide
+    margins = {S: float("inf") if is_inf(rho[S]) else float(rho[S] - bound)
+               for S, _, bound in rows}
+    holds = all(bound <= rho[S] for S, _, bound in rows)
+    worst = min(margins, key=margins.get)
+    min_margin = margins[worst]
 
-    min_margin = None
-    worst = None
-    holds = True
-    for S in sigma.subsets:
-        rho = profile.network_wide[S]
-        margin = float("inf") if is_inf(rho) else float(rho - snap_to_rational(sigma(S)))
-        if snap_to_rational(sigma(S)) > rho:
-            holds = False
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-            worst = S
-
-    sw = _sw_constraints(sigma)
-    per_sink = {}
-    nonempty = True
-    for t in profile.sinks:
-        result = feasible([sw, _cutset_constraints(profile, t)])
-        per_sink[t] = result
-        if not result:
-            nonempty = False
+    per_sink = {
+        t: feasible([analysis.sw, cutset_polyhedron(analysis.network, t, profile)])
+        for t in profile.sinks
+    }
+    nonempty = all(per_sink.values())
 
     if holds == nonempty:
         agreement = "boundary" if abs(min_margin) <= tol else "agree"
@@ -261,10 +267,10 @@ def separation_check(
 ) -> SeparationReport:
     """Decide feasibility of the all-sinks intersection with the SW region."""
     check_tolerance(tol)
-    _, profile, sigma, ep, _ = prepare_profiles(net, m, max_sources)
-    sw = _sw_constraints(sigma)
-    sets = [sw] + [_cutset_constraints(profile, t) for t in profile.sinks]
-    result = feasible(sets)
+    analysis = prepare_profiles(net, m, max_sources)
+    profile = analysis.capacity
+    cutsets = [cutset_polyhedron(analysis.network, t, profile) for t in profile.sinks]
+    result = feasible([analysis.sw] + cutsets)
     axiom_report = is_polymatroid(profile.rho_n_function())
     return SeparationReport(
         separable=bool(result),

@@ -10,12 +10,19 @@ and are snapped to rationals only at the LP boundary.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 INF = math.inf
 
 #: Denominator used when snapping float-valued bounds to exact rationals.
 SNAP_DENOMINATOR = 10**12
+
+#: Largest decimal exponent magnitude accepted in a rational string, the
+#: same as Python's limit on the digits of an int parsed from a string.
+#: ``Fraction`` computes 10**exponent, so "1e10000000" alone takes seconds.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
 
 
 def is_inf(x) -> bool:
@@ -39,10 +46,7 @@ def parse_scalar(value, *, allow_inf: bool = True):
             if not allow_inf:
                 raise ValueError("infinite value not allowed here")
             return INF
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational value: {value!r}") from exc
+        return _rational(value, text)
     if isinstance(value, float):
         raise ValueError(
             f"float {value!r} is not exact; write it as a rational string like \"1/4\""
@@ -70,11 +74,21 @@ def parse_probability(value):
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational value: {value!r}") from exc
+        return _rational(value, value.strip())
     raise ValueError(f"not a probability: {value!r}")
+
+
+def _rational(value, text: str) -> Fraction:
+    """``Fraction(text)``, refusing decimal exponents past MAX_EXPONENT."""
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational value: {value!r}") from exc
 
 
 def snap_to_rational(x, denominator: int = SNAP_DENOMINATOR) -> Fraction:

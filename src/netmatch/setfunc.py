@@ -221,6 +221,9 @@ def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
         vals, tol = np.array(values, dtype=np.float64), float(tol)
     else:
         vals = np.array(values, dtype=object)
+        if not any(isinstance(v, float) and math.isfinite(v) for v in values):
+            # Rationals and inf: an exact tolerance keeps every finite sum exact.
+            tol = Fraction(tol)
     hit = _first_violation(vals, order, tol, submodular)
     if hit is None:
         return AxiomReport(True)

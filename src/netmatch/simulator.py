@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import SourceModel, joint_entropy, validate_model
+from .entropy import SourceModel, check_source_names, joint_entropy, validate_model
 from .errors import LimitError
 from .graph import Network, is_normalized, validate_acyclic
 from .scalars import format_scalar, is_inf
@@ -207,11 +207,7 @@ def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
 def _align_model(net: Network, m: SourceModel) -> SourceModel:
     """Re-key the model so coordinates follow the network's source order."""
     validate_model(m)
-    if set(m.sources) != set(net.sources):
-        raise ValueError(
-            f"source model names {sorted(m.sources)} do not match network "
-            f"sources {sorted(net.sources)}"
-        )
+    check_source_names(m, net.sources)
     if tuple(m.sources) == tuple(net.sources):
         return m
     perm = [m.sources.index(s) for s in net.sources]

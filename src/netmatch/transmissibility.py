@@ -7,17 +7,22 @@ subset's entropy exceeds its capacity.  The flagship instances sit exactly
 on the boundary, so each row carries a three-valued status (pass / tight /
 fail) instead of a bare boolean, and the overall verdict distinguishes
 "boundary" (every subset tight) from plain "transmissible".
+
+The comparison is on floats: rho_n(S) as a float minus the float entropy,
+against the tolerance.  It reads the same :class:`regions.Analysis` as
+:func:`regions.equivalence_check`, whose comparison is exact on entropies
+snapped at 1e-12; the regions module docstring gives a case where the two
+differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .entropy import SourceModel
 from .graph import Edge, Network
 from .mincut import DEFAULT_MAX_SOURCES
-from .regions import DEFAULT_TOLERANCE, prepare_profiles
+from .regions import DEFAULT_TOLERANCE, Analysis, prepare_profiles
 from .scalars import check_tolerance, format_scalar, is_inf
 from .setfunc import iter_nonempty_subsets, subset_label
 
@@ -51,6 +56,7 @@ class TransmissibilityReport:
     tolerance: float
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
+    analysis: Analysis = field(repr=False, compare=False)  # the profiles behind the verdict
 
     @property
     def min_margin(self) -> float:
@@ -80,8 +86,9 @@ def check(
     source position).
     """
     check_tolerance(tol)
-    nnet, profile, sigma, ep, renaming = prepare_profiles(net, m, max_sources)
-    original = {renaming[s]: s for s in renaming}
+    analysis = prepare_profiles(net, m, max_sources)
+    profile, sigma = analysis.capacity, analysis.entropy.sigma
+    original = {name: s for s, name in analysis.renaming.items()}
 
     rows = []
     for S in iter_nonempty_subsets(profile.sources):
@@ -97,7 +104,7 @@ def check(
         sink = profile.binding_sink(S)
         members = profile.cuts[(sink, S)]
         cut_edges = tuple(
-            e for e in nnet.edges if e.tail in members and e.head not in members
+            e for e in analysis.network.edges if e.tail in members and e.head not in members
         )
         user_subset = frozenset(original[s] for s in S)
         rows.append(
@@ -126,6 +133,7 @@ def check(
         tolerance=tol,
         sources=tuple(m.sources),
         sinks=profile.sinks,
+        analysis=analysis,
     )
 
 

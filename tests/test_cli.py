@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from netmatch import fixtures
+from netmatch import cli, fixtures, regions
 from netmatch.cli import run
 from netmatch.entropy import source_model_to_document
 from netmatch.graph import network_to_document
+from netmatch.scalars import parse_probability, parse_scalar
 
 
 @pytest.fixture
@@ -243,6 +244,17 @@ def test_setfunc_verify_explicit_zero_tolerance(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "poly: axioms hold"
 
 
+def test_setfunc_verify_explicit_zero_tolerance_with_infinite_values(tmp_path, capsys):
+    # Rationals mixed with inf: the float tolerance 0.0 must not round 1/3 + 0.
+    fn = tmp_path / "mixed.json"
+    fn.write_text(json.dumps({"ground": ["a", "b", "c"], "values": {
+        "a": "1/3", "b": "1/3", "c": "inf", "a+b": "1/3",
+        "a+c": "inf", "b+c": "inf", "a+b+c": "inf"}}))
+    assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn),
+                "--tol", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "poly: axioms hold"
+
+
 def _assert_one_line_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -316,3 +328,105 @@ def test_entropy_rejects_non_integer_symbols(tmp_path, capsys, symbols):
                               "pmf": [{"symbols": symbols, "p": "1"}]}))
     assert run(["entropy", "--source", str(fn)]) == 65
     _assert_one_line_data_error(capsys)
+
+
+@pytest.mark.parametrize("name, codes", [
+    ("butterfly", (2, 0)),
+    ("halved", (1, 1)),
+    ("dsbs", (2, 1)),
+    ("k4_feasible", (0, 0)),
+    ("k3_infeasible", (1, 1)),
+])
+@pytest.mark.parametrize("separation", [False, True])
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
+def test_regions_output_bytes_are_pinned(capsys, name, codes, separation, fmt, ext):
+    # Butterfly (boundary), halved butterfly, the DSBS fixture pair, and two
+    # layered instances from the benchmark's generator (every LP feasible, or
+    # every LP infeasible); codes are (regions, regions --separation).
+    argv = ["--format", fmt, "regions",
+            "--network", str(DATA / f"regions_{name}.network.json"),
+            "--source", str(DATA / f"regions_{name}.source.json")]
+    suffix = ".separation" if separation else ""
+    assert run(argv + ["--separation"] * separation) == codes[separation]
+    assert capsys.readouterr().out == (DATA / f"regions_{name}{suffix}.stdout.{ext}").read_text()
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_demo_computes_each_profile_once(monkeypatch, capsys, name):
+    calls = {"capacity_profile": 0, "entropy_profile": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, regions):
+        for attr in calls:
+            monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+    assert run(["demo", name]) == 0
+    assert calls == {"capacity_profile": 1, "entropy_profile": 1}
+
+
+def test_simulate_source_name_mismatch_is_data_error(tmp_path, paths, capsys):
+    # The same input check and regions reject with exit 65.
+    source = tmp_path / "renamed.json"
+    doc = source_model_to_document(fixtures.uniform_pair_source())
+    doc["sources"] = ["s1", "x"]
+    source.write_text(json.dumps(doc))
+    for argv in (["check"], ["regions"], ["simulate", "--n", "2", "--trials", "2"]):
+        assert run([*argv, "--network", paths["network"], "--source", str(source)]) == 65
+        _assert_one_line_data_error(capsys)
+
+
+def test_network_edge_endpoints_must_be_strings(tmp_path, capsys):
+    doc = network_to_document(fixtures.butterfly_network())
+    doc["edges"][0]["from"] = ["s1"]
+    fn = tmp_path / "net.json"
+    fn.write_text(json.dumps(doc))
+    assert run(["mincut", "--all", "--network", str(fn)]) == 65
+    _assert_one_line_data_error(capsys)
+
+
+_HUGE = "1e10000000"  # 10**10000000: seconds of work inside Fraction if parsed
+
+
+@pytest.mark.parametrize("command", ["setfunc", "entropy", "mincut"])
+def test_huge_exponent_in_document_is_data_error(tmp_path, capsys, command):
+    if command == "setfunc":
+        doc, argv = {"ground": ["a"], "values": {"a": _HUGE}}, ["setfunc", "verify",
+                                                               "--kind", "poly", "--input"]
+    elif command == "entropy":
+        doc, argv = {"sources": ["a"], "alphabets": [1],
+                     "pmf": [{"symbols": [0], "p": _HUGE}]}, ["entropy", "--source"]
+    else:
+        doc = network_to_document(fixtures.butterfly_network())
+        doc["edges"][0]["capacity"] = _HUGE
+        argv = ["mincut", "--all", "--network"]
+    fn = tmp_path / "doc.json"
+    fn.write_text(json.dumps(doc))
+    assert run([*argv, str(fn)]) == 65
+    _assert_one_line_data_error(capsys)
+
+
+def test_huge_exponent_in_flag_is_usage_error(paths, capsys):
+    assert run(["simulate", "--network", paths["network"], "--source", paths["source"],
+                "--n", "2", "--tau", _HUGE]) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4300", Fraction(10**4300)), ("1e-4300", Fraction(1, 10**4300)),
+    ("2.5E+1", Fraction(25)), ("1e4_3_00", Fraction(10**4300)),
+])
+def test_exponents_up_to_the_limit_parse(text, value):
+    assert parse_scalar(text) == value and parse_probability(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+0004301", "1e4_301",
+                                  pytest.param("1e" + "9" * 5000, id="5000-digit")])
+def test_exponents_past_the_limit_are_rejected(text):
+    for parse in (parse_scalar, parse_probability):
+        with pytest.raises(ValueError, match="exponent"):
+            parse(text)

@@ -54,3 +54,24 @@ def test_setfunc_verify_never_crashes(tmp_path, capsys, doc, kind):
 @given(doc=_source_docs)
 def test_entropy_never_crashes(tmp_path, capsys, doc):
     _run_document(tmp_path, capsys, doc, ["entropy", "--source"])
+
+_nodes = st.sampled_from(["a", "b", "c", ""])
+
+#: Network documents: arbitrary JSON, and the documented shape with
+#: arbitrary parts (edge endpoints included).
+_network_docs = _json | st.fixed_dictionaries({
+    "nodes": st.just(["a", "b", "c"]) | st.lists(_nodes, max_size=3) | _json,
+    "edges": st.lists(st.fixed_dictionaries({
+        "from": _nodes | _json,
+        "to": _nodes | _json,
+        "capacity": _scalars,
+    }), max_size=3) | _json,
+    "sources": st.just(["a"]) | st.lists(_nodes, max_size=2) | _json,
+    "sinks": st.just(["c"]) | st.lists(_nodes, max_size=2) | _json,
+})
+
+
+@_SETTINGS
+@given(doc=_network_docs)
+def test_mincut_all_never_crashes(tmp_path, capsys, doc):
+    _run_document(tmp_path, capsys, doc, ["mincut", "--all", "--network"])

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from netmatch import fixtures
-from netmatch.entropy import entropy_profile
+from netmatch.entropy import SourceModel, entropy_profile
 from netmatch.graph import Edge, Network
 from netmatch.mincut import capacity_profile
 from netmatch.regions import (
     ConstraintSet,
     cutset_polyhedron,
     feasible,
+    prepare_profiles,
     separation_check,
     sw_polyhedron,
     equivalence_check,
@@ -259,3 +260,22 @@ def test_invalid_tolerance_rejected(checker, tol):
     net = fixtures.butterfly_network()
     with pytest.raises(ValueError, match="tolerance"):
         checker(net, fixtures.uniform_pair_source(), tol)
+
+
+def test_model_source_order_does_not_change_the_analysis():
+    # A model listing the sources in another order is re-keyed to the
+    # network's order, so the SW rows and both checks see the same data.
+    rng = random.Random(515)
+    for _ in range(20):
+        net = random_network(rng)
+        m = random_source_model(rng, net.sources)
+        rev = SourceModel(sources=m.sources[::-1], alphabet_sizes=m.alphabet_sizes[::-1],
+                          pmf={t[::-1]: p for t, p in m.pmf.items()})
+        a, b = prepare_profiles(net, m), prepare_profiles(net, rev)
+        assert b.entropy.sigma.ground == b.entropy.joint.ground == net.sources
+        for S in a.entropy.sigma.subsets:
+            assert b.entropy.sigma(S) == pytest.approx(a.entropy.sigma(S), abs=1e-12)
+            assert b.entropy.joint(S) == pytest.approx(a.entropy.joint(S), abs=1e-12)
+        assert [row[:2] for row in b.sw.constraints] == [row[:2] for row in a.sw.constraints]
+        assert (equivalence_check(net, rev).condition_holds
+                == equivalence_check(net, m).condition_holds)
