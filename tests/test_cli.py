@@ -430,3 +430,28 @@ def test_exponents_past_the_limit_are_rejected(text):
     for parse in (parse_scalar, parse_probability):
         with pytest.raises(ValueError, match="exponent"):
             parse(text)
+
+
+_ORDER = ["--network", str(DATA / "order_ba.network.json")]
+_ORDER_SOURCE = ["--source", str(DATA / "order_ba.source.json")]
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("mincut_all_order_ba", ["mincut", "--all", *_ORDER], 0),
+    ("mincut_subset_order_ba", ["mincut", "--subset", "b,a", *_ORDER], 0),
+    ("mincut_subset_sink_order_ba", ["mincut", "--subset", "a", "--sink", "t2", *_ORDER], 0),
+    ("entropy_order_ba", ["entropy", *_ORDER_SOURCE], 0),
+    ("entropy_subset_order_ba", ["entropy", "--subset", "a", *_ORDER_SOURCE], 0),
+    ("check_order_ba", ["check", *_ORDER, *_ORDER_SOURCE], 1),
+    ("simulate_sweep_butterfly", ["simulate", "--network",
+                                  str(DATA / "regions_butterfly.network.json"), "--source",
+                                  str(DATA / "regions_butterfly.source.json"),
+                                  "--sweep", "1,3", "--trials", "30", "--seed", "7"], 0),
+])
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
+def test_cli_output_bytes_are_pinned(capsys, name, argv, code, fmt, ext):
+    # order_ba lists its sources as ["b", "a"], so source order and name
+    # order differ: mincut --all prints rows in name order, check and
+    # entropy in source order.
+    assert run(["--format", fmt, *argv]) == code
+    assert capsys.readouterr().out == (DATA / f"cli_{name}.stdout.{ext}").read_text()
