@@ -3,9 +3,10 @@ simulate, demo.
 
 Exit codes: 0 success / condition passes, 1 condition fails, 2 boundary
 (every subset tight within tolerance), 64 usage error, 65 input error.
-Rational quantities print as exact fractions, floats to 9 significant
-digits; ``--format json`` emits the same values as a structured document
-(sorted keys, stable bytes for fixed inputs and seed).
+Each subcommand builds one document; ``--format json`` prints it (sorted
+keys, stable bytes for fixed inputs and seed) and the default table is
+rendered from it, so both show the same values: rationals as exact
+fractions, floats rounded to 9 significant digits.
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures
-from .entropy import (
-    conditional_entropy,
-    entropy_profile,
-    joint_entropy,
-    parse_source_model,
-)
+from .entropy import conditional_entropy, entropy_profile, joint_entropy, parse_source_model
 from .errors import NetmatchError
 from .graph import parse_network
 from .mincut import capacity_profile, rho_n, rho_t
-from .regions import separation_check, equivalence_check
-from .scalars import format_scalar, parse_scalar
-from .setfunc import is_copolymatroid, is_polymatroid, parse_setfunction, subset_label
+from .regions import DEFAULT_TOLERANCE, equivalence_check, separation_check
+from .scalars import check_tolerance, format_scalar, parse_scalar, round_float
+from .setfunc import (DEFAULT_MAX_SOURCES, is_copolymatroid, is_polymatroid,
+                      parse_setfunction, subset_label)
 from .simulator import estimate_error, exhaustive_xor_check
 from .transmissibility import check as transmissibility_check
 from .transmissibility import diagnose
@@ -64,20 +61,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="transmissibility verdict with per-subset margins")
     p.add_argument("--network", required=True)
     p.add_argument("--source", required=True)
-    p.add_argument("--tol", default="1e-9", type=float)
-    p.add_argument("--max-sources", default=16, type=int)
+    p.add_argument("--tol", default=DEFAULT_TOLERANCE, type=float)
+    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("mincut", help="capacity functions rho_t / rho_N")
     p.add_argument("--network", required=True)
     p.add_argument("--subset", help="comma-separated source names")
     p.add_argument("--sink")
     p.add_argument("--all", action="store_true", help="full capacity profile")
-    p.add_argument("--max-sources", default=16, type=int)
+    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("entropy", help="joint and conditional entropy rates")
     p.add_argument("--source", required=True)
     p.add_argument("--subset", help="comma-separated source names")
-    p.add_argument("--max-sources", default=16, type=int)
+    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("setfunc", help="set-function axioms")
     setfunc_sub = p.add_subparsers(dest="setfunc_command", required=True)
@@ -90,8 +87,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--network", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--separation", action="store_true")
-    p.add_argument("--tol", default="1e-9", type=float)
-    p.add_argument("--max-sources", default=16, type=int)
+    p.add_argument("--tol", default=DEFAULT_TOLERANCE, type=float)
+    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("simulate", help="random-binning Monte-Carlo error estimation")
     p.add_argument("--network", required=True)
@@ -120,27 +117,13 @@ def _read(path: str) -> str:
         raise NetmatchError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _round9(x: float) -> float:
-    return float(f"{float(x):.9g}")
-
-
 def _table(headers, rows) -> str:
-    cells = [list(map(str, headers))] + [list(map(str, r)) for r in rows]
+    """Aligned columns; document floats (already rounded) print as ``.9g``."""
+    cells = [[f"{v:.9g}" if isinstance(v, float) else str(v) for v in row]
+             for row in [headers, *rows]]
     widths = [max(len(row[c]) for row in cells) for c in range(len(headers))]
-    lines = []
-    for k, row in enumerate(cells):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if k == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
@@ -151,18 +134,24 @@ def _split_subset(raw: str) -> list[str]:
     return parts
 
 
-def _report_document(report) -> dict:
-    return {
+# Each _cmd_* returns (exit code, document, table renderer); the renderer
+# reads the document's values, and run() calls it only for --format table.
+
+def _cmd_check(args):
+    net = parse_network(_read(args.network))
+    model = parse_source_model(_read(args.source))
+    report = transmissibility_check(net, model, args.tol, max_sources=args.max_sources)
+    doc = {
         "verdict": report.verdict,
         "tolerance": report.tolerance,
         "sources": list(report.sources),
         "sinks": list(report.sinks),
         "rows": [
-            {
+            {  # in the table's column order
                 "subset": row.label,
-                "sigma": _round9(row.sigma),
+                "sigma": round_float(row.sigma),
                 "rho": format_scalar(row.rho),
-                "margin": _round9(row.margin),
+                "margin": round_float(row.margin),
                 "status": row.status,
                 "binding_sink": row.binding_sink,
             }
@@ -170,123 +159,80 @@ def _report_document(report) -> dict:
         ],
     }
 
+    def table():
+        headers = ("subset", "H(S|rest)", "rho_N", "margin", "status", "binding sink")
+        rows = [row.values() for row in doc["rows"]]
+        return _table(headers, rows) + "\n" + diagnose(report)
 
-def _cmd_check(args) -> int:
-    net = parse_network(_read(args.network))
-    model = parse_source_model(_read(args.source))
-    report = transmissibility_check(net, model, args.tol, max_sources=args.max_sources)
-    if args.format == "json":
-        _emit(args, _dump(_report_document(report)))
-    else:
-        rows = [
-            (row.label, f"{row.sigma:.9g}", format_scalar(row.rho),
-             f"{row.margin:.9g}", row.status, row.binding_sink)
-            for row in report.rows
-        ]
-        _emit(args, _table(
-            ("subset", "H(S|rest)", "rho_N", "margin", "status", "binding sink"), rows))
-        _emit(args, diagnose(report))
-    return _VERDICT_EXIT[report.verdict]
-
-
-def _profile_subsets(profile) -> list:
-    return sorted(profile.network_wide, key=lambda S: (len(S), sorted(S)))
+    return _VERDICT_EXIT[report.verdict], doc, table
 
 
 def _profile_document(profile) -> dict:
     """Per-sink and network-wide capacity functions keyed by subset label."""
-    subsets = _profile_subsets(profile)
+    subsets = sorted(profile.network_wide, key=lambda S: (len(S), sorted(S)))
+
+    def column(rho):
+        return {subset_label(S, profile.sources): format_scalar(rho[S]) for S in subsets}
+
     return {
-        "per_sink": {
-            t: {subset_label(S, profile.sources): format_scalar(profile.per_sink[t][S])
-                for S in subsets}
-            for t in profile.sinks
-        },
-        "network_wide": {
-            subset_label(S, profile.sources): format_scalar(profile.network_wide[S])
-            for S in subsets
-        },
+        "per_sink": {t: column(profile.per_sink[t]) for t in profile.sinks},
+        "network_wide": column(profile.network_wide),
     }
 
 
-def _profile_table(profile) -> str:
-    headers = ("subset",) + tuple(f"rho_{t}" for t in profile.sinks) + ("rho_N",)
-    rows = [
-        (subset_label(S, profile.sources),)
-        + tuple(format_scalar(profile.per_sink[t][S]) for t in profile.sinks)
-        + (format_scalar(profile.network_wide[S]),)
-        for S in _profile_subsets(profile)
-    ]
+def _profile_table(doc) -> str:
+    per_sink = doc["per_sink"]
+    headers = ["subset", *(f"rho_{t}" for t in per_sink), "rho_N"]
+    rows = [[label, *(column[label] for column in per_sink.values()), rho]
+            for label, rho in doc["network_wide"].items()]
     return _table(headers, rows)
 
 
 def _entropy_document(ep, sources) -> dict:
     """Joint and conditional entropy rates keyed by subset label."""
+    labels = [(subset_label(S, sources), S) for S in ep.sigma.subsets]
     return {
-        "joint": {subset_label(S, sources): _round9(ep.joint(S)) for S in ep.sigma.subsets},
-        "conditional": {subset_label(S, sources): _round9(ep.sigma(S)) for S in ep.sigma.subsets},
+        "joint": {label: round_float(ep.joint(S)) for label, S in labels},
+        "conditional": {label: round_float(ep.sigma(S)) for label, S in labels},
     }
 
 
-def _entropy_table(ep, sources) -> str:
-    rows = [
-        (subset_label(S, sources), f"{ep.joint(S):.9g}", f"{ep.sigma(S):.9g}")
-        for S in ep.sigma.subsets
-    ]
+def _entropy_table(doc) -> str:
+    rows = [(label, h, doc["conditional"][label]) for label, h in doc["joint"].items()]
     return _table(("subset", "H(S)", "H(S|rest)"), rows)
 
 
-def _cmd_mincut(args) -> int:
+def _cmd_mincut(args):
     net = parse_network(_read(args.network))
     if args.all or not args.subset:
         profile = capacity_profile(net, max_sources=args.max_sources)
-        if args.format == "json":
-            _emit(args, _dump({"sources": list(profile.sources), "sinks": list(profile.sinks),
-                               **_profile_document(profile)}))
-        else:
-            _emit(args, _profile_table(profile))
-        return EXIT_PASS
+        doc = {"sources": list(profile.sources), "sinks": list(profile.sinks),
+               **_profile_document(profile)}
+        return EXIT_PASS, doc, lambda: _profile_table(doc)
     subset = _split_subset(args.subset)
-    if args.sink:
-        value = rho_t(net, subset, args.sink)
-        label = f"rho_{args.sink}({'+'.join(subset)})"
-    else:
-        value = rho_n(net, subset)
-        label = f"rho_N({'+'.join(subset)})"
-    if args.format == "json":
-        _emit(args, _dump({label: format_scalar(value)}))
-    else:
-        _emit(args, f"{label} = {format_scalar(value)}")
-    return EXIT_PASS
+    value = rho_t(net, subset, args.sink) if args.sink else rho_n(net, subset)
+    label = f"rho_{args.sink or 'N'}({'+'.join(subset)})"
+    doc = {label: format_scalar(value)}
+    return EXIT_PASS, doc, lambda: f"{label} = {doc[label]}"
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args):
     model = parse_source_model(_read(args.source))
     if args.subset:
         subset = _split_subset(args.subset)
-        joint = joint_entropy(model, subset)
-        sigma = conditional_entropy(model, subset)
         doc = {
             "subset": "+".join(subset),
-            "joint": _round9(joint),
-            "conditional": _round9(sigma),
+            "joint": round_float(joint_entropy(model, subset)),
+            "conditional": round_float(conditional_entropy(model, subset)),
         }
-        if args.format == "json":
-            _emit(args, _dump(doc))
-        else:
-            _emit(args, f"H({doc['subset']}) = {joint:.9g}")
-            _emit(args, f"H({doc['subset']}|rest) = {sigma:.9g}")
-        return EXIT_PASS
+        return EXIT_PASS, doc, lambda: (f"H({doc['subset']}) = {doc['joint']:.9g}\n"
+                                        f"H({doc['subset']}|rest) = {doc['conditional']:.9g}")
     ep = entropy_profile(model, max_sources=args.max_sources)
-    if args.format == "json":
-        _emit(args, _dump({"sources": list(model.sources),
-                           **_entropy_document(ep, model.sources)}))
-    else:
-        _emit(args, _entropy_table(ep, model.sources))
-    return EXIT_PASS
+    doc = {"sources": list(model.sources), **_entropy_document(ep, model.sources)}
+    return EXIT_PASS, doc, lambda: _entropy_table(doc)
 
 
-def _cmd_setfunc(args) -> int:
+def _cmd_setfunc(args):
     f = parse_setfunction(_read(args.input))
     checker = is_polymatroid if args.kind == "poly" else is_copolymatroid
     report = checker(f, args.tol)
@@ -294,29 +240,30 @@ def _cmd_setfunc(args) -> int:
     if not report.holds:
         doc["axiom"] = report.axiom
         doc["witness"] = [subset_label(S, f.ground) if S else "{}" for S in report.witness]
-    if args.format == "json":
-        _emit(args, _dump(doc))
-    elif report.holds:
-        _emit(args, f"{args.kind}: axioms hold")
-    else:
-        _emit(args, f"{args.kind}: {report.axiom} fails on ({doc['witness'][0] or '{}'}, "
-                    f"{doc['witness'][1] or '{}'})")
-    return EXIT_PASS if report.holds else EXIT_FAIL
+
+    def table():
+        if doc["holds"]:
+            return f"{args.kind}: axioms hold"
+        first, second = (label or "{}" for label in doc["witness"])
+        return f"{args.kind}: {doc['axiom']} fails on ({first}, {second})"
+
+    return (EXIT_PASS if report.holds else EXIT_FAIL), doc, table
 
 
 def _rate_point_doc(point, sources) -> dict:
     return {s: format_scalar(point.rates[s]) for s in sources}
 
 
-def _rate_point_line(point, sources) -> str:
-    return ", ".join(f"R[{s}]={format_scalar(point.rates[s])}" for s in sources)
+def _rate_point_line(rates: dict) -> str:
+    return ", ".join(f"R[{s}]={value}" for s, value in rates.items())
 
 
-def _cmd_regions(args) -> int:
+def _cmd_regions(args):
     net = parse_network(_read(args.network))
     model = parse_source_model(_read(args.source))
+    check_tolerance(args.tol)
     if args.separation:
-        report = separation_check(net, model, args.tol, max_sources=args.max_sources)
+        report = separation_check(net, model, max_sources=args.max_sources)
         doc = {
             "separable": report.separable,
             "rho_N_polymatroid": report.rho_n_polymatroid.holds,
@@ -325,22 +272,21 @@ def _cmd_regions(args) -> int:
             doc["witness"] = _rate_point_doc(report.witness, report.sources)
         if report.infeasibility is not None:
             doc["conflict"] = report.infeasibility.describe(report.sources)
-        if args.format == "json":
-            _emit(args, _dump(doc))
-        else:
-            _emit(args, f"separable: {report.separable}")
-            _emit(args, f"rho_N polymatroid: {report.rho_n_polymatroid.holds}")
-            if report.witness is not None:
-                _emit(args, "witness: " + _rate_point_line(report.witness, report.sources))
-            if report.infeasibility is not None:
-                _emit(args, "contradiction:")
-                for line in report.infeasibility.describe(report.sources):
-                    _emit(args, "  " + line)
-        return EXIT_PASS if report.separable else EXIT_FAIL
+
+        def table():
+            lines = [f"separable: {doc['separable']}",
+                     f"rho_N polymatroid: {doc['rho_N_polymatroid']}"]
+            if "witness" in doc:
+                lines.append("witness: " + _rate_point_line(doc["witness"]))
+            if "conflict" in doc:
+                lines += ["contradiction:", *("  " + line for line in doc["conflict"])]
+            return "\n".join(lines)
+
+        return (EXIT_PASS if report.separable else EXIT_FAIL), doc, table
     report = equivalence_check(net, model, args.tol, max_sources=args.max_sources)
     doc = {
         "condition_holds": report.condition_holds,
-        "min_margin": _round9(report.min_margin),
+        "min_margin": round_float(report.min_margin),
         "worst_subset": subset_label(report.worst_subset, report.sources),
         "regions_nonempty": report.regions_nonempty,
         "agreement": report.agreement,
@@ -353,27 +299,27 @@ def _cmd_regions(args) -> int:
             for t, res in report.per_sink.items()
         },
     }
-    if args.format == "json":
-        _emit(args, _dump(doc))
-    else:
-        _emit(args, f"condition holds: {report.condition_holds} "
-                    f"(min margin {report.min_margin:.9g} on {doc['worst_subset']})")
-        _emit(args, f"regions nonempty: {report.regions_nonempty} [{report.agreement}]")
-        for t, res in report.per_sink.items():
-            if res.point is not None:
-                _emit(args, f"  {t}: feasible, witness "
-                            + _rate_point_line(res.point, report.sources))
-            else:
-                _emit(args, f"  {t}: infeasible")
+
+    def table():
+        lines = [f"condition holds: {doc['condition_holds']} "
+                 f"(min margin {doc['min_margin']:.9g} on {doc['worst_subset']})",
+                 f"regions nonempty: {doc['regions_nonempty']} [{doc['agreement']}]"]
+        for t, res in doc["per_sink"].items():
+            lines.append(f"  {t}: feasible, witness " + _rate_point_line(res["witness"])
+                         if res["feasible"] else f"  {t}: infeasible")
+        return "\n".join(lines)
+
     if report.agreement == "inconsistent":
         print("internal consistency failure between the two statements", file=sys.stderr)
-        return EXIT_DATA
-    if not report.condition_holds:
-        return EXIT_FAIL
-    return EXIT_BOUNDARY if report.agreement == "boundary" else EXIT_PASS
+        code = EXIT_DATA
+    elif not report.condition_holds:
+        code = EXIT_FAIL
+    else:
+        code = EXIT_BOUNDARY if report.agreement == "boundary" else EXIT_PASS
+    return code, doc, table
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     net = parse_network(_read(args.network))
     model = parse_source_model(_read(args.source))
     tau = parse_scalar(args.tau, allow_inf=False)
@@ -385,27 +331,20 @@ def _cmd_simulate(args) -> int:
         lengths = [args.n]
     else:
         raise _UsageError("simulate needs --n or --sweep")
-    results = [
+    docs = [
         estimate_error(net, model, n, tau, delta, lam, args.trials, args.seed,
-                       fixed_code=args.fixed_code)
+                       fixed_code=args.fixed_code).to_document()
         for n in lengths
     ]
-    if args.format == "json":
-        docs = [r.to_document() for r in results]
-        _emit(args, _dump(docs[0] if len(docs) == 1 else {"sweep": docs}))
-    else:
-        headers = ("n",) + tuple(
-            f"err_{t}" for t in results[0].per_sink
-        ) + tuple(f"ci95_{t}" for t in results[0].per_sink)
-        rows = []
-        for r in results:
-            rows.append(
-                (r.n,)
-                + tuple(f"{stats.rate:.9g}" for stats in r.per_sink.values())
-                + tuple(f"{stats.half_width:.9g}" for stats in r.per_sink.values())
-            )
-        _emit(args, _table(headers, rows))
-    return EXIT_PASS
+
+    def table():
+        sinks = docs[0]["sinks"]
+        headers = ["n", *(f"err_{t}" for t in sinks), *(f"ci95_{t}" for t in sinks)]
+        rows = [[d["n"], *(s["rate"] for s in d["sinks"].values()),
+                 *(s["half_width"] for s in d["sinks"].values())] for d in docs]
+        return _table(headers, rows)
+
+    return EXIT_PASS, docs[0] if len(docs) == 1 else {"sweep": docs}, table
 
 
 def _demo_instance(args):
@@ -420,7 +359,7 @@ def _demo_instance(args):
     return fixtures.dsbs_network(p), fixtures.dsbs_source(p)
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args):
     report = transmissibility_check(*_demo_instance(args))
     profile, ep = report.analysis.capacity, report.analysis.entropy
     doc = {
@@ -432,20 +371,15 @@ def _cmd_demo(args) -> int:
     if args.name == "example1":
         doc["xor_failures"] = exhaustive_xor_check(8)
         doc["xor_pairs"] = 1 << 16
-    if args.format == "json":
-        _emit(args, _dump(doc))
-        return EXIT_PASS
-    _emit(args, _profile_table(profile))
-    _emit(args, "")
-    _emit(args, _entropy_table(ep, profile.sources))
-    _emit(args, "")
-    _emit(args, diagnose(report))
-    if args.name == "example1":
-        failures = doc["xor_failures"]
-        _emit(args, "")
-        _emit(args, f"xor scheme, all {doc['xor_pairs']} input pairs at n=8: "
-                    f"{failures} decoding errors")
-    return EXIT_PASS
+
+    def table():
+        parts = [_profile_table(doc), _entropy_table(doc["entropies"]), diagnose(report)]
+        if "xor_failures" in doc:
+            parts.append(f"xor scheme, all {doc['xor_pairs']} input pairs at n=8: "
+                         f"{doc['xor_failures']} decoding errors")
+        return "\n\n".join(parts)
+
+    return EXIT_PASS, doc, table
 
 
 _DISPATCH = {
@@ -464,7 +398,10 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        code, doc, table = _DISPATCH[args.command](args)
+        if not args.quiet:
+            print(table() if args.format == "table" else json.dumps(doc, indent=2, sort_keys=True))
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,10 +18,9 @@ from typing import Iterable, Mapping
 
 from .errors import DocumentError, LimitError
 from .scalars import parse_probability
-from .setfunc import SetFunction, iter_nonempty_subsets
+from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, iter_nonempty_subsets
 
 PMF_TOLERANCE = 1e-12
-DEFAULT_MAX_SOURCES = 16
 
 
 @dataclass(frozen=True)

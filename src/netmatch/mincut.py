@@ -21,10 +21,7 @@ from typing import Iterable
 from .errors import LimitError
 from .graph import Network, cut_value
 from .scalars import INF, is_inf
-from .setfunc import SetFunction, iter_nonempty_subsets
-
-#: Hard default on the number of sources whose subsets get enumerated.
-DEFAULT_MAX_SOURCES = 16
+from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, iter_nonempty_subsets
 
 #: Node-count guard for exhaustive cut enumeration.
 MAX_ENUMERATION_NODES = 24

@@ -28,9 +28,10 @@ from typing import Optional, Sequence
 from . import simplex
 from .entropy import EntropyProfile, SourceModel, check_source_names, entropy_profile
 from .graph import Network, normalize_with_renaming, validate_acyclic
-from .mincut import DEFAULT_MAX_SOURCES, CapacityProfile, capacity_profile
-from .scalars import check_tolerance, is_inf, snap_to_rational
+from .mincut import CapacityProfile, capacity_profile
+from .scalars import check_tolerance, format_scalar, is_inf, snap_to_rational, to_float
 from .setfunc import (
+    DEFAULT_MAX_SOURCES,
     AxiomReport,
     RatePoint,
     SetFunction,
@@ -53,13 +54,6 @@ class ConstraintSet:
     name: str
     variables: tuple[str, ...]
     constraints: tuple  # of (frozenset, "<=" | ">=", Fraction)
-
-    def describe(self) -> list[str]:
-        out = []
-        for subset, sense, bound in self.constraints:
-            label = " + ".join(f"R[{s}]" for s in sorted(subset, key=self.variables.index))
-            out.append(f"{label} {sense} {bound}")
-        return out
 
 
 def cutset_polyhedron(net: Network, sink: str, profile: CapacityProfile) -> ConstraintSet:
@@ -91,7 +85,7 @@ class InfeasibilityWitness:
         out = []
         for set_name, subset, sense, bound in self.constraints:
             label = "+".join(sorted(subset, key=list(variables).index))
-            out.append(f"{set_name}: R[{label}] {sense} {bound}")
+            out.append(f"{set_name}: R[{label}] {sense} {format_scalar(bound)}")
         return out
 
 
@@ -209,8 +203,7 @@ def equivalence_check(
     analysis = prepare_profiles(net, m, max_sources)
     profile, rows = analysis.capacity, analysis.sw.constraints
     rho = profile.network_wide
-    margins = {S: float("inf") if is_inf(rho[S]) else float(rho[S] - bound)
-               for S, _, bound in rows}
+    margins = {S: to_float(rho[S] - bound) for S, _, bound in rows}
     holds = all(bound <= rho[S] for S, _, bound in rows)
     worst = min(margins, key=margins.get)
     min_margin = margins[worst]
@@ -261,12 +254,13 @@ class SeparationReport:
 def separation_check(
     net: Network,
     m: SourceModel,
-    tol: float = DEFAULT_TOLERANCE,
     *,
     max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> SeparationReport:
-    """Decide feasibility of the all-sinks intersection with the SW region."""
-    check_tolerance(tol)
+    """Decide feasibility of the all-sinks intersection with the SW region.
+
+    Exact on the snapped Slepian-Wolf rows; no tolerance enters.
+    """
     analysis = prepare_profiles(net, m, max_sources)
     profile = analysis.capacity
     cutsets = [cutset_polyhedron(analysis.network, t, profile) for t in profile.sinks]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 INF = math.inf
@@ -105,18 +106,35 @@ def snap_to_rational(x, denominator: int = SNAP_DENOMINATOR) -> Fraction:
     return Fraction(round(x * denominator), denominator)
 
 
+def to_float(x) -> float:
+    """``float(x)``, or infinity of the sign of ``x`` when the rational ``x``
+    is too large in magnitude for a float: the IEEE rounding of ``x``."""
+    try:
+        return float(x)
+    except OverflowError:
+        return INF if x > 0 else -INF
+
+
+def round_float(x) -> float:
+    """``x`` rounded to 9 significant digits, the precision outputs print.
+
+    ``f"{round_float(x):.9g}" == f"{x:.9g}"``, so a table printed from a
+    document's rounded floats shows the digits the document holds.
+    """
+    return float(f"{float(x):.9g}")
+
+
 def format_scalar(x) -> str:
     """Render a value for tables and structured documents.
 
-    Rationals print exactly (``"3/2"``); floats print to 9 significant
-    digits; infinity prints ``"inf"``.
+    Rationals print exactly (``"3/2"``), with every digit however many
+    there are; floats print to 9 significant digits; infinity prints
+    ``"inf"``.
     """
     if is_inf(x):
         return "inf"
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return str(x)
+    if isinstance(x, (Fraction, int)):
+        # str(int) refuses more than sys.get_int_max_str_digits() digits; Decimal does not.
+        digits = str(Decimal(x.numerator))
+        return digits if x.denominator == 1 else f"{digits}/{Decimal(x.denominator)}"
     return f"{float(x):.9g}"

@@ -33,6 +33,9 @@ from .errors import DocumentError
 from .scalars import check_tolerance, is_inf, parse_scalar, snap_to_rational
 from . import simplex
 
+#: Hard default on the number of sources whose subsets get enumerated.
+DEFAULT_MAX_SOURCES = 16
+
 
 def iter_nonempty_subsets(ground: Sequence[str]) -> tuple[frozenset, ...]:
     """All nonempty subsets of ``ground`` in canonical order.
@@ -65,9 +68,6 @@ class RatePoint:
 
     def total(self, subset: Iterable[str]):
         return sum((self.rates[s] for s in subset), Fraction(0))
-
-    def as_floats(self) -> dict:
-        return {k: float(v) for k, v in self.rates.items()}
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from .entropy import SourceModel, check_source_names, joint_entropy, validate_model
 from .errors import LimitError
 from .graph import Network, is_normalized, validate_acyclic
-from .scalars import format_scalar, is_inf
+from .scalars import format_scalar, is_inf, round_float
 from .setfunc import iter_nonempty_subsets
 
 #: Largest binning-table domain that will be materialized.
@@ -406,8 +406,8 @@ class SimResult:
             "sinks": {
                 t: {
                     "errors": stats.errors,
-                    "rate": float(f"{stats.rate:.9g}"),
-                    "half_width": float(f"{stats.half_width:.9g}"),
+                    "rate": round_float(stats.rate),
+                    "half_width": round_float(stats.half_width),
                 }
                 for t, stats in self.per_sink.items()
             },

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 from .entropy import SourceModel
 from .graph import Edge, Network
-from .mincut import DEFAULT_MAX_SOURCES
 from .regions import DEFAULT_TOLERANCE, Analysis, prepare_profiles
-from .scalars import check_tolerance, format_scalar, is_inf
-from .setfunc import iter_nonempty_subsets, subset_label
+from .scalars import check_tolerance, format_scalar, to_float
+from .setfunc import DEFAULT_MAX_SOURCES, iter_nonempty_subsets, subset_label
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def check(
     for S in iter_nonempty_subsets(profile.sources):
         rho = profile.network_wide[S]
         h = sigma(S)
-        margin = float("inf") if is_inf(rho) else float(rho) - h
+        margin = to_float(rho) - h
         if margin < -tol:
             status = "fail"
         elif margin <= tol:

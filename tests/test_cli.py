@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, document output, round-trips."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,3 +456,44 @@ def test_cli_output_bytes_are_pinned(capsys, name, argv, code, fmt, ext):
     # entropy in source order.
     assert run(["--format", fmt, *argv]) == code
     assert capsys.readouterr().out == (DATA / f"cli_{name}.stdout.{ext}").read_text()
+
+
+_TEN_4300 = "1" + "0" * 4300
+
+
+@pytest.mark.parametrize("capacity, printed, code", [
+    ("1e4300", _TEN_4300, 0),
+    ("1e-4300", "1/" + _TEN_4300, 1),
+], ids=["1e4300", "1e-4300"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_capacities_of_any_size_give_a_verdict(tmp_path, capsys, capacity, printed, code, fmt):
+    # One edge s -> t: float(rho) overflows at 1e4300, and both values have
+    # more digits than str(int) converts.
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"nodes": ["s", "t"], "sources": ["s"], "sinks": ["t"],
+                               "edges": [{"from": "s", "to": "t", "capacity": capacity}]}))
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({"sources": ["s"], "alphabets": [2],
+                                  "pmf": [{"symbols": [0], "p": "1/2"},
+                                          {"symbols": [1], "p": "1/2"}]}))
+    files = ["--network", str(net), "--source", str(source)]
+    limit = sys.get_int_max_str_digits()
+    for argv, expected in [(["mincut", "--all", "--network", str(net)], 0),
+                           (["check", *files], code),
+                           (["regions", *files], code),
+                           (["regions", "--separation", *files], code)]:
+        assert run(["--format", fmt, *argv]) == expected
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if argv[0] != "regions":  # regions prints rho only in a failing LP's cut row
+            assert printed in captured.out
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-09"])
+def test_regions_separation_rejects_invalid_tolerance(paths, capsys, tol):
+    # separation_check takes no tolerance; the CLI still validates the flag.
+    assert run(["regions", "--separation", "--network", paths["network"],
+                "--source", paths["source"], f"--tol={tol}"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: tolerance")
