@@ -90,10 +90,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", default=DEFAULT_TOLERANCE, type=float)
     p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
-    p = sub.add_parser("simulate", help="random-binning Monte-Carlo error estimation")
+    p = sub.add_parser("simulate", help="random-binning Monte-Carlo error estimation",
+                       description="Index-set sizes are exact for any rational capacity, "
+                       "tau and delta.  Past 2^24 candidate blocks or binning-table "
+                       "entries, simulate exits 65.")
     p.add_argument("--network", required=True)
     p.add_argument("--source", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, help="block length, at least 1")
     p.add_argument("--tau", default="1/4")
     p.add_argument("--delta", default="1/20")
     p.add_argument("--lambda", dest="lam", default=None,
@@ -102,7 +105,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", default=0, type=int)
     p.add_argument("--fixed-code", action="store_true",
                    help="reuse one random code across trials")
-    p.add_argument("--sweep", help="comma-separated block lengths")
+    p.add_argument("--sweep", help="comma-separated block lengths, each at least 1")
 
     p = sub.add_parser("demo", help="built-in worked instances")
     p.add_argument("name", choices=("example1", "example2"))
@@ -325,8 +328,10 @@ def _cmd_simulate(args):
     tau = parse_scalar(args.tau, allow_inf=False)
     delta = parse_scalar(args.delta, allow_inf=False)
     lam = Fraction(3, 8) * tau if args.lam is None else parse_scalar(args.lam, allow_inf=False)
-    if args.sweep:
+    if args.sweep is not None:
         lengths = [int(part) for part in args.sweep.split(",") if part.strip()]
+        if not lengths:
+            raise _UsageError("--sweep must list at least one block length")
     elif args.n is not None:
         lengths = [args.n]
     else:

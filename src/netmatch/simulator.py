@@ -12,6 +12,14 @@ the typical candidates received identically to the transmitted block
 error rate is estimated over many trials with a fresh random code per
 trial by default.
 
+Candidate ids.  With the sources in network order and alphabet sizes
+|X_1|, ..., |X_k|, a joint symbol is a number below |X| = |X_1| ... |X_k|
+whose mixed-radix digits in those bases are the per-source symbols, the
+last source's least significant (the row-major order of
+``np.ravel_multi_index``).  A length-n block x_1 ... x_n of joint symbols
+has id x_1 |X|^(n-1) + ... + x_n, and a source's sequence code reads its
+n symbols the same way in base |X_i|.
+
 The decoder enumerates the whole candidate space, so this is strictly a
 desk-scale tool; enumeration and table sizes are guarded by configurable
 caps.  Everything is deterministic given the seed.
@@ -19,48 +27,63 @@ caps.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .entropy import SourceModel, check_source_names, joint_entropy, validate_model
 from .errors import LimitError
 from .graph import Network, is_normalized, validate_acyclic
-from .scalars import format_scalar, is_inf, round_float
+from .scalars import format_scalar, is_inf, round_float, to_float
 from .setfunc import iter_nonempty_subsets
 
 #: Largest binning-table domain that will be materialized.
 DEFAULT_MAX_TABLE_ENTRIES = 1 << 24
 #: Largest candidate space the typicality decoder will enumerate.
 DEFAULT_MAX_ENUMERATION = 1 << 24
-#: Index sets larger than this overflow the int64 lanes.
-MAX_INDEX_SIZE = 1 << 62
 #: Candidate-space block size for vectorized decoding.
 _BLOCK = 1 << 20
 
 
+@functools.lru_cache(maxsize=256)
 def floor_pow2(exponent: Fraction) -> int:
-    """Exact floor(2^exponent) for a nonnegative rational exponent."""
+    """Exact floor(2^exponent) for a rational exponent in [0, 62].
+
+    Forms no power of two.  With e = floor(exponent), the answer lies in
+    [2^e, 2^(e+1) - 1]; within that, y = exp(exponent * ln 2) is evaluated
+    in decimal, whose ln and exp are correctly rounded, raising the
+    precision until one integer remains within y's error bound.  That
+    ends: 2^exponent is irrational unless the exponent is the integer e.
+    Memoized, since every trial of a simulation draws index sets of the
+    same sizes.
+    """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    p, q = exponent.numerator, exponent.denominator
     if exponent > 62:
-        raise LimitError(f"index-set size 2^{float(exponent):.3g} overflows the configured bound")
-    target = 1 << p
-    lo, hi = 1, 1 << (p // q + 1)
-    while lo < hi:  # largest m with m**q <= 2**p
-        mid = (lo + hi + 1) // 2
-        if mid**q <= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+        raise LimitError("index-set size past 2^62 overflows int64")
+    p, q = exponent.numerator, exponent.denominator
+    e = p // q
+    prec = 40
+    while True:
+        ctx = Context(prec=prec)
+        y = ctx.exp(ctx.divide(ctx.multiply(p, ctx.ln(2)), q))
+        # ln 2, the product, the quotient and exp each round by half a unit
+        # in the last place; as p ln 2 / q <= 43, |y - 2^(p/q)| < 66 y 10^(1 - prec).
+        err = y.scaleb(4 - prec)
+        lo = max(int(ctx.subtract(y, err)), 1 << e)
+        hi = min(int(ctx.add(y, err)), (2 << e) - 1)
+        if lo == hi:
+            return lo
+        prec *= 2
 
 
+@dataclass(frozen=True, eq=False)
 class CodeInstance:
     """One realization of the random edge-binning code.
 
@@ -73,18 +96,15 @@ class CodeInstance:
     delta, seed).
     """
 
-    def __init__(self, net, alphabets, n, tau, delta, seed,
-                 index_sizes, tables, topo_order, node_domain):
-        self.net = net
-        self.alphabets = alphabets
-        self.n = n
-        self.tau = tau
-        self.delta = delta
-        self.seed = seed
-        self.index_sizes = index_sizes
-        self.tables = tables
-        self.topo_order = topo_order
-        self.node_domain = node_domain
+    net: Network
+    alphabets: dict
+    n: int
+    tau: Fraction
+    delta: Fraction
+    seed: object
+    index_sizes: dict  # edge index -> index-set size
+    tables: dict  # edge index -> int64 binning table
+    topo_order: tuple
 
     @property
     def source_order(self) -> tuple[str, ...]:
@@ -121,36 +141,27 @@ def build_code(
             raise ValueError(f"missing or invalid alphabet size for source {s!r}")
 
     rng = np.random.default_rng(seed)
-    node_domain: dict[str, int] = {}
     index_sizes: dict[int, int] = {}
     tables: dict[int, np.ndarray] = {}
     for node in topo:
-        if node in net.source_set:
-            domain = int(alphabets[node]) ** n
+        if node in net.source_set:  # capped like the candidate count
+            domain = int(alphabets[node]) ** min(n, max_table_entries.bit_length())
         else:
-            domain = 1
-            for k in net.in_edges(node):
-                domain *= index_sizes[k]
+            domain = math.prod(index_sizes[k] for k in net.in_edges(node))
         if domain > max_table_entries:
-            raise LimitError(
-                f"input domain of node {node!r} has {domain} entries, "
-                f"past the configured bound {max_table_entries}"
-            )
-        node_domain[node] = domain
+            raise LimitError(f"input domain of node {node!r} has more than "
+                             f"the configured bound of {max_table_entries} entries")
         for k in net.out_edges(node):
             cap = net.edges[k].capacity
             if is_inf(cap):
                 index_sizes[k] = domain
                 tables[k] = np.arange(domain, dtype=np.int64)
                 continue
-            size = max(1, floor_pow2(n * (cap + tau - delta)))
-            if size > MAX_INDEX_SIZE:
-                raise LimitError(f"index set of edge {net.edges[k]} overflows int64")
-            index_sizes[k] = size
-            tables[k] = rng.integers(0, size, size=domain, dtype=np.int64)
+            index_sizes[k] = max(1, floor_pow2(n * (cap + tau - delta)))
+            tables[k] = rng.integers(0, index_sizes[k], size=domain, dtype=np.int64)
     return CodeInstance(
         net=net, alphabets=dict(alphabets), n=n, tau=tau, delta=delta, seed=seed,
-        index_sizes=index_sizes, tables=tables, topo_order=topo, node_domain=node_domain,
+        index_sizes=index_sizes, tables=tables, topo_order=topo,
     )
 
 
@@ -204,113 +215,83 @@ def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
     return {t: tuple(int(z[0]) + 1 for z in arrays) for t, arrays in received.items()}
 
 
-def _align_model(net: Network, m: SourceModel) -> SourceModel:
-    """Re-key the model so coordinates follow the network's source order."""
-    validate_model(m)
-    check_source_names(m, net.sources)
-    if tuple(m.sources) == tuple(net.sources):
-        return m
-    perm = [m.sources.index(s) for s in net.sources]
-    pmf = {tuple(tup[k] for k in perm): p for tup, p in m.pmf.items()}
-    return SourceModel(
-        sources=tuple(net.sources),
-        alphabet_sizes=tuple(m.alphabet_sizes[k] for k in perm),
-        pmf=pmf,
-    )
-
-
 class _CandidateSpace:
-    """Vectorized view of all length-n source blocks for one model.
+    """Every length-n source block of one model, by candidate id.
 
-    Precomputes, for every candidate J (joint-sequence code), the
-    per-source sequence codes and the typicality mask; these depend only
-    on (model, n, lambda), so Monte-Carlo trials share one instance.
+    The joint-symbol codec, ``symbols`` (per-source symbol arrays indexed
+    by joint symbol) and ``probs`` (each joint symbol's probability),
+    serves the per-candidate source sequence codes, the typicality mask,
+    block sampling and :meth:`sequence_of`.  All of it depends only on
+    (model, n, lambda), so Monte-Carlo trials share one instance.
     """
 
-    def __init__(self, net: Network, m: SourceModel, n: int, lam: float,
+    def __init__(self, net: Network, m: SourceModel, n: int, lam,
                  max_enumeration: int = DEFAULT_MAX_ENUMERATION):
-        if lam <= 0:
+        if n < 1:
+            raise ValueError("block length n must be positive")
+        self.lam = to_float(lam)
+        if self.lam <= 0:
             raise ValueError("typicality slack must be positive")
-        m = _align_model(net, m)
-        self.model = m
+        validate_model(m)
+        check_source_names(m, net.sources)
         self.n = n
-        sizes = m.alphabet_sizes
-        joint = 1
-        for a in sizes:
-            joint *= a
-        total = joint**n
+        columns = [m.sources.index(s) for s in net.sources]  # joint symbols follow net order
+        sizes = tuple(m.alphabet_sizes[k] for k in columns)
+        self.alphabets = dict(zip(net.sources, sizes))
+        joint = math.prod(sizes)
+        # joint**n without forming a huge power: at n = bit_length(bound), joint >= 2 passes it.
+        total = joint ** min(n, max_enumeration.bit_length())
         if total > max_enumeration:
-            raise LimitError(
-                f"candidate space has {total} sequences, past the configured "
-                f"bound {max_enumeration}"
-            )
+            raise LimitError(f"candidate space has {joint}^{n} sequences, "
+                             f"past the configured bound {max_enumeration}")
         self.joint_size = joint
         self.total = total
+        self.place = joint ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.symbols = np.unravel_index(np.arange(joint), sizes)
+        self.probs = np.zeros(joint)
+        self.probs[np.ravel_multi_index([[tup[k] for tup in m.pmf] for k in columns], sizes)] = [
+            float(p) for p in m.pmf.values()]
+        self.cumulative = np.cumsum(self.probs)
+        self.cumulative[-1] = 1.0
 
-        J = np.arange(total, dtype=np.int64)
-        digits = np.empty((n, total), dtype=np.int64)
-        rem = J
-        for k in range(n - 1, -1, -1):
-            digits[k] = rem % joint
-            rem = rem // joint
-
-        # Per-time joint symbol -> per-source symbol, then sequence codes.
-        per_source_sym = []
-        rem = np.arange(joint, dtype=np.int64)
-        for a in reversed(sizes):
-            per_source_sym.append(rem % a)
-            rem = rem // a
-        per_source_sym.reverse()
+        digits = self._digits(np.arange(total, dtype=np.int64))
         self.source_codes = {}
-        for pos, s in enumerate(m.sources):
-            symbol_of = per_source_sym[pos]
+        for s, a, symbol in zip(net.sources, sizes, self.symbols):
             codes = np.zeros(total, dtype=np.int64)
-            for k in range(n):
-                codes = codes * sizes[pos] + symbol_of[digits[k]]
+            for row in digits:
+                codes = codes * a + symbol[row]
             self.source_codes[s] = codes
 
         # Typicality: every nonempty subset's empirical rate within lam.
-        prob_of = {tup: float(p) for tup, p in m.pmf.items()}
-        typical = np.ones(total, dtype=bool)
-        for S in iter_nonempty_subsets(m.sources):
-            positions = [k for k, s in enumerate(m.sources) if s in S]
-            marg: dict[tuple, float] = {}
-            for sym in range(joint):
-                tup = tuple(int(per_source_sym[k][sym]) for k in range(len(sizes)))
-                key = tuple(tup[k] for k in positions)
-                marg[key] = marg.get(key, 0.0) + prob_of.get(tup, 0.0)
-            table = np.full(joint, -np.inf)
-            for sym in range(joint):
-                tup = tuple(int(per_source_sym[k][sym]) for k in range(len(sizes)))
-                p = marg[tuple(tup[k] for k in positions)]
-                if p > 0.0:
-                    table[sym] = math.log2(p)
+        self.typical = np.ones(total, dtype=bool)
+        for S in iter_nonempty_subsets(net.sources):
+            kept = [k for k, s in enumerate(net.sources) if s in S]
+            key = np.ravel_multi_index([self.symbols[k] for k in kept], [sizes[k] for k in kept])
+            marginal = np.zeros(math.prod(sizes[k] for k in kept))
+            np.add.at(marginal, key, self.probs)  # in joint-symbol order
+            log_marginal = np.array([math.log2(p) if p > 0.0 else -math.inf for p in marginal])
+            table = log_marginal[key]
             logp = np.zeros(total)
-            for k in range(n):
-                logp += table[digits[k]]
-            entropy_rate = joint_entropy(m, S)
+            for row in digits:
+                logp += table[row]
             with np.errstate(invalid="ignore"):
-                typical &= np.abs(-logp / n - entropy_rate) < lam
-        self.typical = typical
+                self.typical &= np.abs(-logp / n - joint_entropy(m, S)) < self.lam
+
+    def _digits(self, ids: np.ndarray) -> np.ndarray:
+        """The joint symbols of each candidate id, one row per time step."""
+        digits = np.empty((self.n, len(ids)), dtype=np.int64)
+        for k in range(self.n - 1, -1, -1):
+            ids, digits[k] = np.divmod(ids, self.joint_size)
+        return digits
 
     def sequence_of(self, J: int) -> list[tuple]:
         """Decode a candidate id back into a length-n list of symbol tuples."""
-        joint = self.joint_size
-        sizes = self.model.alphabet_sizes
-        symbols = []
-        rem = J
-        for _ in range(self.n):
-            symbols.append(rem % joint)
-            rem //= joint
-        symbols.reverse()
-        out = []
-        for sym in symbols:
-            tup = []
-            for a in reversed(sizes):
-                tup.append(sym % a)
-                sym //= a
-            out.append(tuple(reversed(tup)))
-        return out
+        return [tuple(int(symbol[x]) for symbol in self.symbols)
+                for x in self._digits(np.array([J]))[:, 0]]
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """The id of a block drawn i.i.d. from the model."""
+        return int(np.searchsorted(self.cumulative, rng.random(self.n), side="right") @ self.place)
 
 
 def _scan(code: CodeInstance, space: _CandidateSpace, targets: dict) -> dict:
@@ -361,7 +342,7 @@ def decode(
     width = len(code.net.in_edges(sink))
     if len(want) != width:
         raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
-    space = _CandidateSpace(code.net, m, code.n, float(lam), max_enumeration)
+    space = _CandidateSpace(code.net, m, code.n, lam, max_enumeration)
     matches, first = _scan(code, space, {sink: want})[sink]
     return space.sequence_of(first) if matches == 1 else None
 
@@ -443,45 +424,18 @@ def estimate_error(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    lam = float(lam)
     space = _CandidateSpace(net, m, n, lam, max_enumeration)
-    aligned = space.model
-
-    joint = space.joint_size
-    probs = np.zeros(joint)
-    sizes = aligned.alphabet_sizes
-    for tup, p in aligned.pmf.items():
-        sym = 0
-        for coord, a in zip(tup, sizes):
-            sym = sym * a + coord
-        probs[sym] = float(p)
-    cumulative = np.cumsum(probs)
-    cumulative[-1] = 1.0
-
-    alphabet_map = dict(zip(aligned.sources, sizes))
-    code = None
-    if fixed_code:
-        code = build_code(
-            net, alphabet_map, n, tau, delta,
-            np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)),
-            max_table_entries=max_table_entries,
-        )
-
     errors = {t: 0 for t in net.sinks}
     for trial in range(trials):
-        if not fixed_code:
+        if trial == 0 or not fixed_code:
             code = build_code(
-                net, alphabet_map, n, tau, delta,
+                net, space.alphabets, n, tau, delta,
                 np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)),
                 max_table_entries=max_table_entries,
             )
-        src_rng = np.random.default_rng(
+        truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
-        )
-        draws = np.searchsorted(cumulative, src_rng.random(n), side="right")
-        truth = 0
-        for sym in draws:
-            truth = truth * joint + int(sym)
+        ))
 
         received = _encode(code, {s: c[truth:truth + 1] for s, c in space.source_codes.items()})
         targets = {t: tuple(int(z[0]) for z in arrays) for t, arrays in received.items()}
@@ -493,7 +447,7 @@ def estimate_error(
         n=n,
         tau=Fraction(tau),
         delta=Fraction(delta),
-        lam=lam,
+        lam=space.lam,
         trials=trials,
         seed=seed,
         fixed_code=fixed_code,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from netmatch.entropy import SourceModel
+from netmatch.entropy import SourceModel, joint_entropy
 from netmatch.graph import Edge, Network
 from netmatch.setfunc import AxiomReport, SetFunction
 
@@ -44,12 +46,13 @@ def random_source_model(
     rng: random.Random,
     sources,
     *,
+    min_alphabet: int = 2,
     max_alphabet: int = 3,
     rational: bool = True,
 ) -> SourceModel:
     """A random joint pmf over small alphabets, exact by default."""
     sources = tuple(sources)
-    sizes = tuple(rng.randint(2, max_alphabet) for _ in sources)
+    sizes = tuple(rng.randint(min_alphabet, max_alphabet) for _ in sources)
     tuples = [()]
     for size in sizes:
         tuples = [t + (x,) for t in tuples for x in range(size)]
@@ -90,6 +93,50 @@ def reference_axioms(f: SetFunction, tol=None, *, submodular: bool) -> AxiomRepo
             if bad:
                 return AxiomReport(False, kind, (S, T))
     return AxiomReport(True)
+
+
+def reference_candidates(order, m: SourceModel, n: int, lam):
+    """Every length-n block of ``m`` with its source order changed to
+    ``order``, candidate by candidate in plain Python: the simulator's
+    candidate space as a test oracle.
+
+    Candidates come in id order: blocks of joint symbols, most significant
+    first, each joint symbol a tuple of per-source symbols in row-major
+    order.  Returns (symbol tuples per candidate, {source: sequence code
+    per candidate}, typical flag per candidate).  Floats follow the
+    simulator's order of operations: a subset's marginal adds the joint
+    symbols' probabilities in joint-symbol order, and a block's log2
+    probability adds its symbols' terms in time order, starting from 0.0.
+    """
+    perm = [m.sources.index(s) for s in order]
+    sizes = tuple(m.alphabet_sizes[k] for k in perm)
+    pmf = {tuple(tup[k] for k in perm): p for tup, p in m.pmf.items()}
+    aligned = SourceModel(sources=tuple(order), alphabet_sizes=sizes, pmf=pmf)
+    joint = list(itertools.product(*map(range, sizes)))
+    blocks = [list(block) for block in itertools.product(joint, repeat=n)]
+    codes = {}
+    for pos, s in enumerate(order):
+        codes[s] = []
+        for block in blocks:
+            code = 0
+            for tup in block:
+                code = code * sizes[pos] + tup[pos]
+            codes[s].append(code)
+    typical = [True] * len(blocks)
+    for r in range(1, len(order) + 1):
+        for kept in itertools.combinations(range(len(order)), r):
+            marginal: dict = {}
+            for tup in joint:
+                key = tuple(tup[k] for k in kept)
+                marginal[key] = marginal.get(key, 0.0) + float(pmf.get(tup, 0.0))
+            entropy = joint_entropy(aligned, [order[k] for k in kept])
+            for j, block in enumerate(blocks):
+                logp = 0.0
+                for tup in block:
+                    p = marginal[tuple(tup[k] for k in kept)]
+                    logp += math.log2(p) if p > 0.0 else -math.inf
+                typical[j] = typical[j] and abs(-logp / n - entropy) < float(lam)
+    return blocks, codes, typical
 
 
 _CRITERION_LINES: list[str] = []

@@ -497,3 +497,28 @@ def test_regions_separation_rejects_invalid_tolerance(paths, capsys, tol):
                 "--source", paths["source"], f"--tol={tol}"]) == 64
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error: tolerance")
+
+
+_BUTTERFLY = ["--network", str(DATA / "regions_butterfly.network.json"),
+              "--source", str(DATA / "regions_butterfly.source.json")]
+_DSBS = ["--network", str(DATA / "regions_dsbs.network.json"),
+         "--source", str(DATA / "regions_dsbs.source.json")]
+
+
+@pytest.mark.parametrize("argv, code", [
+    # Index-set exponents whose numerators have 24 and 12 digits.
+    ([*_BUTTERFLY, "--n", "2", "--delta", "1/100000000000000000000001"], 0),
+    ([*_DSBS, "--sweep", "2,4"], 0),
+    ([*_BUTTERFLY, "--sweep", ","], 64),
+    ([*_BUTTERFLY, "--sweep", ""], 64),
+    ([*_BUTTERFLY, "--n", "-3"], 64),
+    ([*_BUTTERFLY, "--sweep", "-1"], 64),
+    ([*_BUTTERFLY, "--n", "2", "--tau", "1e4300"], 65),  # default lambda 3*tau/8 too
+    ([*_BUTTERFLY, "--n", "2", "--lambda", "1e4300"], 0),
+    ([*_BUTTERFLY, "--n", "1000000000"], 65),
+], ids=["tiny-delta", "dsbs-sweep", "sweep-comma", "sweep-empty", "n-negative",
+        "sweep-negative", "huge-tau", "huge-lambda", "huge-n"])
+def test_simulate_flags_end_in_an_exit_code(capsys, argv, code):
+    assert run(["simulate", *argv, "--trials", "2"]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (0 if code == 0 else 1)

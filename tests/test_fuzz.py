@@ -1,6 +1,7 @@
-"""Property tests: arbitrary JSON documents never crash the CLI parsers."""
+"""Property tests: arbitrary JSON documents and simulate flags never crash the CLI."""
 
 import json
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -75,3 +76,35 @@ _network_docs = _json | st.fixed_dictionaries({
 @given(doc=_network_docs)
 def test_mincut_all_never_crashes(tmp_path, capsys, doc):
     _run_document(tmp_path, capsys, doc, ["mincut", "--all", "--network"])
+
+
+_DATA = Path(__file__).parent / "data"
+_flag = st.sampled_from
+
+#: simulate flags: valid values (block lengths up to 6), malformed ones,
+#: and values whose exact arithmetic is huge (an index-set exponent with a
+#: 24-digit numerator, 1e4300 as tau or lambda).
+_simulate_flags = st.fixed_dictionaries({
+    "--n": st.none() | _flag(["1", "2", "6", "0", "-3", "x"]),
+    "--sweep": st.none() | _flag(["1,3", "2,,6", ",", "", "-1", "0,2", "a"]),
+    "--tau": _flag(["1/4", "1/3", "1/2", "1e4300", "1e-4300", "0", "inf"]),
+    "--delta": _flag(["1/20", "1/100000000000000000000001", "1e-4300", "1/4", "-1/20"]),
+    "--lambda": st.none() | _flag(["3/32", "1/2", "1e4300", "1e-4300", "0", "-1"]),
+    "--trials": _flag(["1", "3", "0", "-1"]),
+    "--seed": _flag(["0", "7", "-1", "123456789012345678901234567890"]),
+})
+
+
+@_SETTINGS
+@given(flags=_simulate_flags)
+def test_simulate_flags_never_crash(capsys, flags):
+    argv = ["simulate", "--network", str(_DATA / "regions_butterfly.network.json"),
+            "--source", str(_DATA / "regions_butterfly.source.json")]
+    for flag, value in flags.items():
+        if value is not None:
+            argv += [flag, value]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 64, 65)
+    if code in (64, 65):
+        assert err.count("\n") == 1 and err.endswith("\n")

@@ -1,11 +1,13 @@
 """Random-binning codes, propagation, typicality decoding, Monte-Carlo runs."""
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_source_model, reference_candidates
 
 from netmatch import fixtures
 from netmatch.entropy import SourceModel
@@ -13,6 +15,7 @@ from netmatch.errors import LimitError
 from netmatch.graph import Edge, Network
 from netmatch.scalars import INF
 from netmatch.simulator import (
+    _CandidateSpace,
     build_code,
     butterfly_xor,
     decode,
@@ -31,6 +34,40 @@ def test_floor_pow2_exact_values():
     assert floor_pow2(Fraction(0)) == 1
     assert floor_pow2(Fraction(1, 2)) == 1
     assert floor_pow2(Fraction(48, 5)) == 776
+
+
+def _integer_floor_pow2(exponent):
+    """The largest m with m**q <= 2**p: integer bisection on both powers."""
+    p, q = exponent.numerator, exponent.denominator
+    lo, hi = 1, 1 << (p // q + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**q <= 1 << p:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_floor_pow2_matches_integer_powers_at_small_denominators():
+    rng = random.Random(11)
+    exponents = [Fraction(rng.randint(0, 62 * q), q) for q in rng.choices(range(1, 61), k=1000)]
+    exponents += [Fraction(k) for k in range(63)]
+    for x in exponents:
+        assert floor_pow2(x) == _integer_floor_pow2(x), x
+
+
+def test_floor_pow2_forms_no_power_of_two():
+    # Numerators of 12, 24 and 4301 digits: 1 << p would need 17.5 GB or
+    # could not be formed at all.
+    assert floor_pow2(Fraction(139983191633, 10**11)) == 2
+    assert floor_pow2(2 * (Fraction(5, 4) - Fraction(1, 10**23 + 1))) == 5
+    tiny = Fraction(1, 10**4300)
+    assert floor_pow2(3 + tiny) == 8  # just above a power of two
+    assert floor_pow2(3 - tiny) == 7  # just below one
+    assert floor_pow2(62 - tiny) == (1 << 62) - 1
+    with pytest.raises(LimitError, match="2\\^62"):
+        floor_pow2(Fraction(10**4300))
 
 
 def test_index_sizes_butterfly():
@@ -71,6 +108,10 @@ def test_build_code_table_size_guard():
     with pytest.raises(LimitError, match="domain"):
         build_code(fixtures.butterfly_network(), ALPHABETS, 8,
                    Fraction(1, 4), Fraction(1, 20), seed=0, max_table_entries=1000)
+    # 2^20000 source blocks: more digits than str(int) converts.
+    with pytest.raises(LimitError, match="domain"):
+        build_code(fixtures.butterfly_network(), ALPHABETS, 20000,
+                   Fraction(1, 4), Fraction(1, 20), seed=0)
 
 
 def test_same_seed_means_same_code():
@@ -269,3 +310,30 @@ def test_estimate_error_documents_are_pinned(name, n, mode):
     result = estimate_error(make_net(), make_model(), n, Fraction(1, 4), Fraction(1, 20), lam,
                             trials=40, seed=7, fixed_code=mode == "fixed")
     assert result.to_json() + "\n" == (PINNED / f"{name}_n{n}_{mode}.json").read_text()
+
+
+def test_candidate_space_matches_reference():
+    # 1 to 3 sources with alphabets of 1 to 3 symbols, rational and float
+    # pmfs; every third model lists its sources in another order than the
+    # network does.
+    rng = random.Random(2026)
+    mixed = 0
+    for case in range(240):
+        names = tuple(f"s{j}" for j in range(rng.randint(1, 3)))
+        listed = tuple(rng.sample(names, len(names))) if case % 3 == 0 else names
+        model = random_source_model(rng, listed, min_alphabet=1, rational=case % 2 == 0)
+        joint = math.prod(model.alphabet_sizes)
+        n = rng.randint(1, 4)
+        while n > 1 and joint**n > 1000:
+            n -= 1
+        lam = rng.choice([0.05, Fraction(3, 32), Fraction(1, 4), Fraction(1, 2)])
+        net = Network(nodes=(*names, "t"), edges=tuple(Edge(s, "t", Fraction(1)) for s in names),
+                      sources=names, sinks=("t",))
+        space = _CandidateSpace(net, model, n, lam)
+        blocks, codes, typical = reference_candidates(names, model, n, lam)
+        assert [space.sequence_of(J) for J in range(space.total)] == blocks
+        for s in names:
+            assert np.array_equal(space.source_codes[s], codes[s])
+        assert np.array_equal(space.typical, typical)
+        mixed += 0 < sum(typical) < len(typical)
+    assert mixed >= 60
