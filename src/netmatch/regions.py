@@ -4,9 +4,12 @@ For each sink t the cut-set polyhedron bounds subset rate sums above by
 rho_t; the Slepian-Wolf polyhedron bounds them below by conditional
 entropies.  The transmissibility condition is equivalent to every per-sink
 intersection being nonempty, and the separation condition asks for one
-rate point inside all of them at once.  Feasibility runs on an exact
-rational phase-1 simplex; float entropy bounds are snapped to rationals at
-1e-12 first.
+rate point inside all of them at once.  Feasibility runs on the exact
+compact dictionary simplex of :mod:`netmatch.simplex`, after float entropy
+bounds are snapped to rationals at 1e-12: one solve gives a rate point or
+a Farkas certificate, and an infeasible system is explained by the
+deletion filter's irreducible subsystem, for which only rows in the
+support of the current certificate cost a further solve.
 
 Every check reads one :class:`Analysis`, built by :func:`prepare_profiles`.
 :func:`equivalence_check` compares exactly: its pointwise margins are
@@ -103,7 +106,8 @@ def feasible(constraint_sets: Sequence[ConstraintSet]) -> FeasibilityResult:
 
     All sets must share the same variable order.  On failure the witness
     is an irreducible infeasible subsystem found by deletion filtering, so
-    every listed constraint is necessary for the contradiction.
+    every listed constraint is necessary for the contradiction.  The full
+    system is solved once either way.
     """
     if not constraint_sets:
         raise ValueError("at least one constraint set is required")
@@ -119,10 +123,9 @@ def feasible(constraint_sets: Sequence[ConstraintSet]) -> FeasibilityResult:
         for subset, sense, bound in cs.constraints:
             flat.append((subset, sense, bound))
             origin.append(cs.name)
-    point = simplex.solve_feasibility(variables, flat)
+    point, core = simplex.point_or_iis(variables, flat)
     if point is not None:
         return FeasibilityResult(RatePoint(point))
-    core = simplex.irreducible_infeasible_subset(variables, flat)
     witness = tuple(
         (origin[k], flat[k][0], flat[k][1], flat[k][2]) for k in core
     )

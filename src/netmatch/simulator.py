@@ -229,9 +229,11 @@ class _CandidateSpace:
                  max_enumeration: int = DEFAULT_MAX_ENUMERATION):
         if n < 1:
             raise ValueError("block length n must be positive")
-        self.lam = to_float(lam)
-        if self.lam <= 0:
+        if lam <= 0:
             raise ValueError("typicality slack must be positive")
+        self.lam = to_float(lam)
+        if self.lam == 0:
+            raise ValueError("typicality slack is positive but underflows a float")
         validate_model(m)
         check_source_names(m, net.sources)
         self.n = n

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random instances and the acceptance report."""
+"""Shared test utilities: seeded random instances, reference oracles and the
+acceptance report."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
@@ -137,6 +139,151 @@ def reference_candidates(order, m: SourceModel, n: int, lam):
                     logp += math.log2(p) if p > 0.0 else -math.inf
                 typical[j] = typical[j] and abs(-logp / n - entropy) < float(lam)
     return blocks, codes, typical
+
+
+def reference_solve_feasibility(
+    variables: Sequence[str],
+    constraints: Sequence[tuple],
+) -> Optional[dict]:
+    """The dense phase-1 tableau over Fractions: the simplex test oracle.
+
+    One slack, surplus and artificial column per row; Bland's rule by
+    column index.  Finds nonnegative variable values satisfying every
+    constraint.
+
+    Each constraint reads sum_{v in subset} x_v  <sense>  bound.  Returns
+    a dict variable -> Fraction, or None when the system is infeasible.
+    Pure phase-1: minimizes the total artificial infeasibility and reads
+    off a vertex when it reaches zero.
+    """
+    var_list = list(variables)
+    var_pos = {v: k for k, v in enumerate(var_list)}
+    n = len(var_list)
+
+    rows = []
+    for subset, sense, bound in constraints:
+        if sense not in ("<=", ">="):
+            raise ValueError(f"unknown constraint sense {sense!r}")
+        coeffs = [Fraction(0)] * n
+        for v in subset:
+            coeffs[var_pos[v]] += 1
+        bound = Fraction(bound)
+        if bound < 0:  # normalize to nonnegative right-hand sides
+            coeffs = [-c for c in coeffs]
+            bound = -bound
+            sense = "<=" if sense == ">=" else ">="
+        rows.append((coeffs, sense, bound))
+
+    m = len(rows)
+    n_le = sum(1 for _, sense, _ in rows if sense == "<=")
+    n_ge = m - n_le
+    # Columns: original vars, slacks (<=), surpluses (>=), artificials (>=).
+    total_cols = n + n_le + n_ge + n_ge
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    slack_at = n
+    surplus_at = n + n_le
+    artificial_at = n + n_le + n_ge
+
+    le_seen = ge_seen = 0
+    for coeffs, sense, bound in rows:
+        row = list(coeffs) + [Fraction(0)] * (total_cols - n) + [bound]
+        if sense == "<=":
+            row[slack_at + le_seen] = Fraction(1)
+            basis.append(slack_at + le_seen)
+            le_seen += 1
+        else:
+            row[surplus_at + ge_seen] = Fraction(-1)
+            row[artificial_at + ge_seen] = Fraction(1)
+            basis.append(artificial_at + ge_seen)
+            ge_seen += 1
+        tableau.append(row)
+
+    # Objective row: minimize the sum of artificials, reduced by the basis.
+    obj = [Fraction(0)] * (total_cols + 1)
+    for j in range(artificial_at, total_cols):
+        obj[j] = Fraction(1)
+    for r, b in enumerate(basis):
+        coef = obj[b]
+        if coef != 0:
+            row = tableau[r]
+            for j in range(total_cols + 1):
+                obj[j] -= coef * row[j]
+
+    def pivot(row_k: int, col_j: int) -> None:
+        piv = tableau[row_k][col_j]
+        inv = Fraction(1) / piv
+        tableau[row_k] = [x * inv for x in tableau[row_k]]
+        prow = tableau[row_k]
+        for r in range(m):
+            if r != row_k and tableau[r][col_j] != 0:
+                factor = tableau[r][col_j]
+                tableau[r] = [x - factor * p for x, p in zip(tableau[r], prow)]
+        nonlocal obj
+        if obj[col_j] != 0:
+            factor = obj[col_j]
+            obj = [x - factor * p for x, p in zip(obj, prow)]
+        basis[row_k] = col_j
+
+    while True:
+        # Bland: entering column = lowest index with negative reduced cost.
+        entering = None
+        for j in range(total_cols):
+            if obj[j] < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        leaving = None
+        best_ratio = None
+        for r in range(m):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving is None:
+            # Phase-1 objective is bounded below by 0, so this cannot occur.
+            raise AssertionError("phase-1 simplex detected an unbounded direction")
+        pivot(leaving, entering)
+
+    if -obj[-1] != 0:  # leftover artificial infeasibility
+        return None
+    solution = {v: Fraction(0) for v in var_list}
+    for r, b in enumerate(basis):
+        if b < n:
+            solution[var_list[b]] = tableau[r][-1]
+    return solution
+
+
+def reference_iis(
+    variables: Sequence[str],
+    constraints: Sequence[tuple],
+) -> list[int]:
+    """The deletion filter that solves once per row: the IIS test oracle.
+
+    Indices of an irreducible infeasible subsystem.
+
+    Precondition: the full system is infeasible.  Repeatedly drops any
+    constraint whose removal keeps the system infeasible; every constraint
+    in the result is necessary for the contradiction.
+    """
+    if reference_solve_feasibility(variables, constraints) is not None:
+        raise ValueError("system is feasible; no infeasible subsystem exists")
+    keep = list(range(len(constraints)))
+    k = 0
+    while k < len(keep):
+        trial = keep[:k] + keep[k + 1:]
+        if reference_solve_feasibility(variables, [constraints[i] for i in trial]) is None:
+            keep = trial
+        else:
+            k += 1
+    return keep
 
 
 _CRITERION_LINES: list[str] = []

@@ -522,3 +522,14 @@ def test_simulate_flags_end_in_an_exit_code(capsys, argv, code):
     assert run(["simulate", *argv, "--trials", "2"]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == (0 if code == 0 else 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tau", "1e-4300"], "typicality slack is positive but underflows a float"),
+    (["--lambda", "0"], "typicality slack must be positive"),
+], ids=["underflow", "zero"])
+def test_simulate_names_why_the_slack_is_rejected(capsys, argv, message):
+    # The default lambda 3*tau/8 at tau = 1e-4300 is positive but below the
+    # float range, so no float threshold can honour it.
+    assert run(["simulate", *_BUTTERFLY, "--n", "2", *argv]) == 64
+    assert capsys.readouterr().err == f"usage error: {message}\n"
