@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .errors import DocumentError, LimitError
 from .scalars import parse_probability
-from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, iter_nonempty_subsets
+from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, check_label_names, iter_nonempty_subsets
 
 PMF_TOLERANCE = 1e-12
 
@@ -47,6 +47,7 @@ def validate_model(m: SourceModel) -> None:
     """Check arity, symbol ranges and normalization; raise DocumentError."""
     if not m.sources:
         raise DocumentError("source model needs at least one source")
+    check_label_names(m.sources)
     if len(m.alphabet_sizes) != len(m.sources):
         raise DocumentError("one alphabet size per source is required")
     for size in m.alphabet_sizes:

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CycleError, DocumentError
 from .scalars import INF, is_inf, parse_scalar
+from .setfunc import check_label_names
 
 
 class Edge(NamedTuple):
@@ -57,6 +58,7 @@ class Network:
                     raise DocumentError(f"unknown {group} node {name!r}")
         if len(set(self.sources)) != len(self.sources):
             raise DocumentError("duplicate source node")
+        check_label_names(self.sources)
         if len(set(self.sinks)) != len(self.sinks):
             raise DocumentError("duplicate sink node")
         for edge in self.edges:

@@ -41,7 +41,6 @@ class _Residual:
 
     def __init__(self, net: Network, sources):
         self.index = {name: k for k, name in enumerate(net.nodes)}
-        self.names = net.nodes
         finite = [e.capacity for e in net.edges if not is_inf(e.capacity)]
         self.scale = math.lcm(*(c.denominator for c in finite))
         scaled = [c.numerator * (self.scale // c.denominator) for c in finite]
@@ -106,14 +105,6 @@ class _Residual:
             value += bottleneck
         return value, None
 
-    def result(self, value: int, reach, sink: int):
-        """``(rho, member_set)`` in network terms for one augment outcome."""
-        if reach is None:
-            # Every admissible cut is infinite; any member set is a witness.
-            return INF, frozenset(self.names) - {self.names[sink]}
-        names = self.names
-        return Fraction(value, self.scale), frozenset(names[u] for u in reach if u != self.root)
-
 
 def max_flow(net: Network, source_set: Iterable[str], sink: str):
     """Maximum flow from a set of sources to one sink, with a minimum cut.
@@ -142,8 +133,12 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
     cap = list(residual.cap)
     for a in residual.source_arc:
         cap[a] = residual.big
-    t = residual.index[sink]
-    return residual.result(*residual.augment(cap, t, 0), t)
+    value, reach = residual.augment(cap, residual.index[sink], 0)
+    if reach is None:
+        # Every admissible cut is infinite; any member set is a witness.
+        return INF, frozenset(net.nodes) - {sink}
+    members = frozenset(net.nodes[u] for u in reach if u != residual.root)
+    return Fraction(value, residual.scale), members
 
 
 def rho_t(net: Network, subset: Iterable[str], sink: str):
@@ -168,16 +163,15 @@ def rho_n(net: Network, subset: Iterable[str]):
 class CapacityProfile:
     """All rho values of a network, over every nonempty source subset.
 
-    ``per_sink[t][S]`` is rho_t(S); ``network_wide[S]`` is their minimum
-    over sinks; ``cuts[(t, S)]`` is the member set of one minimum cut,
-    kept for diagnostics.
+    ``per_sink[t][S]`` is rho_t(S) and ``network_wide[S]`` is their
+    minimum over sinks.  Values only: a minimum cut, where one is wanted,
+    comes from :func:`max_flow`.
     """
 
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
     per_sink: dict
     network_wide: dict
-    cuts: dict
 
     def rho_t_function(self, sink: str) -> SetFunction:
         return SetFunction(ground=self.sources, values=dict(self.per_sink[sink]))
@@ -206,9 +200,9 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
     once.  Enabling source i's super-source arc keeps the parent's flow
     feasible, so a child only augments the difference, and a child of an
     infinite subset (flow at the sentinel) is infinite without a search.
-    Each DFS level holds one copy of the residual capacities.  Cuts are
-    the residual-reachable sets, identical to those of a cold
-    :func:`max_flow`.
+    Each DFS level holds one copy of the residual capacities.  Only the
+    flow values are kept; a cold :func:`max_flow` on the same subset and
+    sink gives the same value and forms its minimum cut.
     """
     k = len(net.sources)
     if k > max_sources:
@@ -219,7 +213,7 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
         if t in net.source_set:
             raise ValueError(f"sink {t!r} is inside the source set")
     residual = _Residual(net, net.sources)
-    big, source_arc = residual.big, residual.source_arc
+    big, scale, source_arc = residual.big, residual.scale, residual.source_arc
     levels = [list(residual.cap) for _ in range(k)]
 
     def grow(mask: int, cap: list, value: int, depth: int, sink: int, found: dict):
@@ -231,26 +225,23 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
             child_cap[:] = cap
             child_cap[source_arc[i]] = big
             child_value, reach = residual.augment(child_cap, sink, value)
-            found[child] = residual.result(child_value, reach, sink)
+            found[child] = INF if reach is None else Fraction(child_value, scale)
             grow(child, child_cap, child_value, depth + 1, sink, found)
 
     subsets = iter_nonempty_subsets(net.sources)
     position = {s: i for i, s in enumerate(net.sources)}
     masks = [sum(1 << position[s] for s in S) for S in subsets]
-    per_sink: dict = {t: {} for t in net.sinks}
-    cuts: dict = {}
+    per_sink: dict = {}
     for t in net.sinks:
         found: dict = {}
         grow(0, residual.cap, 0, 0, residual.index[t], found)
-        for S, mask in zip(subsets, masks):
-            per_sink[t][S], cuts[(t, S)] = found[mask]
+        per_sink[t] = {S: found[mask] for S, mask in zip(subsets, masks)}
     network_wide = {S: min(per_sink[t][S] for t in net.sinks) for S in subsets}
     return CapacityProfile(
         sources=tuple(net.sources),
         sinks=tuple(net.sinks),
         per_sink=per_sink,
         network_wide=network_wide,
-        cuts=cuts,
     )
 
 

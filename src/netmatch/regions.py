@@ -40,6 +40,7 @@ from .setfunc import (
     SetFunction,
     is_polymatroid,
     iter_nonempty_subsets,
+    subset_label,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -85,11 +86,8 @@ class InfeasibilityWitness:
     constraints: tuple  # of (set_name, frozenset, sense, Fraction)
 
     def describe(self, variables: Sequence[str]) -> list[str]:
-        out = []
-        for set_name, subset, sense, bound in self.constraints:
-            label = "+".join(sorted(subset, key=list(variables).index))
-            out.append(f"{set_name}: R[{label}] {sense} {format_scalar(bound)}")
-        return out
+        return [f"{set_name}: R[{subset_label(subset, variables)}] {sense} {format_scalar(bound)}"
+                for set_name, subset, sense, bound in self.constraints]
 
 
 @dataclass(frozen=True)

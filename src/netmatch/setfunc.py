@@ -55,6 +55,13 @@ def subset_label(subset: Iterable[str], ground: Sequence[str]) -> str:
     return "+".join(members)
 
 
+def check_label_names(names: Iterable[str]) -> None:
+    """Reject names holding ``+`` or ``,``: two subsets could label alike."""
+    for name in names:
+        if "+" in name or "," in name:
+            raise DocumentError(f"source name {name!r} contains a subset separator, '+' or ','")
+
+
 @dataclass(frozen=True)
 class RatePoint:
     """One nonnegative rate per source node (bits per symbol)."""
@@ -86,6 +93,7 @@ class SetFunction:
             raise DocumentError("ground set must be nonempty")
         if len(set(self.ground)) != len(self.ground):
             raise DocumentError("duplicate ground element")
+        check_label_names(self.ground)
         required = 2 ** len(self.ground) - 1
         if len(self.values) != required or not all(
             S in self.values for S in iter_nonempty_subsets(self.ground)
@@ -162,6 +170,17 @@ def _diamonds_hold(vals, k: int, submodular: bool) -> bool:
     return True
 
 
+class _Infinity:
+    """+inf for object arrays that, unlike float inf, adds to a Fraction past 1e308."""
+
+    __add__ = __radd__ = __sub__ = lambda self, other: self
+    __gt__ = lambda self, other: other is not self  # inf > inf is false
+    __lt__ = lambda self, other: False
+
+
+_INFINITY = _Infinity()
+
+
 def _first_violation(vals, order, tol, submodular: bool):
     """The global pair rule, scanned in canonical row-major order.
 
@@ -222,8 +241,9 @@ def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
     else:
         vals = np.array(values, dtype=object)
         if not any(isinstance(v, float) and math.isfinite(v) for v in values):
-            # Rationals and inf: an exact tolerance keeps every finite sum exact.
+            # Rationals and inf: an exact tolerance and inf keep sums exact.
             tol = Fraction(tol)
+            vals[[is_inf(v) for v in values]] = _INFINITY
     hit = _first_violation(vals, order, tol, submodular)
     if hit is None:
         return AxiomReport(True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .entropy import SourceModel
 from .graph import Edge, Network
+from .mincut import max_flow
 from .regions import DEFAULT_TOLERANCE, Analysis, prepare_profiles
 from .scalars import check_tolerance, format_scalar, to_float
 from .setfunc import DEFAULT_MAX_SOURCES, iter_nonempty_subsets, subset_label
@@ -32,9 +33,8 @@ class SubsetRow:
 
     ``margin`` is rho_n(S) minus the conditional entropy of S; the status
     is "fail" below -tolerance, "tight" within it, "pass" above.
-    ``binding_sink`` attains the minimum over sinks, and ``cut_members`` /
-    ``cut_edges`` describe one minimum cut for that sink, kept so that
-    diagnostics can point at concrete edges.
+    ``binding_sink`` attains the minimum over sinks;
+    :meth:`TransmissibilityReport.cut_edges` names a minimum cut for it.
     """
 
     subset: frozenset
@@ -44,8 +44,6 @@ class SubsetRow:
     margin: float
     status: str
     binding_sink: str
-    cut_members: frozenset
-    cut_edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,14 @@ class TransmissibilityReport:
     @property
     def transmissible(self) -> bool:
         return self.verdict != "not-transmissible"
+
+    def cut_edges(self, row: SubsetRow) -> tuple[Edge, ...]:
+        """The normalized network's edges across ``row``'s minimum cut (one
+        :func:`max_flow`, for its subset and binding sink), in edge order."""
+        net = self.analysis.network
+        sources = [self.analysis.renaming[s] for s in row.subset]
+        members = max_flow(net, sources, row.binding_sink)[1]
+        return tuple(e for e in net.edges if e.tail in members and e.head not in members)
 
 
 def check(
@@ -100,11 +106,6 @@ def check(
             status = "tight"
         else:
             status = "pass"
-        sink = profile.binding_sink(S)
-        members = profile.cuts[(sink, S)]
-        cut_edges = tuple(
-            e for e in analysis.network.edges if e.tail in members and e.head not in members
-        )
         user_subset = frozenset(original[s] for s in S)
         rows.append(
             SubsetRow(
@@ -114,9 +115,7 @@ def check(
                 rho=rho,
                 margin=margin,
                 status=status,
-                binding_sink=sink,
-                cut_members=members,
-                cut_edges=cut_edges,
+                binding_sink=profile.binding_sink(S),
             )
         )
 
@@ -138,27 +137,26 @@ def check(
 
 def diagnose(report: TransmissibilityReport) -> str:
     """Human-readable summary: tightest subsets, binding sinks, and the
-    smallest total capacity increase that could restore a failing check."""
+    smallest total capacity increase that could restore a failing check,
+    across the worst subset's minimum cut (the one max-flow run here)."""
     lines = [f"verdict: {report.verdict} (tolerance {report.tolerance:g})"]
     tight = [row for row in report.rows if row.status == "tight"]
     failing = [row for row in report.rows if row.status == "fail"]
 
+    worst = report.worst_row
     if failing:
-        worst = report.worst_row
         delta = -worst.margin
         lines.append(
             f"violated on {len(failing)} subset(s); worst is {{{worst.label}}} "
             f"with margin {worst.margin:.9g} at sink {worst.binding_sink}"
         )
-        edges = ", ".join(
-            f"({e.tail}->{e.head}, {format_scalar(e.capacity)})" for e in worst.cut_edges
-        )
+        edges = ", ".join(f"({e.tail}->{e.head}, {format_scalar(e.capacity)})"
+                          for e in report.cut_edges(worst))
         lines.append(
             f"any fix must add at least {delta:.9g} bits/symbol of capacity "
             f"across the minimum cut of {{{worst.label}}}: edges {edges}"
         )
     else:
-        worst = report.worst_row
         lines.append(
             f"transmissible with minimum margin {worst.margin:.9g} "
             f"on subset {{{worst.label}}}"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from netmatch import cli, fixtures, regions
+from netmatch import cli, fixtures, mincut, regions, transmissibility
 from netmatch.cli import run
 from netmatch.entropy import source_model_to_document
 from netmatch.graph import network_to_document
@@ -218,15 +218,40 @@ def test_quiet_suppresses_output(paths, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name, code", [("check_k6_pass", 0), ("check_k6_fail", 1)])
+@pytest.mark.parametrize("name, code", [("check_k6_pass", 0), ("check_k6_fail", 1),
+                                        ("check_renamed_fail", 1)])
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 def test_check_output_bytes_are_pinned(capsys, name, code, fmt, ext):
-    # Six-source layered instances from the benchmark's generator; the table
-    # form also pins the worst subset's cut edges.
+    # Six-source layered instances from the benchmark's generator, and a
+    # two-source one whose source a has an incoming edge, so normalization
+    # renames it; the table form also pins the worst subset's cut edges.
     argv = ["--format", fmt, "check", "--network", str(DATA / f"{name}.network.json"),
             "--source", str(DATA / f"{name}.source.json")]
     assert run(argv) == code
     assert capsys.readouterr().out == (DATA / f"{name}.stdout.{ext}").read_text()
+
+
+@pytest.mark.parametrize("name, fmt, calls", [
+    ("check_k6_fail", "json", 0),
+    ("check_k6_fail", "table", 1),
+    ("check_k6_pass", "table", 0),
+])
+def test_check_runs_max_flow_only_for_the_printed_cut(monkeypatch, capsys, name, fmt, calls):
+    # The capacity walk keeps values only; the one cut a failing table
+    # prints comes from one cold max_flow, and nothing else calls it.
+    counted, original = [], mincut.max_flow
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transmissibility, "max_flow", counting)
+    monkeypatch.setattr(mincut, "max_flow", counting)
+    argv = ["--format", fmt, "check", "--network", str(DATA / f"{name}.network.json"),
+            "--source", str(DATA / f"{name}.source.json")]
+    assert run(argv) == (1 if name.endswith("fail") else 0)
+    capsys.readouterr()
+    assert len(counted) == calls
 
 
 
@@ -389,6 +414,33 @@ def test_network_edge_endpoints_must_be_strings(tmp_path, capsys):
     _assert_one_line_data_error(capsys)
 
 
+@pytest.mark.parametrize("name", ["a+b", "a,b"])
+@pytest.mark.parametrize("command", ["mincut", "entropy", "check", "setfunc"])
+def test_separator_in_source_name_is_data_error(tmp_path, capsys, command, name):
+    # With sources a, b and a+b, the subsets {a+b} and {a, b} would both be
+    # labelled "a+b", and a label-keyed document would keep one of them.
+    sources = ["a", "b", name]
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "nodes": [*sources, "t"], "sources": sources, "sinks": ["t"],
+        "edges": [{"from": s, "to": "t", "capacity": c} for s, c in zip(sources, "124")]}))
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({"sources": sources, "alphabets": [1, 1, 1],
+                                  "pmf": [{"symbols": [0, 0, 0], "p": 1}]}))
+    setfunc = tmp_path / "setfunc.json"
+    setfunc.write_text(json.dumps({"ground": sources, "values": {
+        "+".join(S): "1" for S in [["a"], ["b"], [name], ["a", "b"], ["a", name], ["b", name],
+                                   ["a", "b", name]]}}))
+    argv = {"mincut": ["mincut", "--all", "--network", str(net)],
+            "entropy": ["entropy", "--source", str(source)],
+            "check": ["check", "--network", str(net), "--source", str(source)],
+            "setfunc": ["setfunc", "verify", "--kind", "poly", "--input", str(setfunc)]}[command]
+    assert run(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.err == f"error: source name {name!r} contains a subset separator, '+' or ','\n"
+    assert captured.out == ""
+
+
 _HUGE = "1e10000000"  # 10**10000000: seconds of work inside Fraction if parsed
 
 
@@ -488,6 +540,29 @@ def test_capacities_of_any_size_give_a_verdict(tmp_path, capsys, capacity, print
         if argv[0] != "regions":  # regions prints rho only in a failing LP's cut row
             assert printed in captured.out
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_axioms_add_capacities_past_the_float_range_to_inf(tmp_path, capsys):
+    # 1e4300 + inf used to convert 1e4300 to a float and die with an
+    # OverflowError.  Found by the paired-document fuzz test: b is a source
+    # and a sink, so rho_N is 1e4300 on {a}, 0 on {b'} and inf on both.
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"nodes": ["a", "b", "c"], "sources": ["a", "b"],
+                               "sinks": ["b", "c"], "edges": [
+                                   {"from": "a", "to": "c", "capacity": "inf"},
+                                   {"from": "a", "to": "b", "capacity": "1e4300"}]}))
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({"sources": ["a", "b"], "alphabets": [1, 1],
+                                  "pmf": [{"symbols": [0, 0], "p": "1"}]}))
+    assert run(["regions", "--separation", "--network", str(net), "--source", str(source)]) == 0
+    assert "rho_N polymatroid: False" in capsys.readouterr().out
+    fn = tmp_path / "mixed.json"
+    fn.write_text(json.dumps({"ground": ["a", "b"],
+                              "values": {"a": "1e4300", "b": "0", "a+b": "inf"}}))
+    assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn)]) == 1
+    assert capsys.readouterr().out.strip() == "poly: submodularity fails on (a, b)"
+    assert run(["setfunc", "verify", "--kind", "copoly", "--input", str(fn)]) == 0
+    assert capsys.readouterr().out.strip() == "copoly: axioms hold"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-09"])

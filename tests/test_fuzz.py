@@ -1,8 +1,10 @@
 """Property tests: arbitrary JSON documents and simulate flags never crash the CLI."""
 
 import json
+from itertools import product
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netmatch.cli import run
@@ -106,5 +108,63 @@ def test_simulate_flags_never_crash(capsys, flags):
     code = run(argv)
     err = capsys.readouterr().err
     assert code in (0, 64, 65)
+    if code in (64, 65):
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+_PAIRS = [(u, v) for u in "abc" for v in "abc" if u != v]
+_capacities = st.sampled_from(["1", "1/2", "2", "0", "inf", "1e-4300", "1e4300"])
+
+
+@st.composite
+def _paired_docs(draw):
+    """A network on nodes a, b, c (cycles, and sources that are sinks or
+    have in-edges, included) and a source model over its sources whose pmf
+    sums to 1; one draw in five replaces either document by an arbitrary
+    one."""
+    sources = draw(st.sampled_from([["a"], ["a", "b"], ["b", "a"]]))
+    network = {
+        "nodes": ["a", "b", "c"],
+        "edges": [{"from": u, "to": v, "capacity": draw(_capacities)}
+                  for u, v in draw(st.lists(st.sampled_from(_PAIRS), unique=True, max_size=5))],
+        "sources": sources,
+        "sinks": draw(st.sampled_from([["c"], ["b", "c"], ["a"]])),
+    }
+    sizes = [draw(st.integers(1, 2)) for _ in sources]
+    tuples = list(product(*map(range, sizes)))
+    weights = [draw(st.integers(0, 3)) for _ in tuples]
+    total = sum(weights)
+    if not total:
+        weights[0] = total = 1
+    source = {"sources": draw(st.permutations(sources)), "alphabets": sizes,
+              "pmf": [{"symbols": list(t), "p": f"{w}/{total}"} for t, w in zip(tuples, weights)]}
+    if draw(st.integers(0, 4)) == 0:
+        network = draw(_network_docs)
+    if draw(st.integers(0, 4)) == 0:
+        source = draw(_source_docs)
+    return network, source
+
+
+_PAIRED_COMMANDS = {
+    "check": ["check"],
+    "regions": ["regions"],
+    "separation": ["regions", "--separation"],
+    "simulate": ["simulate", "--n", "2", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PAIRED_COMMANDS))
+@_SETTINGS
+@given(docs=_paired_docs())
+def test_paired_documents_never_crash(tmp_path, capsys, command, docs):
+    paths = {}
+    for key, doc in zip(("network", "source"), docs):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    code = run([*_PAIRED_COMMANDS[command], "--network", str(paths["network"]),
+                "--source", str(paths["source"])])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 64, 65)
+    assert "Traceback" not in err
     if code in (64, 65):
         assert err.count("\n") == 1 and err.endswith("\n")

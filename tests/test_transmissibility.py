@@ -84,7 +84,7 @@ def test_diagnose_suggests_sufficient_capacity_increase():
     assert delta == Fraction(1, 2)
     text = diagnose(report)
     assert "add at least 0.5" in text
-    fix_pairs = {(e.tail, e.head) for e in worst.cut_edges}
+    fix_pairs = {(e.tail, e.head) for e in report.cut_edges(worst)}
     repaired = Network(
         net.nodes,
         tuple(
