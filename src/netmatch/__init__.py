@@ -24,7 +24,6 @@ from .graph import (
     Network,
     cut_value,
     is_normalized,
-    normalize,
     parse_network,
     validate_acyclic,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "is_polymatroid",
     "joint_entropy",
     "max_flow",
-    "normalize",
     "parse_network",
     "parse_setfunction",
     "parse_source_model",

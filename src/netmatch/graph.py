@@ -1,10 +1,13 @@
-"""Capacitated acyclic networks: representation, validation, normalization.
+"""Capacitated acyclic networks: representation, validation, raw cut values.
 
 A network is a finite digraph without self-loops, a nonnegative capacity
 (bits per symbol) on every edge, a set of source nodes and a set of sink
-nodes.  A *normalized* network additionally has disjoint source/sink sets
-and no edge entering a source; :func:`normalize` rewrites any valid
-network into that form without changing what is transmissible over it.
+nodes.  A source may have incoming edges and may also be a sink: the cut
+computations read such a network as given (an edge into a source never
+leaves a source side, and a sink inside the source set has no cut, so
+its capacity is infinite).  A *normalized* network has disjoint
+source/sink sets and no edge entering a source; only the simulator
+requires that form.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ class Network:
 
     Parallel edges are allowed and kept distinct; their capacities add up
     in every cut.  Construction validates local shape only (endpoints,
-    self-loops, capacity signs); acyclicity and normalization are separate
-    checks because several operations accept un-normalized input.  The
+    self-loops, capacity signs); acyclicity and :func:`is_normalized` are
+    separate checks, and only the simulator asks for the latter.  The
     in- and out-edge index lists of every node are built once, here.
     """
 
@@ -234,50 +237,6 @@ def is_normalized(net: Network) -> bool:
     return all(e.head not in src for e in net.edges)
 
 
-def _fresh_name(base: str, taken: set) -> str:
-    name = base + "'"
-    while name in taken:
-        name += "'"
-    return name
-
-
-def normalize(net: Network) -> Network:
-    """Split every source that is also a sink or has incoming edges.
-
-    Each offending source ``k`` gets a fresh node ``k'`` feeding it through
-    an infinite-capacity edge ``(k', k)``; ``k'`` replaces ``k`` in the
-    source set.  Transmissibility semantics are unchanged: the infinite
-    edge never participates in a finite cut.  Idempotent; already-normalized
-    networks are returned unchanged.
-    """
-    if is_normalized(net):
-        return net
-    renamed = normalize_with_renaming(net)[0]
-    return renamed
-
-
-def normalize_with_renaming(net: Network) -> tuple[Network, dict[str, str]]:
-    """Like :func:`normalize` but also return {original source: new source}."""
-    nodes = list(net.nodes)
-    edges = list(net.edges)
-    sources = list(net.sources)
-    sinks = net.sink_set
-    taken = set(nodes)
-    renaming: dict[str, str] = {s: s for s in net.sources}
-
-    heads_into = {e.head for e in edges}
-    for pos, k in enumerate(list(sources)):
-        if k in sinks or k in heads_into:
-            fresh = _fresh_name(k, taken)
-            taken.add(fresh)
-            nodes.insert(nodes.index(k), fresh)
-            edges.append(Edge(fresh, k, INF))
-            sources[pos] = fresh
-            renaming[k] = fresh
-    result = Network(tuple(nodes), tuple(edges), tuple(sources), tuple(net.sinks))
-    return result, renaming
-
-
 def cut_value(net: Network, member_set: Iterable[str]):
     """Total capacity of edges leaving ``member_set`` (Fraction, or inf)."""
     members = frozenset(member_set)
@@ -287,5 +246,7 @@ def cut_value(net: Network, member_set: Iterable[str]):
     total = Fraction(0)
     for e in net.edges:
         if e.tail in members and e.head not in members:
-            total = total + e.capacity
+            if is_inf(e.capacity):
+                return INF
+            total += e.capacity
     return total

@@ -142,7 +142,8 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
 
 
 def rho_t(net: Network, subset: Iterable[str], sink: str):
-    """Capacity separating the source subset from one sink (min cut value)."""
+    """Capacity separating the source subset from one sink (min cut value);
+    inf when the sink is itself in the subset, as no cut separates them."""
     S = frozenset(subset)
     if not S:
         raise ValueError("source subset must be nonempty")
@@ -150,6 +151,8 @@ def rho_t(net: Network, subset: Iterable[str], sink: str):
         raise ValueError(f"{sorted(S)} is not a subset of the source nodes")
     if sink not in net.sink_set:
         raise ValueError(f"{sink!r} is not a sink node")
+    if sink in S:
+        return INF
     return max_flow(net, sorted(S, key=net.nodes.index), sink)[0]
 
 
@@ -200,18 +203,17 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
     once.  Enabling source i's super-source arc keeps the parent's flow
     feasible, so a child only augments the difference, and a child of an
     infinite subset (flow at the sentinel) is infinite without a search.
+    A sink inside S is reached by its own super-source arc, so rho_t(S)
+    is infinite; an edge into a source of S never leaves the source side.
     Each DFS level holds one copy of the residual capacities.  Only the
     flow values are kept; a cold :func:`max_flow` on the same subset and
-    sink gives the same value and forms its minimum cut.
+    a sink outside it gives the same value and forms its minimum cut.
     """
     k = len(net.sources)
     if k > max_sources:
         raise LimitError(
             f"{k} sources exceed the subset enumeration bound {max_sources}"
         )
-    for t in net.sinks:
-        if t in net.source_set:
-            raise ValueError(f"sink {t!r} is inside the source set")
     residual = _Residual(net, net.sources)
     big, scale, source_arc = residual.big, residual.scale, residual.source_arc
     levels = [list(residual.cap) for _ in range(k)]

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import simplex
 from .entropy import EntropyProfile, SourceModel, check_source_names, entropy_profile
-from .graph import Network, normalize_with_renaming, validate_acyclic
+from .graph import Network, validate_acyclic
 from .mincut import CapacityProfile, capacity_profile
 from .scalars import check_tolerance, format_scalar, is_inf, snap_to_rational, to_float
 from .setfunc import (
@@ -134,13 +134,12 @@ def feasible(constraint_sets: Sequence[ConstraintSet]) -> FeasibilityResult:
 class Analysis:
     """One (network, source model) pair, validated and profiled once.
 
-    ``renaming`` maps model source names to the normalized ``network``'s;
-    ``entropy`` is keyed by network source names, and ``sw`` holds its
-    snapped Slepian-Wolf rows, which the LPs and the exact comparison read.
+    ``network`` is the parsed network as given; ``entropy`` is over its
+    source order, and ``sw`` holds its snapped Slepian-Wolf rows, which
+    the LPs and the exact comparison read.
     """
 
     network: Network
-    renaming: dict
     capacity: CapacityProfile
     entropy: EntropyProfile
     sw: ConstraintSet
@@ -148,25 +147,19 @@ class Analysis:
 
 def prepare_profiles(net: Network, m: SourceModel,
                      max_sources: int = DEFAULT_MAX_SOURCES) -> Analysis:
-    """Check source names, normalize, validate, and compute both profiles.
+    """Check source names, validate, and compute both profiles.
 
     The one constructor of :class:`Analysis`.  The model's source names
-    must equal the network's (pre-normalization) sources as a set.
+    must equal the network's sources as a set.
     """
     check_source_names(m, net.sources)
-    nnet, renaming = normalize_with_renaming(net)
-    validate_acyclic(nnet)
-    profile = capacity_profile(nnet, max_sources=max_sources)
+    validate_acyclic(net)
+    profile = capacity_profile(net, max_sources=max_sources)
     ep = entropy_profile(m, max_sources=max_sources)
-
-    def rekey(f: SetFunction) -> SetFunction:
-        values = {frozenset(renaming[s] for s in S): v for S, v in f.values.items()}
-        return SetFunction(ground=profile.sources, values=values)
-
-    if profile.sources != tuple(m.sources):  # a source was renamed or reordered
-        ep = EntropyProfile(sigma=rekey(ep.sigma), joint=rekey(ep.joint))
-    return Analysis(network=nnet, renaming=renaming, capacity=profile, entropy=ep,
-                    sw=sw_polyhedron(ep))
+    if profile.sources != tuple(m.sources):  # the model lists another order
+        ep = EntropyProfile(sigma=SetFunction(profile.sources, ep.sigma.values),
+                            joint=SetFunction(profile.sources, ep.joint.values))
+    return Analysis(network=net, capacity=profile, entropy=ep, sw=sw_polyhedron(ep))
 
 
 @dataclass(frozen=True)

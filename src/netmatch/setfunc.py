@@ -353,6 +353,7 @@ def parse_setfunction(text: str) -> SetFunction:
     ground = doc["ground"]
     if not isinstance(ground, list) or not all(isinstance(g, str) for g in ground):
         raise DocumentError("'ground' must be a list of strings")
+    check_label_names(ground)
     if not isinstance(doc["values"], dict):
         raise DocumentError("'values' must be an object mapping subsets to values")
     values = {}

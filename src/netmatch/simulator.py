@@ -91,9 +91,8 @@ class CodeInstance:
     over the tail node's input domain.  Source-node inputs are length-n
     sequences over that source's alphabet; interior-node inputs are the
     tuples of indices arriving on its in-edges (in edge order).  Edges of
-    infinite capacity forward their input unchanged (they only arise from
-    normalization).  Fully determined by (network, alphabets, n, tau,
-    delta, seed).
+    infinite capacity forward their input unchanged.  Fully determined by
+    (network, alphabets, n, tau, delta, seed).
     """
 
     net: Network
@@ -134,7 +133,8 @@ def build_code(
     if n < 1:
         raise ValueError("block length n must be positive")
     if not is_normalized(net):
-        raise ValueError("network must be normalized (no edges into sources)")
+        raise ValueError("network must be normalized (no source is a sink, "
+                         "no edge enters a source)")
     topo = validate_acyclic(net)
     for s in net.sources:
         if s not in alphabets or int(alphabets[s]) < 1:

@@ -68,11 +68,11 @@ class TransmissibilityReport:
         return self.verdict != "not-transmissible"
 
     def cut_edges(self, row: SubsetRow) -> tuple[Edge, ...]:
-        """The normalized network's edges across ``row``'s minimum cut (one
-        :func:`max_flow`, for its subset and binding sink), in edge order."""
+        """The network's edges across ``row``'s minimum cut (one
+        :func:`max_flow`, for its subset and binding sink), in edge order.
+        A binding sink inside the subset has no cut: ``max_flow`` raises."""
         net = self.analysis.network
-        sources = [self.analysis.renaming[s] for s in row.subset]
-        members = max_flow(net, sources, row.binding_sink)[1]
+        members = max_flow(net, row.subset, row.binding_sink)[1]
         return tuple(e for e in net.edges if e.tail in members and e.head not in members)
 
 
@@ -85,15 +85,13 @@ def check(
 ) -> TransmissibilityReport:
     """Evaluate the matching condition with per-subset diagnostics.
 
-    The network is normalized first (a no-op when already normalized);
-    report rows are labeled with the model's original source names in
-    deterministic order (subsets by size, then lexicographically by
-    source position).
+    The network is read as given; report rows are labeled in the model's
+    source order, and listed in deterministic order (subsets by size,
+    then lexicographically by network source position).
     """
     check_tolerance(tol)
     analysis = prepare_profiles(net, m, max_sources)
     profile, sigma = analysis.capacity, analysis.entropy.sigma
-    original = {name: s for s, name in analysis.renaming.items()}
 
     rows = []
     for S in iter_nonempty_subsets(profile.sources):
@@ -106,11 +104,10 @@ def check(
             status = "tight"
         else:
             status = "pass"
-        user_subset = frozenset(original[s] for s in S)
         rows.append(
             SubsetRow(
-                subset=user_subset,
-                label=subset_label(user_subset, m.sources),
+                subset=S,
+                label=subset_label(S, m.sources),
                 sigma=h,
                 rho=rho,
                 margin=margin,

@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 import pytest
 
 from netmatch.entropy import SourceModel, joint_entropy
-from netmatch.graph import Edge, Network
+from netmatch.graph import Edge, Network, is_normalized
+from netmatch.scalars import INF
 from netmatch.setfunc import AxiomReport, SetFunction
 
 
@@ -42,6 +43,80 @@ def random_network(
     if not edges:  # keep at least one edge so flows are not all trivially zero
         edges.append(Edge(names[0], names[-1], Fraction(1)))
     return Network(nodes=tuple(names), edges=tuple(edges), sources=sources, sinks=sinks)
+
+
+def random_raw_network(rng: random.Random) -> Network:
+    """A random DAG on 2-6 nodes that is not normalized: some source has an
+    incoming edge, or is also a sink, or both.  Up to 3 sources and 2 sinks;
+    node, source and sink lists are in random order, and about one edge in
+    eight has infinite capacity."""
+    while True:
+        n_nodes = rng.randint(2, 6)
+        names = [f"v{k}" for k in range(n_nodes)]
+        edges = []
+        for i in range(n_nodes):
+            for j in range(i + 1, n_nodes):
+                if rng.random() < 0.5:
+                    den = rng.choice((1, 2, 4))
+                    cap = INF if rng.random() < 1 / 8 else Fraction(rng.randint(0, 4 * den), den)
+                    edges.append(Edge(names[i], names[j], cap))
+        net = Network(
+            nodes=tuple(rng.sample(names, n_nodes)),
+            edges=tuple(edges),
+            sources=tuple(rng.sample(names, rng.randint(1, min(3, n_nodes)))),
+            sinks=tuple(rng.sample(names, rng.randint(1, min(2, n_nodes)))),
+        )
+        if not is_normalized(net):
+            return net
+
+
+def _fresh_name(base: str, taken: set) -> str:
+    name = base + "'"
+    while name in taken:
+        name += "'"
+    return name
+
+
+def reference_normalize(net: Network) -> tuple[Network, dict[str, str]]:
+    """Split every source that is also a sink or has incoming edges: the
+    test oracle for reading a network as given.
+
+    Each offending source ``k`` gets a fresh node ``k'`` feeding it through
+    an infinite-capacity edge ``(k', k)``, appended after the network's
+    edges; ``k'`` replaces ``k`` in the source set.  Returns the new
+    network and {original source: new source}.
+    """
+    nodes = list(net.nodes)
+    edges = list(net.edges)
+    sources = list(net.sources)
+    sinks = net.sink_set
+    taken = set(nodes)
+    renaming: dict[str, str] = {s: s for s in net.sources}
+
+    heads_into = {e.head for e in edges}
+    for pos, k in enumerate(list(sources)):
+        if k in sinks or k in heads_into:
+            fresh = _fresh_name(k, taken)
+            taken.add(fresh)
+            nodes.insert(nodes.index(k), fresh)
+            edges.append(Edge(fresh, k, INF))
+            sources[pos] = fresh
+            renaming[k] = fresh
+    result = Network(tuple(nodes), tuple(edges), tuple(sources), tuple(net.sinks))
+    return result, renaming
+
+
+def raw_instances(count: int, seed: int):
+    """``count`` seeded (raw network, source model, reference network,
+    renamed model, renaming) tuples; the model lists the sources in a
+    random order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        net = random_raw_network(rng)
+        m = random_source_model(rng, rng.sample(net.sources, len(net.sources)))
+        ref, renaming = reference_normalize(net)
+        m_ref = SourceModel(tuple(renaming[s] for s in m.sources), m.alphabet_sizes, m.pmf)
+        yield net, m, ref, m_ref, renaming
 
 
 def random_source_model(

@@ -223,8 +223,8 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 def test_check_output_bytes_are_pinned(capsys, name, code, fmt, ext):
     # Six-source layered instances from the benchmark's generator, and a
-    # two-source one whose source a has an incoming edge, so normalization
-    # renames it; the table form also pins the worst subset's cut edges.
+    # two-source one whose source a has an incoming edge; the table form
+    # also pins the worst subset's cut edges.
     argv = ["--format", fmt, "check", "--network", str(DATA / f"{name}.network.json"),
             "--source", str(DATA / f"{name}.source.json")]
     assert run(argv) == code
@@ -377,6 +377,39 @@ def test_regions_output_bytes_are_pinned(capsys, name, codes, separation, fmt, e
     assert capsys.readouterr().out == (DATA / f"regions_{name}{suffix}.stdout.{ext}").read_text()
 
 
+@pytest.mark.parametrize("separation", [False, True])
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
+def test_regions_on_a_source_with_an_in_edge_is_pinned(capsys, separation, fmt, ext):
+    # Source a has an incoming edge; labels, conflicts and the worst subset
+    # use the model's names (a+b), as check does.
+    argv = ["--format", fmt, "regions",
+            "--network", str(DATA / "check_renamed_fail.network.json"),
+            "--source", str(DATA / "check_renamed_fail.source.json")]
+    suffix = ".separation" if separation else ""
+    assert run(argv + ["--separation"] * separation) == 1
+    out = capsys.readouterr().out
+    assert out == (DATA / f"check_renamed_fail.regions{suffix}.stdout.{ext}").read_text()
+    assert "'" not in out
+
+
+@pytest.mark.parametrize("args, out", [
+    (["--all"], "subset  rho_k  rho_t  rho_N\n"
+                "------  -----  -----  -----\n"
+                "k       inf    2      2\n"),
+    (["--subset", "k"], "rho_N(k) = 2\n"),
+    (["--subset", "k", "--sink", "k"], "rho_k(k) = inf\n"),
+    (["--subset", "k", "--sink", "t"], "rho_t(k) = 2\n"),
+])
+def test_mincut_sink_inside_the_source_set_is_infinite(tmp_path, capsys, args, out):
+    # Source k is also a sink: there is no cut separating k from itself.
+    network = tmp_path / "kt.json"
+    network.write_text(json.dumps({
+        "nodes": ["k", "t"], "edges": [{"from": "k", "to": "t", "capacity": "2"}],
+        "sources": ["k"], "sinks": ["k", "t"]}))
+    assert run(["mincut", "--network", str(network)] + args) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_demo_computes_each_profile_once(monkeypatch, capsys, name):
     calls = {"capacity_profile": 0, "entropy_profile": 0}
@@ -403,6 +436,14 @@ def test_simulate_source_name_mismatch_is_data_error(tmp_path, paths, capsys):
     for argv in (["check"], ["regions"], ["simulate", "--n", "2", "--trials", "2"]):
         assert run([*argv, "--network", paths["network"], "--source", str(source)]) == 65
         _assert_one_line_data_error(capsys)
+
+
+def test_setfunc_separator_in_ground_name_is_named(tmp_path, capsys):
+    fn = tmp_path / "sep.json"
+    fn.write_text(json.dumps({"ground": ["a+b"], "values": {"a+b": "1"}}))
+    assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn)]) == 65
+    err = capsys.readouterr().err
+    assert err == "error: source name 'a+b' contains a subset separator, '+' or ','\n"
 
 
 def test_network_edge_endpoints_must_be_strings(tmp_path, capsys):

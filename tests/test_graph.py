@@ -1,4 +1,4 @@
-"""Network parsing, validation, normalization, and raw cut values."""
+"""Network parsing, validation, and raw cut values."""
 
 import json
 import random
@@ -14,15 +14,13 @@ from netmatch.graph import (
     cut_value,
     is_normalized,
     network_to_document,
-    normalize,
-    normalize_with_renaming,
     parse_network,
     validate_acyclic,
 )
-from netmatch.mincut import enumerate_min_cut
+from netmatch.mincut import capacity_profile, enumerate_min_cut
 from netmatch.scalars import INF
 
-from conftest import random_network
+from conftest import random_network, random_raw_network, reference_normalize
 
 
 BUTTERFLY_DOC = json.dumps(network_to_document(fixtures.butterfly_network()))
@@ -127,73 +125,50 @@ def test_cycle_error_lists_cycle():
     assert sorted(info.value.cycle) == ["a", "b", "c"]
 
 
-def test_normalize_source_equals_sink():
-    net = Network(
-        nodes=("k", "t"),
-        edges=(Edge("k", "t", Fraction(2)),),
-        sources=("k",),
-        sinks=("k", "t"),
-    )
-    result, renaming = normalize_with_renaming(net)
-    assert renaming["k"] == "k'"
-    assert result.sources == ("k'",)
-    assert result.sinks == ("k", "t")
-    added = [e for e in result.edges if e.tail == "k'"]
-    assert added == [Edge("k'", "k", INF)]
-    assert is_normalized(result)
-
-
-def test_normalize_source_with_incoming_edge():
-    net = Network(
-        nodes=("a", "s", "t"),
-        edges=(Edge("a", "s", Fraction(1)), Edge("s", "t", Fraction(1)),
-               Edge("a", "t", Fraction(1))),
-        sources=("s",),
-        sinks=("t",),
-    )
-    result = normalize(net)
-    assert result.sources == ("s'",)
-    assert Edge("s'", "s", INF) in result.edges
-    assert is_normalized(result)
-
-
-def test_normalize_fixpoint_returns_same_object():
-    net = fixtures.butterfly_network()
-    assert normalize(net) is net
-
-
-def test_normalize_idempotent_on_random_nets():
-    rng = random.Random(2024)
-    for _ in range(30):
-        base = random_network(rng, max_nodes=6)
-        # Punch holes in normalization: make one source also a sink.
-        net = Network(base.nodes, base.edges, base.sources,
-                      tuple(dict.fromkeys(base.sinks + (base.sources[0],))))
-        once = normalize(net)
-        assert is_normalized(once)
-        assert normalize(once) is once
-
-
 def test_normalize_preserves_capacity_functions():
-    # Splitting a source must not change any min cut; checked by exhaustive
-    # cut enumeration before and after, for every subset/sink pair.
+    # The walk reads a source with in-edges, or a source that is a sink, as
+    # given: rho_t(S) is the exhaustive min cut when t is outside S and inf
+    # when t is inside, and splitting the sources as the reference
+    # normalization does leaves every value where it was.
     rng = random.Random(7)
-    for _ in range(15):
-        base = random_network(rng, max_nodes=6, max_sources=2)
-        net = Network(base.nodes, base.edges, base.sources,
-                      tuple(dict.fromkeys(base.sinks + (base.sources[0],))))
-        normalized, renaming = normalize_with_renaming(net)
-        sources = net.sources
-        for size in (1, len(sources)):
-            for t in net.sinks:
-                subsets = [frozenset([s]) for s in sources] if size == 1 else [frozenset(sources)]
-                for S in subsets:
-                    if t in S:
-                        continue
-                    before, _ = enumerate_min_cut(net, S, t)
-                    after, _ = enumerate_min_cut(
-                        normalized, frozenset(renaming[s] for s in S), t)
-                    assert after == before
+    seen_inside = 0
+    for _ in range(40):
+        net = random_raw_network(rng)
+        ref, renaming = reference_normalize(net)
+        profile = capacity_profile(net)
+        for t in net.sinks:
+            for S, value in profile.per_sink[t].items():
+                expected = enumerate_min_cut(ref, frozenset(renaming[s] for s in S), t)[0]
+                assert value == expected
+                if t in S:
+                    seen_inside += 1
+                    assert value == INF
+                else:
+                    assert value == enumerate_min_cut(net, S, t)[0]
+    assert seen_inside > 10
+
+
+def test_is_normalized():
+    assert is_normalized(fixtures.butterfly_network())
+    source_is_sink = Network(("k", "t"), (Edge("k", "t", Fraction(2)),), ("k",), ("k", "t"))
+    assert not is_normalized(source_is_sink)
+    edge_into_source = Network(("a", "s", "t"),
+                               (Edge("a", "s", Fraction(1)), Edge("s", "t", Fraction(1))),
+                               ("s",), ("t",))
+    assert not is_normalized(edge_into_source)
+
+
+@pytest.mark.parametrize("first", ["huge", "inf"])
+def test_cut_value_with_an_infinite_edge_past_the_float_range(first):
+    # Fraction + float converts the Fraction to a float, which overflows
+    # for 10**400; the sum is inf as soon as one crossing edge is.
+    edges = [Edge("a", "b", Fraction(10**400)), Edge("a", "t", INF)]
+    if first == "inf":
+        edges.reverse()
+    net = Network(("a", "b", "t"), tuple(edges), ("a",), ("t",))
+    assert cut_value(net, {"a"}) == INF
+    assert cut_value(net, {"a", "b"}) == INF
+    assert cut_value(net, {"a", "t"}) == Fraction(10**400)
 
 
 def test_cut_value_butterfly_source_pair():

@@ -7,7 +7,7 @@ import pytest
 
 from netmatch import fixtures
 from netmatch.errors import LimitError
-from netmatch.graph import Edge, Network, cut_value, normalize_with_renaming
+from netmatch.graph import Edge, Network, cut_value
 from netmatch.mincut import (
     capacity_profile,
     enumerate_min_cut,
@@ -187,19 +187,33 @@ def test_argument_validation():
 
 
 def test_normalization_edge_never_binds():
-    # A source that is also a sink gets split through an infinite edge; the
-    # capacity function toward the *other* sink is unchanged, and toward
-    # itself it is infinite.
+    # A source that is also a sink needs no split through an infinite
+    # edge: the capacity toward the *other* sink is the plain cut, and
+    # toward itself there is no cut, so it is infinite.
     net = Network(
         nodes=("k", "t"),
         edges=(Edge("k", "t", Fraction(2)),),
         sources=("k",),
         sinks=("k", "t"),
     )
-    normalized, renaming = normalize_with_renaming(net)
-    s = renaming["k"]
-    assert rho_t(normalized, {s}, "t") == 2
-    assert rho_t(normalized, {s}, "k") == INF
+    assert rho_t(net, {"k"}, "t") == 2
+    assert rho_t(net, {"k"}, "k") == INF
+    assert rho_n(net, {"k"}) == 2
+    profile = capacity_profile(net)
+    assert profile.per_sink == {"k": {frozenset({"k"}): INF}, "t": {frozenset({"k"}): 2}}
+
+
+def test_enumerate_min_cut_with_an_infinite_edge_past_the_float_range():
+    # Every admissible cut crosses the inf edge a->t, and one also crosses
+    # the 10**400 edge; the sum used to overflow converting it to a float.
+    net = Network(
+        nodes=("a", "b", "t"),
+        edges=(Edge("a", "b", Fraction(10**400)), Edge("a", "t", INF), Edge("b", "t", Fraction(1))),
+        sources=("a",),
+        sinks=("t",),
+    )
+    assert enumerate_min_cut(net, {"a"}, "t")[0] == INF
+    assert max_flow(net, {"a"}, "t")[0] == INF
 
 
 def test_max_flow_infinite_value():

@@ -20,7 +20,7 @@ from netmatch.regions import (
 )
 from netmatch.scalars import snap_to_rational
 
-from conftest import random_network, random_source_model
+from conftest import random_network, random_source_model, raw_instances
 
 
 def constraint_map(cs: ConstraintSet) -> dict:
@@ -279,3 +279,44 @@ def test_model_source_order_does_not_change_the_analysis():
         assert [row[:2] for row in b.sw.constraints] == [row[:2] for row in a.sw.constraints]
         assert (equivalence_check(net, rev).condition_holds
                 == equivalence_check(net, m).condition_holds)
+
+
+def test_regions_on_raw_networks_match_reference_normalization():
+    # The same raw pairs as the check test: both region checks agree with
+    # the reference split in verdicts, rate points and irreducible
+    # infeasible subsystems, once names are mapped back.
+    infeasible = 0
+    for net, m, ref_net, m_ref, renaming in raw_instances(320, seed=1010):
+        back = {new: old for old, new in renaming.items()}
+
+        def names(subset):
+            return frozenset(back[s] for s in subset)
+
+        def same(point, witness, ref_point, ref_witness):
+            if ref_point is not None:
+                assert point.rates == {back[s]: v for s, v in ref_point.rates.items()}
+            else:
+                assert point is None
+                assert witness.constraints == tuple(
+                    (name, names(S), sense, bound)
+                    for name, S, sense, bound in ref_witness.constraints)
+
+        eq, ref_eq = equivalence_check(net, m), equivalence_check(ref_net, m_ref)
+        assert eq.sources == tuple(back[s] for s in ref_eq.sources)
+        assert (eq.condition_holds, eq.min_margin, eq.regions_nonempty, eq.agreement) == (
+            ref_eq.condition_holds, ref_eq.min_margin, ref_eq.regions_nonempty, ref_eq.agreement)
+        assert eq.worst_subset == names(ref_eq.worst_subset)
+        assert eq.per_sink.keys() == ref_eq.per_sink.keys()
+        for t in eq.per_sink:
+            result, ref_result = eq.per_sink[t], ref_eq.per_sink[t]
+            same(result.point, result.witness, ref_result.point, ref_result.witness)
+
+        sep, ref_sep = separation_check(net, m), separation_check(ref_net, m_ref)
+        assert sep.separable == ref_sep.separable
+        same(sep.witness, sep.infeasibility, ref_sep.witness, ref_sep.infeasibility)
+        axioms, ref_axioms = sep.rho_n_polymatroid, ref_sep.rho_n_polymatroid
+        assert (axioms.holds, axioms.axiom) == (ref_axioms.holds, ref_axioms.axiom)
+        assert axioms.witness == (tuple(map(names, ref_axioms.witness))
+                                  if ref_axioms.witness else ref_axioms.witness)
+        infeasible += not sep.separable
+    assert infeasible > 100

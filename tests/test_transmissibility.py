@@ -1,5 +1,6 @@
 """The matching-condition check and its diagnostics."""
 
+import dataclasses
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -12,9 +13,11 @@ from netmatch.errors import DocumentError
 from netmatch.graph import Edge, Network
 from netmatch.mincut import capacity_profile, rho_n
 from netmatch.regions import equivalence_check
+from netmatch.scalars import is_inf
+from netmatch.setfunc import subset_label
 from netmatch.transmissibility import check, diagnose
 
-from conftest import random_network, random_source_model
+from conftest import random_network, random_source_model, raw_instances
 
 
 def test_boundary_instance_all_margins_zero():
@@ -200,3 +203,36 @@ def test_auto_normalization_keeps_model_names():
     report = check(net, m)
     assert report.rows[0].label == "k"
     assert report.verdict in ("transmissible", "boundary")
+
+
+def test_check_on_raw_networks_matches_reference_normalization():
+    # Sources with in-edges and sources that are sinks, read as given,
+    # against the same pair after the reference split: rows, verdict and
+    # every cut agree once names are mapped back and the added inf edges
+    # dropped.
+    failing = inside = into_source = source_sink = 0
+    for net, m, ref_net, m_ref, renaming in raw_instances(320, seed=1010):
+        into_source += any(e.head in net.source_set for e in net.edges)
+        source_sink += bool(net.source_set & net.sink_set)
+        back = {new: old for old, new in renaming.items()}
+        report, ref = check(net, m), check(ref_net, m_ref)
+        added = set(ref_net.edges[len(net.edges):])
+        assert report.verdict == ref.verdict
+        assert report.sources == tuple(back[s] for s in ref.sources)
+        assert report.sinks == ref.sinks
+        failing += report.verdict == "not-transmissible"
+        assert len(report.rows) == len(ref.rows)
+        for row, ref_row in zip(report.rows, ref.rows):
+            subset = frozenset(back[s] for s in ref_row.subset)
+            assert row == dataclasses.replace(ref_row, subset=subset,
+                                              label=subset_label(subset, m.sources))
+            if row.binding_sink in row.subset:
+                inside += 1
+                assert is_inf(row.rho)
+                with pytest.raises(ValueError, match="inside the source set"):
+                    report.cut_edges(row)
+            else:
+                expected = tuple(e for e in ref.cut_edges(ref_row) if e not in added)
+                assert report.cut_edges(row) == expected
+    assert into_source > 200 and source_sink > 200
+    assert failing > 200 and inside > 200
