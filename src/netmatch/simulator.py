@@ -4,11 +4,12 @@ Every edge (i, j) gets an index set of size floor(2^{n (c_ij + tau - delta)})
 (clamped to at least 1) and an independent uniformly random binning table
 from node i's inputs to that index set.  One encoder, ``_encode``, chains
 the tables in topological order over arrays of source blocks: one block
-for :func:`propagate` and for each trial's transmitted block, the whole
-candidate space for decoding.  One decoder scan, ``_scan``, finds per sink
-the typical candidates received identically to the transmitted block
-(the joint-typicality decoder outputs the unique such preimage); both
-:func:`decode` and :func:`estimate_error` use it.  The empirical per-sink
+for :func:`propagate`, the typical candidates for decoding.  The
+joint-typicality decoder outputs the unique typical preimage of a sink's
+reception, so :func:`decode` and :func:`estimate_error` encode the
+typical candidates once per code, and ``_match`` compares each reception
+with that encoding.  A trial whose transmitted block is not typical is
+an error at every sink without any encoding.  The empirical per-sink
 error rate is estimated over many trials with a fresh random code per
 trial by default.
 
@@ -20,9 +21,10 @@ last source's least significant (the row-major order of
 has id x_1 |X|^(n-1) + ... + x_n, and a source's sequence code reads its
 n symbols the same way in base |X_i|.
 
-The decoder enumerates the whole candidate space, so this is strictly a
-desk-scale tool; enumeration and table sizes are guarded by configurable
-caps.  Everything is deterministic given the seed.
+Typicality is decided once per candidate space by enumerating every
+block, so this is strictly a desk-scale tool; enumeration and table sizes
+are guarded by configurable caps.  Everything is deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from .setfunc import iter_nonempty_subsets
 DEFAULT_MAX_TABLE_ENTRIES = 1 << 24
 #: Largest candidate space the typicality decoder will enumerate.
 DEFAULT_MAX_ENUMERATION = 1 << 24
-#: Candidate-space block size for vectorized decoding.
-_BLOCK = 1 << 20
 
 
 @functools.lru_cache(maxsize=256)
@@ -220,8 +220,10 @@ class _CandidateSpace:
 
     The joint-symbol codec, ``symbols`` (per-source symbol arrays indexed
     by joint symbol) and ``probs`` (each joint symbol's probability),
-    serves the per-candidate source sequence codes, the typicality mask,
-    block sampling and :meth:`sequence_of`.  All of it depends only on
+    serves the typicality test, block sampling and :meth:`sequence_of`.
+    Only the typical candidates are kept: ``ids``, their sorted ids, and
+    ``codes``, their per-source sequence codes, which a code encodes once
+    and every decoding compares against.  All of it depends only on
     (model, n, lambda), so Monte-Carlo trials share one instance.
     """
 
@@ -256,28 +258,27 @@ class _CandidateSpace:
         self.cumulative = np.cumsum(self.probs)
         self.cumulative[-1] = 1.0
 
-        digits = self._digits(np.arange(total, dtype=np.int64))
-        self.source_codes = {}
-        for s, a, symbol in zip(net.sources, sizes, self.symbols):
-            codes = np.zeros(total, dtype=np.int64)
-            for row in digits:
-                codes = codes * a + symbol[row]
-            self.source_codes[s] = codes
+        self.ids = np.flatnonzero(self._typical(net.sources, m, sizes))
+        self.codes = self._codes(self._digits(self.ids))
 
-        # Typicality: every nonempty subset's empirical rate within lam.
-        self.typical = np.ones(total, dtype=bool)
-        for S in iter_nonempty_subsets(net.sources):
-            kept = [k for k, s in enumerate(net.sources) if s in S]
+    def _typical(self, sources: tuple, m: SourceModel, sizes: tuple) -> np.ndarray:
+        """Mask of the candidates whose every nonempty subset's empirical
+        rate is within lambda of its entropy."""
+        digits = self._digits(np.arange(self.total, dtype=np.int64))
+        typical = np.ones(self.total, dtype=bool)
+        for S in iter_nonempty_subsets(sources):
+            kept = [k for k, s in enumerate(sources) if s in S]
             key = np.ravel_multi_index([self.symbols[k] for k in kept], [sizes[k] for k in kept])
             marginal = np.zeros(math.prod(sizes[k] for k in kept))
             np.add.at(marginal, key, self.probs)  # in joint-symbol order
             log_marginal = np.array([math.log2(p) if p > 0.0 else -math.inf for p in marginal])
             table = log_marginal[key]
-            logp = np.zeros(total)
+            logp = np.zeros(self.total)
             for row in digits:
                 logp += table[row]
             with np.errstate(invalid="ignore"):
-                self.typical &= np.abs(-logp / n - joint_entropy(m, S)) < self.lam
+                typical &= np.abs(-logp / self.n - joint_entropy(m, S)) < self.lam
+        return typical
 
     def _digits(self, ids: np.ndarray) -> np.ndarray:
         """The joint symbols of each candidate id, one row per time step."""
@@ -285,6 +286,15 @@ class _CandidateSpace:
         for k in range(self.n - 1, -1, -1):
             ids, digits[k] = np.divmod(ids, self.joint_size)
         return digits
+
+    def _codes(self, digits: np.ndarray) -> dict:
+        """{source: sequence code of each block whose joint symbols are ``digits``}."""
+        codes = {}
+        for (s, a), symbol in zip(self.alphabets.items(), self.symbols):
+            codes[s] = np.zeros(digits.shape[1], dtype=np.int64)
+            for row in digits:
+                codes[s] = codes[s] * a + symbol[row]
+        return codes
 
     def sequence_of(self, J: int) -> list[tuple]:
         """Decode a candidate id back into a length-n list of symbol tuples."""
@@ -296,30 +306,21 @@ class _CandidateSpace:
         return int(np.searchsorted(self.cumulative, rng.random(self.n), side="right") @ self.place)
 
 
-def _scan(code: CodeInstance, space: _CandidateSpace, targets: dict) -> dict:
+def _match(space: _CandidateSpace, received: dict, targets: dict) -> dict:
     """Find the typical candidates each sink receives as its target.
 
-    ``targets`` maps sinks to tuples of 0-based received indices.  Returns
-    {sink: (matches, first matching candidate or -1)}; counting stops once
-    a sink has more than one match, so ``matches`` is exact only up to 2.
+    ``received`` is ``_encode`` of ``space.codes``; ``targets`` maps sinks
+    to tuples of 0-based received indices.  Returns {sink: (matches, first
+    matching candidate id or -1)}.
     """
-    matches = {t: 0 for t in targets}
-    first = {t: -1 for t in targets}
-    for lo in range(0, space.total, _BLOCK):
-        live = [t for t in targets if matches[t] < 2]
-        if not live:
-            break
-        hi = min(space.total, lo + _BLOCK)
-        received = _encode(code, {s: c[lo:hi] for s, c in space.source_codes.items()})
-        for t in live:
-            mask = space.typical[lo:hi].copy()
-            for arr, want in zip(received[t], targets[t]):
-                mask &= arr == want
-            found = np.flatnonzero(mask)
-            if len(found) and first[t] < 0:
-                first[t] = lo + int(found[0])
-            matches[t] += len(found)
-    return {t: (matches[t], first[t]) for t in targets}
+    result = {}
+    for t, want in targets.items():
+        mask = np.ones(len(space.ids), dtype=bool)
+        for arr, z in zip(received[t], want):
+            mask &= arr == z
+        found = space.ids[mask]
+        result[t] = (len(found), int(found[0]) if len(found) else -1)
+    return result
 
 
 def decode(
@@ -345,7 +346,7 @@ def decode(
     if len(want) != width:
         raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
     space = _CandidateSpace(code.net, m, code.n, lam, max_enumeration)
-    matches, first = _scan(code, space, {sink: want})[sink]
+    matches, first = _match(space, _encode(code, space.codes), {sink: want})[sink]
     return space.sequence_of(first) if matches == 1 else None
 
 
@@ -419,29 +420,37 @@ def estimate_error(
     Each trial samples a fresh source block i.i.d. from the model,
     propagates it, and decodes at every sink; a trial fails at a sink when
     the decoder does not output exactly the transmitted block (atypical
-    source blocks therefore count as failures, mirroring the residual term
-    of the union bound).  By default every trial also draws a fresh random
-    code, estimating the ensemble average; ``fixed_code=True`` reuses one
-    code across trials to probe a single deterministic code.
+    source blocks therefore count as failures at every sink, with no
+    decoding, mirroring the residual term of the union bound).  By default
+    every trial also draws a fresh random code, estimating the ensemble
+    average; ``fixed_code=True`` reuses one code across trials to probe a
+    single deterministic code.  Trial k's code and block come from seed
+    streams (k, 0) and (k, 1); a trial that would only discard its fresh
+    code draws none, which leaves every other stream where it was.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     space = _CandidateSpace(net, m, n, lam, max_enumeration)
     errors = {t: 0 for t in net.sinks}
     for trial in range(trials):
-        if trial == 0 or not fixed_code:
-            code = build_code(
-                net, space.alphabets, n, tau, delta,
-                np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)),
-                max_table_entries=max_table_entries,
-            )
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
         ))
-
-        received = _encode(code, {s: c[truth:truth + 1] for s, c in space.source_codes.items()})
-        targets = {t: tuple(int(z[0]) for z in arrays) for t, arrays in received.items()}
-        for t, (matches, first) in _scan(code, space, targets).items():
+        pos = int(np.searchsorted(space.ids, truth))
+        typical = pos < len(space.ids) and space.ids[pos] == truth
+        if trial == 0 or (typical and not fixed_code):
+            received = None  # drop the last code's encoding before the next is built
+            received = _encode(build_code(
+                net, space.alphabets, n, tau, delta,
+                np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)),
+                max_table_entries=max_table_entries,
+            ), space.codes)
+        if not typical:
+            for t in errors:
+                errors[t] += 1
+            continue
+        targets = {t: tuple(int(arr[pos]) for arr in arrays) for t, arrays in received.items()}
+        for t, (matches, first) in _match(space, received, targets).items():
             if matches != 1 or first != truth:
                 errors[t] += 1
 

@@ -9,12 +9,22 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 
 from netmatch.entropy import SourceModel, joint_entropy
 from netmatch.graph import Edge, Network, is_normalized
 from netmatch.scalars import INF
 from netmatch.setfunc import AxiomReport, SetFunction
+from netmatch.simulator import (
+    DEFAULT_MAX_ENUMERATION,
+    DEFAULT_MAX_TABLE_ENTRIES,
+    SimResult,
+    SinkStats,
+    _CandidateSpace,
+    _encode,
+    build_code,
+)
 
 
 def random_network(
@@ -214,6 +224,60 @@ def reference_candidates(order, m: SourceModel, n: int, lam):
                     logp += math.log2(p) if p > 0.0 else -math.inf
                 typical[j] = typical[j] and abs(-logp / n - entropy) < float(lam)
     return blocks, codes, typical
+
+
+def reference_estimate_error(
+    net: Network,
+    m: SourceModel,
+    n: int,
+    tau,
+    delta,
+    lam,
+    trials: int,
+    seed: int,
+    *,
+    fixed_code: bool = False,
+    max_table_entries: int = DEFAULT_MAX_TABLE_ENTRIES,
+    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
+) -> SimResult:
+    """The per-trial full re-encode loop: the test oracle for
+    ``estimate_error``.
+
+    Every trial builds its code (a fixed code only on trial 0) before it
+    draws its block, encodes that block on its own, and encodes the whole
+    candidate space, typical or not, to find the typical candidates each
+    sink receives identically; a sink errs unless that is exactly the
+    transmitted block.
+    """
+    space = _CandidateSpace(net, m, n, lam, max_enumeration)
+    every = space._codes(space._digits(np.arange(space.total, dtype=np.int64)))
+    typical = np.zeros(space.total, dtype=bool)
+    typical[space.ids] = True
+    errors = {t: 0 for t in net.sinks}
+    for trial in range(trials):
+        if trial == 0 or not fixed_code:
+            code = build_code(
+                net, space.alphabets, n, tau, delta,
+                np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)),
+                max_table_entries=max_table_entries,
+            )
+        truth = space.draw(np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
+        ))
+        sent = _encode(code, {s: c[truth:truth + 1] for s, c in every.items()})
+        received = _encode(code, every)
+        for t, arrays in sent.items():
+            mask = typical.copy()
+            for arr, want in zip(received[t], arrays):
+                mask &= arr == int(want[0])
+            found = np.flatnonzero(mask)
+            if len(found) != 1 or found[0] != truth:
+                errors[t] += 1
+    return SimResult(
+        n=n, tau=Fraction(tau), delta=Fraction(delta), lam=space.lam, trials=trials,
+        seed=seed, fixed_code=fixed_code,
+        per_sink={t: SinkStats(errors=errors[t], trials=trials) for t in net.sinks},
+    )
 
 
 def reference_solve_feasibility(

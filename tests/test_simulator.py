@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_source_model, reference_candidates
+from conftest import random_source_model, reference_candidates, reference_estimate_error
 
-from netmatch import fixtures
+from netmatch import fixtures, simulator
 from netmatch.entropy import SourceModel
-from netmatch.errors import LimitError
+from netmatch.errors import DocumentError, LimitError
 from netmatch.graph import Edge, Network
 from netmatch.scalars import INF
 from netmatch.simulator import (
@@ -312,6 +312,109 @@ def test_estimate_error_documents_are_pinned(name, n, mode):
     assert result.to_json() + "\n" == (PINNED / f"{name}_n{n}_{mode}.json").read_text()
 
 
+def three_source_network() -> Network:
+    """Sources a, b, c; relay r hears a and b; sink t1 hears r, c and a,
+    sink t2 hears r and c (through a lossless edge)."""
+    edges = (Edge("a", "r", Fraction(1)), Edge("b", "r", Fraction(1, 2)),
+             Edge("r", "t1", Fraction(3, 2)), Edge("c", "t1", Fraction(1)),
+             Edge("a", "t1", Fraction(1, 4)), Edge("r", "t2", Fraction(1)),
+             Edge("c", "t2", INF))
+    return Network(nodes=("a", "b", "c", "r", "t1", "t2"), edges=edges,
+                   sources=("a", "b", "c"), sinks=("t1", "t2"))
+
+
+def test_estimate_error_matches_full_reencode_reference():
+    instances = {name: (make_net(), make_model())
+                 for name, (make_net, make_model, _) in PINNED_INSTANCES.items()}
+    instances["three"] = (three_source_network(),
+                          random_source_model(random.Random(11), ("a", "b", "c"), max_alphabet=2))
+    configs = 0
+    empty = 0
+    for name, (net, model) in sorted(instances.items()):
+        for n in range(1, 6 if name == "three" else 8):
+            for lam in (0.05, Fraction(3, 32), Fraction(1, 4), Fraction(1, 2)):
+                empty += len(_CandidateSpace(net, model, n, lam).ids) == 0
+                for fixed in (False, True):
+                    args = (net, model, n, Fraction(1, 4), Fraction(1, 20), lam)
+                    kwargs = dict(trials=12, seed=configs, fixed_code=fixed)
+                    assert (estimate_error(*args, **kwargs).to_json()
+                            == reference_estimate_error(*args, **kwargs).to_json()), (name, n, lam)
+                    configs += 1
+    assert configs >= 200
+    assert empty >= 4
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(simulator, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_fixed_code_encodes_the_candidate_space_once(monkeypatch, name):
+    make_net, make_model, lam = PINNED_INSTANCES[name]
+    encodes = _count_calls(monkeypatch, "_encode")
+    builds = _count_calls(monkeypatch, "build_code")
+    estimate_error(make_net(), make_model(), 6, Fraction(1, 4), Fraction(1, 20), lam,
+                   trials=40, seed=7, fixed_code=True)
+    assert (len(builds), len(encodes)) == (1, 1)
+
+
+def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
+    net = fixtures.butterfly_network()
+    m = fixtures.dsbs_source(Fraction(11, 100))
+    n, lam, trials, seed = 8, 3 / 32, 40, 3
+    space = _CandidateSpace(net, m, n, lam)
+    typical = set(space.ids.tolist())
+    later = sum(space.draw(np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))) in typical
+        for trial in range(1, trials))
+    assert 0 < later < trials - 1
+    encodes = _count_calls(monkeypatch, "_encode")
+    builds = _count_calls(monkeypatch, "build_code")
+    estimate_error(net, m, n, Fraction(1, 4), Fraction(1, 20), lam, trials=trials, seed=seed)
+    assert len(builds) == len(encodes) == 1 + later
+
+
+def test_empty_typical_set_errs_everywhere_without_hiding_limits():
+    net = fixtures.butterfly_network()
+    m = fixtures.dsbs_source(Fraction(11, 100))
+    n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), 1e-9
+    assert len(_CandidateSpace(net, m, n, lam).ids) == 0
+    for fixed in (False, True):
+        with pytest.raises(LimitError, match="input domain"):
+            estimate_error(net, m, n, tau, delta, lam, trials=5, seed=1,
+                           fixed_code=fixed, max_table_entries=8)
+        result = estimate_error(net, m, n, tau, delta, lam, trials=5, seed=1, fixed_code=fixed)
+        assert {t: s.rate for t, s in result.per_sink.items()} == {"t1": 1.0, "t2": 1.0}
+    code = build_code(net, ALPHABETS, n, tau, delta, seed=1)
+    z = propagate(code, [(0, 0)] * n)
+    assert decode(code, m, "t1", z["t1"], lam) is None
+
+
+def test_decode_validates_the_model_on_every_call():
+    # Sizes and symbols equal to valid ones under == (2.0 == 2, True == 1)
+    # are still rejected after a valid model with the same values decoded.
+    net = fixtures.butterfly_network()
+    m = fixtures.uniform_pair_source()
+    code = build_code(net, ALPHABETS, 2, Fraction(1, 4), Fraction(1, 20), seed=21)
+    x = [(0, 1), (1, 0)]
+    z = propagate(code, x)
+    decode(code, m, "t1", z["t1"], 1 / 4)
+    pmf = dict(m.pmf)
+    bad_symbol = {(0, True) if tup == (0, 1) else tup: p for tup, p in pmf.items()}
+    for bad in (SourceModel(m.sources, (2.0, 2), pmf),
+                SourceModel(m.sources, m.alphabet_sizes, bad_symbol)):
+        with pytest.raises(DocumentError):
+            decode(code, bad, "t1", z["t1"], 1 / 4)
+
+
 def test_candidate_space_matches_reference():
     # 1 to 3 sources with alphabets of 1 to 3 symbols, rational and float
     # pmfs; every third model lists its sources in another order than the
@@ -332,8 +435,10 @@ def test_candidate_space_matches_reference():
         space = _CandidateSpace(net, model, n, lam)
         blocks, codes, typical = reference_candidates(names, model, n, lam)
         assert [space.sequence_of(J) for J in range(space.total)] == blocks
+        every = space._codes(space._digits(np.arange(space.total)))
         for s in names:
-            assert np.array_equal(space.source_codes[s], codes[s])
-        assert np.array_equal(space.typical, typical)
+            assert np.array_equal(every[s], codes[s])
+            assert np.array_equal(space.codes[s], np.array(codes[s], dtype=np.int64)[typical])
+        assert np.array_equal(space.ids, np.flatnonzero(typical))
         mixed += 0 < sum(typical) < len(typical)
     assert mixed >= 60
