@@ -92,8 +92,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="random-binning Monte-Carlo error estimation",
                        description="Index-set sizes are exact for any rational capacity, "
-                       "tau and delta.  Past 2^24 candidate blocks or binning-table "
-                       "entries, simulate exits 65.")
+                       "tau and delta; each edge's bins are a keyed 64-bit hash, evaluated "
+                       "only where queried.  Past 2^24 candidate blocks, or for a node "
+                       "input domain past int64, simulate exits 65.")
     p.add_argument("--network", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--n", type=int, help="block length, at least 1")

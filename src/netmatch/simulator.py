@@ -1,17 +1,19 @@
 """Desk-scale Monte-Carlo validation of the random-binning construction.
 
 Every edge (i, j) gets an index set of size floor(2^{n (c_ij + tau - delta)})
-(clamped to at least 1) and an independent uniformly random binning table
-from node i's inputs to that index set.  One encoder, ``_encode``, chains
-the tables in topological order over arrays of source blocks: one block
-for :func:`propagate`, the typical candidates for decoding.  The
-joint-typicality decoder outputs the unique typical preimage of a sink's
-reception, so :func:`decode` and :func:`estimate_error` encode the
-typical candidates once per code, and ``_match`` compares each reception
-with that encoding.  A trial whose transmitted block is not typical is
-an error at every sink without any encoding.  The empirical per-sink
-error rate is estimated over many trials with a fresh random code per
-trial by default.
+(clamped to at least 1) and an independent uniformly random bin map from
+node i's inputs to that index set.  A bin map is a keyed 64-bit hash, one
+key per edge, evaluated only at the inputs an encoding queries, so no
+table over an input domain is ever materialized.  One encoder,
+``_encode``, chains the bin maps in topological order over arrays of
+source blocks: one block for :func:`propagate`, the typical candidates
+for decoding.  The joint-typicality decoder outputs the unique typical
+preimage of a sink's reception, so :func:`decode` and
+:func:`estimate_error` encode the typical candidates once per code, and
+``_match`` compares each reception with that encoding.  A trial whose
+transmitted block is not typical is an error at every sink without any
+encoding.  The empirical per-sink error rate is estimated over many
+trials with a fresh random code per trial by default.
 
 Candidate ids.  With the sources in network order and alphabet sizes
 |X_1|, ..., |X_k|, a joint symbol is a number below |X| = |X_1| ... |X_k|
@@ -22,9 +24,9 @@ has id x_1 |X|^(n-1) + ... + x_n, and a source's sequence code reads its
 n symbols the same way in base |X_i|.
 
 Typicality is decided once per candidate space by enumerating every
-block, so this is strictly a desk-scale tool; enumeration and table sizes
-are guarded by configurable caps.  Everything is deterministic given the
-seed.
+block, so this is strictly a desk-scale tool; the enumeration is guarded
+by a configurable cap, and a node's input domain must fit int64.
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -45,10 +47,15 @@ from .graph import Network, is_normalized, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
 from .setfunc import iter_nonempty_subsets
 
-#: Largest binning-table domain that will be materialized.
-DEFAULT_MAX_TABLE_ENTRIES = 1 << 24
 #: Largest candidate space the typicality decoder will enumerate.
 DEFAULT_MAX_ENUMERATION = 1 << 24
+_INT64_MAX = (1 << 63) - 1
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the increment, then the
+# finaliser's (shift, multiplier) rounds and its last shift.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
 
 
 @functools.lru_cache(maxsize=256)
@@ -87,12 +94,15 @@ def floor_pow2(exponent: Fraction) -> int:
 class CodeInstance:
     """One realization of the random edge-binning code.
 
-    Holds, per edge, the index-set size and the materialized binning table
-    over the tail node's input domain.  Source-node inputs are length-n
-    sequences over that source's alphabet; interior-node inputs are the
-    tuples of indices arriving on its in-edges (in edge order).  Edges of
-    infinite capacity forward their input unchanged.  Fully determined by
-    (network, alphabets, n, tau, delta, seed).
+    Holds, per node with out-edges, the size of its input domain; per
+    edge, the index-set size; and per finite edge, a 64-bit hash key that
+    stands for the edge's uniformly random bin map (see :func:`_bin`).  No
+    bin table is stored.  Source-node inputs are length-n sequences over
+    that source's alphabet; interior-node inputs are the tuples of indices
+    arriving on its in-edges (in edge order), read as one mixed-radix
+    number.  Edges of infinite capacity have no key and forward their
+    input unchanged.  Fully determined by (network, alphabets, n, tau,
+    delta, seed).
     """
 
     net: Network
@@ -102,7 +112,8 @@ class CodeInstance:
     delta: Fraction
     seed: object
     index_sizes: dict  # edge index -> index-set size
-    tables: dict  # edge index -> int64 binning table
+    keys: dict  # finite edge index -> np.uint64 hash key
+    domains: dict  # node with out-edges -> input domain size
     topo_order: tuple
 
     @property
@@ -110,21 +121,20 @@ class CodeInstance:
         return self.net.sources
 
 
-def build_code(
-    net: Network,
-    alphabets,
-    n: int,
-    tau,
-    delta,
-    seed,
-    *,
-    max_table_entries: int = DEFAULT_MAX_TABLE_ENTRIES,
-) -> CodeInstance:
+def build_code(net: Network, alphabets, n: int, tau, delta, seed) -> CodeInstance:
     """Draw one random code for the network at rate budget c + tau.
 
     ``alphabets`` maps each source node to its alphabet size.  Requires a
     normalized acyclic network and 0 < delta < tau.  Deterministic given
-    ``seed`` (an int or a numpy SeedSequence).
+    ``seed`` (an int or a numpy SeedSequence): edge k's key is entry k of
+    one ``generate_state(len(net.edges), np.uint64)`` call on it.
+
+    A key selects edge k's bin map x -> SplitMix64(x * golden + key) mod
+    size.  The finaliser is a bijection of 64-bit words, and reducing a
+    uniform 64-bit word mod size moves each bin's probability from 1/size
+    by less than 2^-64, so the bins are uniform up to a total-variation
+    bias of at most size/2^64.  Inputs are numbered in int64, so a node
+    whose input domain passes 2^63 - 1 raises :class:`LimitError`.
     """
     tau = Fraction(tau)
     delta = Fraction(delta)
@@ -140,29 +150,74 @@ def build_code(
         if s not in alphabets or int(alphabets[s]) < 1:
             raise ValueError(f"missing or invalid alphabet size for source {s!r}")
 
-    rng = np.random.default_rng(seed)
+    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    state = sequence.generate_state(len(net.edges), np.uint64)
+    slack = tau - delta
     index_sizes: dict[int, int] = {}
-    tables: dict[int, np.ndarray] = {}
+    keys: dict[int, np.uint64] = {}
+    domains: dict[str, int] = {}
     for node in topo:
-        if node in net.source_set:  # capped like the candidate count
-            domain = int(alphabets[node]) ** min(n, max_table_entries.bit_length())
+        if not net.out_edges(node):
+            continue
+        if node in net.source_set:  # a^64 passes int64 for every a >= 2
+            domain = int(alphabets[node]) ** min(n, 64)
         else:
             domain = math.prod(index_sizes[k] for k in net.in_edges(node))
-        if domain > max_table_entries:
+        if domain > _INT64_MAX:
             raise LimitError(f"input domain of node {node!r} has more than "
-                             f"the configured bound of {max_table_entries} entries")
+                             f"2^63 - 1 entries, past int64")
+        domains[node] = domain
         for k in net.out_edges(node):
             cap = net.edges[k].capacity
             if is_inf(cap):
                 index_sizes[k] = domain
-                tables[k] = np.arange(domain, dtype=np.int64)
                 continue
-            index_sizes[k] = max(1, floor_pow2(n * (cap + tau - delta)))
-            tables[k] = rng.integers(0, index_sizes[k], size=domain, dtype=np.int64)
+            index_sizes[k] = max(1, floor_pow2(n * (cap + slack)))
+            keys[k] = state[k]
     return CodeInstance(
         net=net, alphabets=dict(alphabets), n=n, tau=tau, delta=delta, seed=seed,
-        index_sizes=index_sizes, tables=tables, topo_order=topo,
+        index_sizes=index_sizes, keys=keys, domains=domains, topo_order=topo,
     )
+
+
+def _hash(words: np.ndarray, key: np.uint64, size: int) -> np.ndarray:
+    """SplitMix64's finaliser of words * golden + key, mod size, in place.
+
+    ``words`` is a uint64 array that is overwritten; returns it viewed as
+    int64.  Every product and sum wraps mod 2^64.
+    """
+    scratch = np.empty_like(words)
+    words *= _GOLDEN
+    words += key
+    for shift, multiplier in _MIX:
+        np.right_shift(words, shift, out=scratch)
+        words ^= scratch
+        words *= multiplier
+    np.right_shift(words, _LAST_SHIFT, out=scratch)
+    words ^= scratch
+    # words % size as words - words // size * size: numpy divides by a
+    # scalar several times faster than it takes a remainder.
+    size = np.uint64(size)
+    np.floor_divide(words, size, out=scratch)
+    scratch *= size
+    words -= scratch
+    return words.view(np.int64)
+
+
+def _bin(code: CodeInstance, k: int, inputs: np.ndarray) -> np.ndarray:
+    """Edge k's index for each of its tail's inputs (an int64 array).
+
+    A tail domain no larger than the array is hashed whole and gathered
+    from; any other is hashed at the inputs alone.  Both give the same
+    values, and neither allocates more entries than there are inputs.
+    """
+    key = code.keys.get(k)
+    if key is None:  # an infinite edge forwards its input
+        return inputs
+    domain = code.domains[code.net.edges[k].tail]
+    if domain <= len(inputs):
+        return _hash(np.arange(domain, dtype=np.uint64), key, code.index_sizes[k])[inputs]
+    return _hash(inputs.astype(np.uint64), key, code.index_sizes[k])
 
 
 def _sequence_code(seq: Sequence[int], alphabet: int) -> int:
@@ -175,7 +230,7 @@ def _sequence_code(seq: Sequence[int], alphabet: int) -> int:
 
 
 def _encode(code: CodeInstance, source_codes: dict) -> dict:
-    """Chain the binning tables on arrays of per-source sequence codes.
+    """Chain the edges' bin maps on arrays of per-source sequence codes.
 
     ``source_codes`` maps every source to an equally long int64 array.
     Returns {sink: list of 0-based received-index arrays, one per in-edge
@@ -189,11 +244,11 @@ def _encode(code: CodeInstance, source_codes: dict) -> dict:
             continue
         composite = np.zeros(length, dtype=np.int64)
         for k in net.in_edges(node):
-            idx = code.tables[k][values[net.edges[k].tail]]
+            idx = _bin(code, k, values[net.edges[k].tail])
             composite = composite * code.index_sizes[k] + idx
         values[node] = composite
     return {
-        t: [code.tables[k][values[net.edges[k].tail]] for k in net.in_edges(t)]
+        t: [_bin(code, k, values[net.edges[k].tail]) for k in net.in_edges(t)]
         for t in net.sinks
     }
 
@@ -412,7 +467,6 @@ def estimate_error(
     seed: int,
     *,
     fixed_code: bool = False,
-    max_table_entries: int = DEFAULT_MAX_TABLE_ENTRIES,
     max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> SimResult:
     """Monte-Carlo estimate of each sink's block error probability.
@@ -443,7 +497,6 @@ def estimate_error(
             received = _encode(build_code(
                 net, space.alphabets, n, tau, delta,
                 np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)),
-                max_table_entries=max_table_entries,
             ), space.codes)
         if not typical:
             for t in errors:

@@ -18,7 +18,6 @@ from netmatch.scalars import INF
 from netmatch.setfunc import AxiomReport, SetFunction
 from netmatch.simulator import (
     DEFAULT_MAX_ENUMERATION,
-    DEFAULT_MAX_TABLE_ENTRIES,
     SimResult,
     SinkStats,
     _CandidateSpace,
@@ -226,6 +225,41 @@ def reference_candidates(order, m: SourceModel, n: int, lam):
     return blocks, codes, typical
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def reference_bin(x: int, key: int, size: int) -> int:
+    """SplitMix64's finaliser of x * golden + key, mod size, in Python ints
+    masked to 64 bits: the oracle for the simulator's bin maps."""
+    z = (x * 0x9E3779B97F4A7C15 + int(key)) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) % size
+
+
+def reference_encode(code, block: dict) -> dict:
+    """One block through the code, one node at a time in Python ints.
+
+    ``block`` maps every source to its sequence code.  A node's input is
+    its source block, or the indices on its in-edges read as one
+    mixed-radix number; an infinite edge forwards it.  Returns {sink:
+    tuple of 0-based received indices, ordered like its in-edges}.
+    """
+    net = code.net
+    value = dict(block)
+
+    def carried(k):
+        x = value[net.edges[k].tail]
+        return x if k not in code.keys else reference_bin(x, code.keys[k], code.index_sizes[k])
+
+    for node in code.topo_order:
+        if node not in value:
+            value[node] = 0
+            for k in net.in_edges(node):
+                value[node] = value[node] * code.index_sizes[k] + carried(k)
+    return {t: tuple(carried(k) for k in net.in_edges(t)) for t in net.sinks}
+
+
 def reference_estimate_error(
     net: Network,
     m: SourceModel,
@@ -237,7 +271,6 @@ def reference_estimate_error(
     seed: int,
     *,
     fixed_code: bool = False,
-    max_table_entries: int = DEFAULT_MAX_TABLE_ENTRIES,
     max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> SimResult:
     """The per-trial full re-encode loop: the test oracle for
@@ -259,7 +292,6 @@ def reference_estimate_error(
             code = build_code(
                 net, space.alphabets, n, tau, delta,
                 np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)),
-                max_table_entries=max_table_entries,
             )
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))

@@ -7,13 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_source_model, reference_candidates, reference_estimate_error
+from conftest import (
+    random_source_model,
+    reference_bin,
+    reference_candidates,
+    reference_encode,
+    reference_estimate_error,
+)
 
 from netmatch import fixtures, simulator
 from netmatch.entropy import SourceModel
 from netmatch.errors import DocumentError, LimitError
 from netmatch.graph import Edge, Network
-from netmatch.scalars import INF
+from netmatch.scalars import INF, is_inf
 from netmatch.simulator import (
     _CandidateSpace,
     build_code,
@@ -105,13 +111,26 @@ def test_build_code_validates_parameters():
 
 
 def test_build_code_table_size_guard():
-    with pytest.raises(LimitError, match="domain"):
-        build_code(fixtures.butterfly_network(), ALPHABETS, 8,
-                   Fraction(1, 4), Fraction(1, 20), seed=0, max_table_entries=1000)
+    # A relay hearing two 2^40.2-index edges has a 2^80-entry input domain.
+    relay = Network(
+        nodes=("s1", "s2", "r", "t"),
+        edges=(Edge("s1", "r", Fraction(40)), Edge("s2", "r", Fraction(40)),
+               Edge("r", "t", Fraction(1))),
+        sources=("s1", "s2"),
+        sinks=("t",),
+    )
+    with pytest.raises(LimitError, match="input domain of node 'r'"):
+        build_code(relay, ALPHABETS, 1, Fraction(1, 4), Fraction(1, 20), seed=0)
     # 2^20000 source blocks: more digits than str(int) converts.
     with pytest.raises(LimitError, match="domain"):
         build_code(fixtures.butterfly_network(), ALPHABETS, 20000,
                    Fraction(1, 4), Fraction(1, 20), seed=0)
+
+
+def _bins_over_domains(code) -> dict:
+    """Every finite edge's bin of each input in its tail's domain."""
+    return {k: simulator._bin(code, k, np.arange(code.domains[code.net.edges[k].tail]))
+            for k in code.keys}
 
 
 def test_same_seed_means_same_code():
@@ -119,10 +138,31 @@ def test_same_seed_means_same_code():
     a = build_code(net, ALPHABETS, 4, Fraction(1, 4), Fraction(1, 20), seed=99)
     b = build_code(net, ALPHABETS, 4, Fraction(1, 4), Fraction(1, 20), seed=99)
     assert a.index_sizes == b.index_sizes
-    for k in a.tables:
-        assert np.array_equal(a.tables[k], b.tables[k])
+    bins_a, bins_b = _bins_over_domains(a), _bins_over_domains(b)
+    assert sorted(bins_a) == sorted(bins_b) == list(range(len(net.edges)))
+    for k in bins_a:
+        assert np.array_equal(bins_a[k], bins_b[k])
     c = build_code(net, ALPHABETS, 4, Fraction(1, 4), Fraction(1, 20), seed=100)
-    assert any(not np.array_equal(a.tables[k], c.tables[k]) for k in a.tables)
+    bins_c = _bins_over_domains(c)
+    assert any(not np.array_equal(bins_a[k], bins_c[k]) for k in bins_a)
+
+
+def test_long_blocks_build_and_propagate():
+    # At n=40 a source has 2^40 blocks, and the halved butterfly's relay u
+    # hears two 2^28-index edges (a 2^56-entry domain); no table over
+    # either is formed.  The unit butterfly's u would hear 2^96 inputs.
+    net = fixtures.scaled_butterfly(Fraction(1, 2))
+    n, tau, delta = 40, Fraction(1, 4), Fraction(1, 20)
+    rng = random.Random(40)
+    x = [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(n)]
+    a = build_code(net, ALPHABETS, n, tau, delta, seed=4)
+    assert a.domains["u"] == 1 << 56
+    z = propagate(a, x)
+    assert z == propagate(build_code(net, ALPHABETS, n, tau, delta, seed=4), x)
+    block = {s: int("".join(str(step[pos]) for step in x), 2) for pos, s in enumerate(net.sources)}
+    assert z == {t: tuple(v + 1 for v in want) for t, want in reference_encode(a, block).items()}
+    with pytest.raises(LimitError, match="input domain of node 'u'"):
+        build_code(fixtures.butterfly_network(), ALPHABETS, n, tau, delta, seed=4)
 
 
 def test_zero_capacity_edge_always_carries_index_one():
@@ -387,10 +427,10 @@ def test_empty_typical_set_errs_everywhere_without_hiding_limits():
     m = fixtures.dsbs_source(Fraction(11, 100))
     n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), 1e-9
     assert len(_CandidateSpace(net, m, n, lam).ids) == 0
+    wide = fixtures.scaled_butterfly(15)  # u hears two 2^60.8-index edges
     for fixed in (False, True):
         with pytest.raises(LimitError, match="input domain"):
-            estimate_error(net, m, n, tau, delta, lam, trials=5, seed=1,
-                           fixed_code=fixed, max_table_entries=8)
+            estimate_error(wide, m, n, tau, delta, lam, trials=5, seed=1, fixed_code=fixed)
         result = estimate_error(net, m, n, tau, delta, lam, trials=5, seed=1, fixed_code=fixed)
         assert {t: s.rate for t, s in result.per_sink.items()} == {"t1": 1.0, "t2": 1.0}
     code = build_code(net, ALPHABETS, n, tau, delta, seed=1)
@@ -442,3 +482,125 @@ def test_candidate_space_matches_reference():
         assert np.array_equal(space.ids, np.flatnonzero(typical))
         mixed += 0 < sum(typical) < len(typical)
     assert mixed >= 60
+
+
+def _encoder_instances():
+    return {
+        "butterfly": (fixtures.butterfly_network(), fixtures.uniform_pair_source()),
+        "halved": (fixtures.scaled_butterfly(Fraction(1, 2)), fixtures.uniform_pair_source()),
+        "dsbs": (fixtures.dsbs_network(Fraction(11, 100)), fixtures.dsbs_source(Fraction(11, 100))),
+        "three": (three_source_network(),
+                  random_source_model(random.Random(11), ("a", "b", "c"), max_alphabet=2)),
+    }
+
+
+def test_encode_matches_python_int_reference(monkeypatch):
+    # Every block at once, a few blocks, and one block through propagate:
+    # the domains of sources and of relays (u, v1, r) fall on both sides of
+    # the input count, so both routes of _bin are taken.  The reference hashes in Python ints, so numpy
+    # wrap and shift mistakes cannot cancel out.
+    hashed = []
+    inner = simulator._hash
+
+    def recorded(words, key, size):
+        hashed.append(len(words))
+        return inner(words, key, size)
+
+    monkeypatch.setattr(simulator, "_hash", recorded)
+    rng = random.Random(31)
+    routes = set()
+    for name, (net, model) in sorted(_encoder_instances().items()):
+        for n in (1, 2, 3, 4):
+            space = _CandidateSpace(net, model, n, Fraction(1, 2))
+            every = space._codes(space._digits(np.arange(space.total)))
+            for seed in range(3):
+                tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
+                code = build_code(net, space.alphabets, n, tau, tau / 5, seed=seed)
+                picks = sorted(rng.sample(range(space.total), min(3, space.total)))
+                for ids in (range(space.total), picks):
+                    hashed.clear()
+                    received = simulator._encode(code, {s: c[list(ids)] for s, c in every.items()})
+                    assert max(hashed, default=0) <= len(ids)
+                    for k in code.keys:
+                        tail = net.edges[k].tail
+                        routes.add((tail in net.source_set, code.domains[tail] <= len(ids)))
+                    for j, J in enumerate(ids):
+                        want = reference_encode(code, {s: int(c[J]) for s, c in every.items()})
+                        got = {t: tuple(int(arr[j]) for arr in arrays)
+                               for t, arrays in received.items()}
+                        assert got == want, (name, n, seed, J)
+                J = picks[-1]
+                want = reference_encode(code, {s: int(c[J]) for s, c in every.items()})
+                assert propagate(code, space.sequence_of(J)) == {
+                    t: tuple(v + 1 for v in z) for t, z in want.items()}
+    assert routes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _chi_square_bounds(df: int, z: float = 4.75) -> tuple:
+    """Wilson-Hilferty quantiles of chi-square(df) at the normal quantiles -z
+    and z (two-sided level about 2e-6)."""
+    c = 2.0 / (9.0 * df)
+    return tuple(df * (1.0 - c + s * z * math.sqrt(c)) ** 3 for s in (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("size", [1, 2, 18, 776, 1024])
+def test_bins_are_uniform(size):
+    # Counts of the bins of 0..N-1 under four keys; a bin map that kept the
+    # structure of its inputs (x mod size) would be too even.
+    keys = np.random.SeedSequence(777).generate_state(4, np.uint64)
+    per_bin = 200
+    for key in keys:
+        bins = simulator._hash(np.arange(per_bin * size, dtype=np.uint64), key, size)
+        counts = np.bincount(bins, minlength=size)
+        assert len(counts) == size
+        if size == 1:
+            assert counts[0] == per_bin
+            continue
+        chi2 = float(((counts - per_bin) ** 2).sum()) / per_bin
+        low, high = _chi_square_bounds(size - 1)
+        assert low < chi2 < high, (size, int(key), chi2)
+
+
+def _wilson(hits: int, trials: int, z: float = 5.0) -> tuple:
+    p = hits / trials
+    centre = (p + z * z / (2 * trials)) / (1 + z * z / trials)
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / (1 + z * z / trials)
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("size", [1, 2, 18, 776])
+def test_distinct_inputs_collide_at_one_over_size(size):
+    # Neighbours, inputs one bin size apart, and inputs with the top bit set.
+    firsts = [0, 1, 7, 100, 5000, 2**40, 2**62, 2**63 - 2]
+    pairs = [(x, x + d) for x in firsts for d in (1, size, 2 * size + 1)]
+    pairs = [(x, y) for x, y in pairs if x != y]
+    words = np.array([v for pair in pairs for v in pair], dtype=np.uint64)
+    keys = np.random.SeedSequence(size).generate_state(2000, np.uint64)
+    hits = 0
+    for key in keys:
+        bins = simulator._hash(words.copy(), key, size)
+        hits += int((bins[0::2] == bins[1::2]).sum())
+    trials = len(keys) * len(pairs)
+    low, high = _wilson(hits, trials)
+    assert low <= 1 / size <= high, (size, hits, trials)
+
+
+def test_edges_and_trials_draw_distinct_keys():
+    net = three_source_network()
+    keys = []
+    for trial in range(200):
+        code = build_code(net, {"a": 2, "b": 2, "c": 2}, 3, Fraction(1, 4), Fraction(1, 20),
+                          np.random.SeedSequence(entropy=5, spawn_key=(trial, 0)))
+        assert sorted(code.keys) == [k for k, e in enumerate(net.edges) if not is_inf(e.capacity)]
+        keys += [int(key) for key in code.keys.values()]
+    assert len(keys) == 200 * 6
+    assert len(set(keys)) == len(keys)
+
+
+def test_reference_bin_agrees_with_the_vectorised_hash():
+    rng = random.Random(5)
+    words = [rng.getrandbits(63) for _ in range(200)] + [0, 1, 2**63 - 1]
+    for size in (1, 3, 776, 2**40 + 3, 2**62):
+        key = np.uint64(rng.getrandbits(64))
+        got = simulator._hash(np.array(words, dtype=np.uint64), key, size)
+        assert got.tolist() == [reference_bin(x, key, size) for x in words]
