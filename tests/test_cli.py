@@ -528,6 +528,8 @@ def test_exponents_past_the_limit_are_rejected(text):
 
 _ORDER = ["--network", str(DATA / "order_ba.network.json")]
 _ORDER_SOURCE = ["--source", str(DATA / "order_ba.source.json")]
+# The same model with its sources listed ["a", "b"], against the network's ["b", "a"].
+_ORDER_AB_SOURCE = ["--source", str(DATA / "order_ab.source.json")]
 
 
 @pytest.mark.parametrize("name, argv, code", [
@@ -541,12 +543,17 @@ _ORDER_SOURCE = ["--source", str(DATA / "order_ba.source.json")]
                                   str(DATA / "regions_butterfly.network.json"), "--source",
                                   str(DATA / "regions_butterfly.source.json"),
                                   "--sweep", "1,3", "--trials", "30", "--seed", "7"], 0),
+    ("check_order_ab", ["check", *_ORDER, *_ORDER_AB_SOURCE], 1),
+    ("entropy_order_ab", ["entropy", *_ORDER_AB_SOURCE], 0),
+    ("regions_order_ab", ["regions", *_ORDER, *_ORDER_AB_SOURCE], 1),
+    ("regions_separation_order_ab", ["regions", "--separation", *_ORDER, *_ORDER_AB_SOURCE], 1),
 ])
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 def test_cli_output_bytes_are_pinned(capsys, name, argv, code, fmt, ext):
     # order_ba lists its sources as ["b", "a"], so source order and name
     # order differ: mincut --all prints rows in name order, check and
-    # entropy in source order.
+    # entropy in source order.  order_ab's model lists them ["a", "b"]:
+    # check labels rows in the model's order, regions in the network's.
     assert run(["--format", fmt, *argv]) == code
     assert capsys.readouterr().out == (DATA / f"cli_{name}.stdout.{ext}").read_text()
 
