@@ -24,8 +24,8 @@ from .graph import parse_network
 from .mincut import capacity_profile, rho_n, rho_t
 from .regions import DEFAULT_TOLERANCE, equivalence_check, separation_check
 from .scalars import check_tolerance, format_scalar, parse_scalar, round_float
-from .setfunc import (DEFAULT_MAX_SOURCES, is_copolymatroid, is_polymatroid,
-                      parse_setfunction, subset_label)
+from .setfunc import (DEFAULT_MAX_SOURCES, is_copolymatroid, is_polymatroid, members,
+                      parse_setfunction, subset_label, subset_masks)
 from .simulator import estimate_error, exhaustive_xor_check
 from .transmissibility import check as transmissibility_check
 from .transmissibility import diagnose
@@ -172,11 +172,14 @@ def _cmd_check(args):
 
 
 def _profile_document(profile) -> dict:
-    """Per-sink and network-wide capacity functions keyed by subset label."""
-    subsets = sorted(profile.network_wide, key=lambda S: (len(S), sorted(S)))
+    """Per-sink and network-wide capacity functions keyed by subset label,
+    listed by size and then by sorted member names."""
+    sources = profile.sources
+    subsets = sorted(((members(mask, sources), mask) for mask in subset_masks(len(sources))),
+                     key=lambda entry: (len(entry[0]), sorted(entry[0])))
 
     def column(rho):
-        return {subset_label(S, profile.sources): format_scalar(rho[S]) for S in subsets}
+        return {subset_label(S, sources): format_scalar(rho[mask]) for S, mask in subsets}
 
     return {
         "per_sink": {t: column(profile.per_sink[t]) for t in profile.sinks},
@@ -192,12 +195,14 @@ def _profile_table(doc) -> str:
     return _table(headers, rows)
 
 
-def _entropy_document(ep, sources) -> dict:
+def _entropy_document(ep) -> dict:
     """Joint and conditional entropy rates keyed by subset label."""
-    labels = [(subset_label(S, sources), S) for S in ep.sigma.subsets]
+    ground = ep.sigma.ground
+    labels = [(subset_label(members(mask, ground), ground), mask)
+              for mask in subset_masks(len(ground))]
     return {
-        "joint": {label: round_float(ep.joint(S)) for label, S in labels},
-        "conditional": {label: round_float(ep.sigma(S)) for label, S in labels},
+        "joint": {label: round_float(ep.joint.values[mask]) for label, mask in labels},
+        "conditional": {label: round_float(ep.sigma.values[mask]) for label, mask in labels},
     }
 
 
@@ -232,7 +237,7 @@ def _cmd_entropy(args):
         return EXIT_PASS, doc, lambda: (f"H({doc['subset']}) = {doc['joint']:.9g}\n"
                                         f"H({doc['subset']}|rest) = {doc['conditional']:.9g}")
     ep = entropy_profile(model, max_sources=args.max_sources)
-    doc = {"sources": list(model.sources), **_entropy_document(ep, model.sources)}
+    doc = {"sources": list(model.sources), **_entropy_document(ep)}
     return EXIT_PASS, doc, lambda: _entropy_table(doc)
 
 
@@ -371,7 +376,7 @@ def _cmd_demo(args):
     doc = {
         "name": args.name,
         **_profile_document(profile),
-        "entropies": _entropy_document(ep, profile.sources),
+        "entropies": _entropy_document(ep),
         "verdict": report.verdict,
     }
     if args.name == "example1":

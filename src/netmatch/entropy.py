@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .errors import DocumentError, LimitError
 from .scalars import parse_probability
-from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, check_label_names, iter_nonempty_subsets
+from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, check_label_names
 
 PMF_TOLERANCE = 1e-12
 
@@ -150,24 +150,6 @@ def source_model_to_document(m: SourceModel) -> dict:
     }
 
 
-def _positions(m: SourceModel, S: frozenset) -> list[int]:
-    positions = [k for k, s in enumerate(m.sources) if s in S]
-    if len(positions) != len(S):
-        unknown = S - set(m.sources)
-        raise ValueError(f"unknown sources {sorted(unknown)}")
-    return positions
-
-
-def marginal_pmf(m: SourceModel, subset: Iterable[str]) -> dict:
-    """Marginal distribution over the given sources (exact when the pmf is)."""
-    positions = _positions(m, frozenset(subset))
-    out: dict = {}
-    for tup, p in m.pmf.items():
-        key = tuple(tup[k] for k in positions)
-        out[key] = out.get(key, Fraction(0)) + p
-    return out
-
-
 def _shannon_bits(probabilities: Iterable) -> float:
     total = 0.0
     for p in probabilities:
@@ -191,7 +173,8 @@ def _integer_weights(m: SourceModel) -> tuple[dict, int]:
 
 def _entropy_bits(weights: Iterable[int], den: int) -> float:
     # int / int is correctly rounded, exactly like float(Fraction(w, den)),
-    # so rational pmfs give the same bits as _shannon_bits on marginal_pmf.
+    # so rational pmfs give the same bits as _shannon_bits on the exact
+    # marginal probabilities.
     return _shannon_bits([w / den for w in weights])
 
 
@@ -205,7 +188,9 @@ def joint_entropy(m: SourceModel, subset: Iterable[str]) -> float:
     S = frozenset(subset)
     if not S:
         raise ValueError("subset must be nonempty")
-    positions = _positions(m, S)
+    if not S <= set(m.sources):
+        raise ValueError(f"unknown sources {sorted(S - set(m.sources))}")
+    positions = [k for k, s in enumerate(m.sources) if s in S]
     weights, den = _integer_weights(m)
     marginal: dict = {}
     for tup, w in weights.items():
@@ -229,8 +214,11 @@ def conditional_entropy(m: SourceModel, subset: Iterable[str]) -> float:
 class EntropyProfile:
     """Per-subset conditional and joint entropies as set functions.
 
-    ``sigma(S)`` is the conditional entropy of S given its complement;
-    ``joint(S)`` is the plain joint entropy; both in bits per symbol.
+    ``sigma.values[mask]`` is the conditional entropy of the subset
+    ``mask`` given its complement, and ``joint.values[mask]`` its plain
+    joint entropy, both in bits per symbol; bit p of a mask is
+    ``sigma.ground[p]``.  ``sigma(names)`` and ``joint(names)`` read one
+    value by member names.
     """
 
     sigma: SetFunction
@@ -254,10 +242,11 @@ def entropy_profile(m: SourceModel, *, max_sources: int = DEFAULT_MAX_SOURCES) -
     validate_model(m)
     k = len(m.sources)
     weights, den = _integer_weights(m)
-    by_mask: dict = {}
+    full = (1 << k) - 1
+    joint = [0.0] * (full + 1)
 
     def shrink(mask: int, kept: list, marginal: dict, first: int):
-        by_mask[mask] = _entropy_bits(marginal.values(), den)
+        joint[mask] = _entropy_bits(marginal.values(), den)
         if len(kept) == 1:
             return
         for j in range(first, k):
@@ -268,21 +257,14 @@ def entropy_profile(m: SourceModel, *, max_sources: int = DEFAULT_MAX_SOURCES) -
                 child[key] = child.get(key, 0) + w
             shrink(mask & ~(1 << j), kept[:at] + kept[at + 1:], child, j + 1)
 
-    shrink((1 << k) - 1, list(range(k)), weights, 0)
-    subsets = iter_nonempty_subsets(m.sources)
-    position = {s: i for i, s in enumerate(m.sources)}
-    joint_values = {S: by_mask[sum(1 << position[s] for s in S)] for S in subsets}
-    full = joint_values[frozenset(m.sources)]
-    sigma_values = {}
-    for S in subsets:
-        rest = frozenset(m.sources) - S
-        sigma_values[S] = full - joint_values[rest] if rest else full
-    # Conditioning can only reduce entropy; clip the float dust at zero so
-    # set-function nonnegativity holds exactly.
-    sigma_values = {S: max(0.0, v) for S, v in sigma_values.items()}
+    shrink(full, list(range(k)), weights, 0)
+    # sigma(S) = H(all) - H(rest); conditioning can only reduce entropy, so
+    # clip the float dust at zero and set-function nonnegativity holds
+    # exactly.  The empty rest has joint entropy 0.0, so sigma(all) = H(all).
+    sigma = tuple([max(0.0, joint[full] - joint[full ^ mask]) for mask in range(full + 1)])
     return EntropyProfile(
-        sigma=SetFunction(ground=tuple(m.sources), values=sigma_values),
-        joint=SetFunction(ground=tuple(m.sources), values=joint_values),
+        sigma=SetFunction(ground=tuple(m.sources), values=sigma),
+        joint=SetFunction(ground=tuple(m.sources), values=tuple(joint)),
     )
 
 

@@ -21,7 +21,7 @@ from typing import Iterable
 from .errors import LimitError
 from .graph import Network, cut_value
 from .scalars import INF, is_inf
-from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, iter_nonempty_subsets
+from .setfunc import DEFAULT_MAX_SOURCES, SetFunction
 
 #: Node-count guard for exhaustive cut enumeration.
 MAX_ENUMERATION_NODES = 24
@@ -164,31 +164,28 @@ def rho_n(net: Network, subset: Iterable[str]):
 
 @dataclass(frozen=True)
 class CapacityProfile:
-    """All rho values of a network, over every nonempty source subset.
+    """All rho values of a network, over every source subset.
 
-    ``per_sink[t][S]`` is rho_t(S) and ``network_wide[S]`` is their
+    ``per_sink[t][mask]`` is rho_t of the source subset ``mask`` (bit p is
+    ``sources[p]``, index 0 holds 0) and ``network_wide[mask]`` is their
     minimum over sinks.  Values only: a minimum cut, where one is wanted,
     comes from :func:`max_flow`.
     """
 
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
-    per_sink: dict
-    network_wide: dict
+    per_sink: dict  # sink -> tuple of values indexed by mask
+    network_wide: tuple
 
     def rho_t_function(self, sink: str) -> SetFunction:
-        return SetFunction(ground=self.sources, values=dict(self.per_sink[sink]))
+        return SetFunction(ground=self.sources, values=self.per_sink[sink])
 
     def rho_n_function(self) -> SetFunction:
-        return SetFunction(ground=self.sources, values=dict(self.network_wide))
+        return SetFunction(ground=self.sources, values=self.network_wide)
 
-    def binding_sink(self, subset: frozenset) -> str:
-        """First sink (in sink order) attaining the network-wide minimum."""
-        value = self.network_wide[subset]
-        for t in self.sinks:
-            if self.per_sink[t][subset] == value:
-                return t
-        raise KeyError(subset)
+    def binding_sink(self, mask: int) -> str:
+        """First sink (in sink order) attaining the network-wide minimum on ``mask``."""
+        return next(t for t in self.sinks if self.per_sink[t][mask] == self.network_wide[mask])
 
 
 def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) -> CapacityProfile:
@@ -218,7 +215,7 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
     big, scale, source_arc = residual.big, residual.scale, residual.source_arc
     levels = [list(residual.cap) for _ in range(k)]
 
-    def grow(mask: int, cap: list, value: int, depth: int, sink: int, found: dict):
+    def grow(mask: int, cap: list, value: int, depth: int, sink: int, found: list):
         # Children of ``mask`` add one source after its highest member;
         # ``levels[depth]`` holds their residual capacities in turn.
         for i in range(mask.bit_length(), k):
@@ -230,15 +227,13 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
             found[child] = INF if reach is None else Fraction(child_value, scale)
             grow(child, child_cap, child_value, depth + 1, sink, found)
 
-    subsets = iter_nonempty_subsets(net.sources)
-    position = {s: i for i, s in enumerate(net.sources)}
-    masks = [sum(1 << position[s] for s in S) for S in subsets]
     per_sink: dict = {}
     for t in net.sinks:
-        found: dict = {}
+        found = [Fraction(0)] * (1 << k)
         grow(0, residual.cap, 0, 0, residual.index[t], found)
-        per_sink[t] = {S: found[mask] for S, mask in zip(subsets, masks)}
-    network_wide = {S: min(per_sink[t][S] for t in net.sinks) for S in subsets}
+        per_sink[t] = tuple(found)
+    # The elementwise minimum over the sinks, in sink order.
+    network_wide = tuple([min(column) for column in zip(*per_sink.values())])
     return CapacityProfile(
         sources=tuple(net.sources),
         sinks=tuple(net.sinks),

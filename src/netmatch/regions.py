@@ -39,8 +39,9 @@ from .setfunc import (
     RatePoint,
     SetFunction,
     is_polymatroid,
-    iter_nonempty_subsets,
+    members,
     subset_label,
+    subset_masks,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -64,19 +65,19 @@ def cutset_polyhedron(net: Network, sink: str, profile: CapacityProfile) -> Cons
     """Upper-bound constraints sum_{i in S} R_i <= rho_t(S) for one sink."""
     if sink not in net.sink_set:
         raise ValueError(f"{sink!r} is not a sink node")
-    rows = []
-    for S in iter_nonempty_subsets(profile.sources):
-        bound = profile.per_sink[sink][S]
-        if not is_inf(bound):
-            rows.append((S, "<=", Fraction(bound)))
+    rho = profile.per_sink[sink]
+    rows = [(members(mask, profile.sources), "<=", Fraction(rho[mask]))
+            for mask in subset_masks(len(profile.sources)) if not is_inf(rho[mask])]
     return ConstraintSet(name=f"cut[{sink}]", variables=profile.sources, constraints=tuple(rows))
 
 
 def sw_polyhedron(ep: EntropyProfile) -> ConstraintSet:
-    """Lower-bound constraints sum_{i in S} R_i >= H(X_S | X_rest), snapped at 1e-12."""
-    sigma = ep.sigma
-    rows = [(S, ">=", snap_to_rational(sigma(S))) for S in sigma.subsets]
-    return ConstraintSet(name="slepian-wolf", variables=sigma.ground, constraints=tuple(rows))
+    """Lower-bound constraints sum_{i in S} R_i >= H(X_S | X_rest), snapped at
+    1e-12, one per nonempty subset in canonical order."""
+    ground, sigma = ep.sigma.ground, ep.sigma.values
+    rows = [(members(mask, ground), ">=", snap_to_rational(sigma[mask]))
+            for mask in subset_masks(len(ground))]
+    return ConstraintSet(name="slepian-wolf", variables=ground, constraints=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,14 @@ def feasible(constraint_sets: Sequence[ConstraintSet]) -> FeasibilityResult:
 class Analysis:
     """One (network, source model) pair, validated and profiled once.
 
-    ``network`` is the parsed network as given; ``entropy`` is over its
-    source order, and ``sw`` holds its snapped Slepian-Wolf rows, which
-    the LPs and the exact comparison read.
+    ``network`` is the parsed network as given.  ``capacity`` and
+    ``entropy`` are both over its source order: a mask's bit p is
+    ``network.sources[p]`` in every value tuple.
     """
 
     network: Network
     capacity: CapacityProfile
     entropy: EntropyProfile
-    sw: ConstraintSet
 
 
 def prepare_profiles(net: Network, m: SourceModel,
@@ -150,16 +150,21 @@ def prepare_profiles(net: Network, m: SourceModel,
     """Check source names, validate, and compute both profiles.
 
     The one constructor of :class:`Analysis`.  The model's source names
-    must equal the network's sources as a set.
+    must equal the network's sources as a set; a model that lists them in
+    another order has its entropies re-keyed to the network's order.
     """
     check_source_names(m, net.sources)
     validate_acyclic(net)
     profile = capacity_profile(net, max_sources=max_sources)
     ep = entropy_profile(m, max_sources=max_sources)
-    if profile.sources != tuple(m.sources):  # the model lists another order
-        ep = EntropyProfile(sigma=SetFunction(profile.sources, ep.sigma.values),
-                            joint=SetFunction(profile.sources, ep.joint.values))
-    return Analysis(network=net, capacity=profile, entropy=ep, sw=sw_polyhedron(ep))
+    if profile.sources != tuple(m.sources):
+        gather = [0]  # gather[mask] is the network-order mask in the model's bit order
+        for s in profile.sources:
+            bit = 1 << m.sources.index(s)
+            gather += [mask | bit for mask in gather]
+        ep = EntropyProfile(*(SetFunction(profile.sources, tuple([f.values[g] for g in gather]))
+                              for f in (ep.sigma, ep.joint)))
+    return Analysis(network=net, capacity=profile, entropy=ep)
 
 
 @dataclass(frozen=True)
@@ -195,15 +200,17 @@ def equivalence_check(
     """Evaluate the matching condition and the per-sink region test."""
     check_tolerance(tol)
     analysis = prepare_profiles(net, m, max_sources)
-    profile, rows = analysis.capacity, analysis.sw.constraints
-    rho = profile.network_wide
-    margins = {S: to_float(rho[S] - bound) for S, _, bound in rows}
-    holds = all(bound <= rho[S] for S, _, bound in rows)
-    worst = min(margins, key=margins.get)
+    profile, sw = analysis.capacity, sw_polyhedron(analysis.entropy)
+    # The rows are in canonical order, as are the masks.
+    rho = [profile.network_wide[mask] for mask in subset_masks(len(profile.sources))]
+    bounds = [bound for _, _, bound in sw.constraints]
+    margins = [to_float(r - bound) for r, bound in zip(rho, bounds)]
+    holds = all(bound <= r for r, bound in zip(rho, bounds))
+    worst = min(range(len(margins)), key=margins.__getitem__)  # the first minimum
     min_margin = margins[worst]
 
     per_sink = {
-        t: feasible([analysis.sw, cutset_polyhedron(analysis.network, t, profile)])
+        t: feasible([sw, cutset_polyhedron(analysis.network, t, profile)])
         for t in profile.sinks
     }
     nonempty = all(per_sink.values())
@@ -217,7 +224,7 @@ def equivalence_check(
         sinks=profile.sinks,
         condition_holds=holds,
         min_margin=min_margin,
-        worst_subset=worst,
+        worst_subset=sw.constraints[worst][0],
         regions_nonempty=nonempty,
         per_sink=per_sink,
         tolerance=tol,
@@ -258,7 +265,7 @@ def separation_check(
     analysis = prepare_profiles(net, m, max_sources)
     profile = analysis.capacity
     cutsets = [cutset_polyhedron(analysis.network, t, profile) for t in profile.sinks]
-    result = feasible([analysis.sw] + cutsets)
+    result = feasible([sw_polyhedron(analysis.entropy)] + cutsets)
     axiom_report = is_polymatroid(profile.rho_n_function())
     return SeparationReport(
         separable=bool(result),

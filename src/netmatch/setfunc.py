@@ -8,7 +8,15 @@ witness that re-evaluates to a genuine violation, and
 fits between a co-polymatroid and a polymatroid, which holds exactly when
 the two compare pointwise.
 
-The checks run on values indexed by subset bitmask.  Rational functions at
+A set function over a ground set of k names is one tuple of 2^k values
+indexed by subset bitmask: bit p stands for ``ground[p]``, and index 0,
+the empty set, holds 0.  :func:`subset_masks` gives the nonempty masks in
+canonical order, by size and then lexicographically by member positions,
+which is the row and witness order everywhere in this package.  Names
+become masks only when input is parsed (and in ``f(names)``), and masks
+become names only where a report or document is built.
+
+The checks read the value tuple directly.  Rational functions at
 tolerance 0 are decided by the local (diamond) rule on integers scaled by
 the common denominator: f(S) <= f(S+i), and f(S+i) + f(S+j) against
 f(S+i+j) + f(S), which for exact values is equivalent to the global
@@ -20,6 +28,7 @@ pair in canonical order, found by the global scan.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,22 +46,21 @@ from . import simplex
 DEFAULT_MAX_SOURCES = 16
 
 
-def iter_nonempty_subsets(ground: Sequence[str]) -> tuple[frozenset, ...]:
-    """All nonempty subsets of ``ground`` in canonical order.
+@functools.cache
+def subset_masks(k: int) -> tuple[int, ...]:
+    """The nonempty subsets of k elements as bitmasks, in canonical order:
+    by size, then lexicographically by member positions."""
+    return tuple(sum(1 << p for p in combo)
+                 for r in range(1, k + 1) for combo in combinations(range(k), r))
 
-    Canonical order is by size, then lexicographically by member positions,
-    and is the row/witness order used everywhere in this package.
-    """
-    out = []
-    for r in range(1, len(ground) + 1):
-        for combo in combinations(range(len(ground)), r):
-            out.append(frozenset(ground[k] for k in combo))
-    return tuple(out)
+
+def members(mask: int, ground: Sequence[str]) -> frozenset:
+    """The names of the subset of ``ground`` whose bitmask is ``mask``."""
+    return frozenset(g for p, g in enumerate(ground) if mask >> p & 1)
 
 
 def subset_label(subset: Iterable[str], ground: Sequence[str]) -> str:
-    members = sorted(subset, key=list(ground).index)
-    return "+".join(members)
+    return "+".join(sorted(subset, key=list(ground).index))
 
 
 def check_label_names(names: Iterable[str]) -> None:
@@ -79,14 +87,16 @@ class RatePoint:
 
 @dataclass(frozen=True)
 class SetFunction:
-    """Total map from nonempty subsets of ``ground`` to extended values.
+    """Total map from the subsets of ``ground`` to extended values.
 
-    The empty set is implicitly 0.  Values may be exact rationals, floats
-    (entropies) or infinity; they must be nonnegative and not NaN.
+    ``values[mask]`` is the value of the subset whose bitmask is ``mask``
+    (bit p is ``ground[p]``), so ``values`` holds 2^k entries and
+    ``values[0]``, the empty set, is 0.  Values may be exact rationals,
+    floats (entropies) or infinity; they must be nonnegative and not NaN.
     """
 
     ground: tuple[str, ...]
-    values: dict
+    values: tuple
 
     def __post_init__(self):
         if not self.ground:
@@ -94,32 +104,24 @@ class SetFunction:
         if len(set(self.ground)) != len(self.ground):
             raise DocumentError("duplicate ground element")
         check_label_names(self.ground)
-        required = 2 ** len(self.ground) - 1
-        if len(self.values) != required or not all(
-            S in self.values for S in iter_nonempty_subsets(self.ground)
-        ):
-            raise DocumentError(
-                "set function must assign a value to every nonempty subset "
-                f"({len(self.values)} given, {required} required)"
-            )
-        for S, v in self.values.items():
-            if isinstance(v, float) and math.isnan(v):
-                raise DocumentError(f"NaN value on subset {sorted(S)}")
-            if not is_inf(v) and v < 0:
-                raise DocumentError(f"negative value on subset {sorted(S)}")
+        values, required = self.values, (1 << len(self.ground)) - 1
+        given = len(values) - 1 - values.count(None)  # unassigned slots hold None
+        if len(values) != required + 1 or given != required:
+            raise DocumentError("set function must assign a value to every nonempty subset "
+                                f"({given} given, {required} required)")
+        if values[0] != 0:
+            raise DocumentError("the empty set must have value 0")
+        if not all(v >= 0 for v in values):  # false for NaN too
+            mask, v = next((m, v) for m, v in enumerate(values) if not v >= 0)
+            what = "NaN" if v != v else "negative"
+            raise DocumentError(f"{what} value on subset {sorted(members(mask, self.ground))}")
 
     def __call__(self, subset: Iterable[str]):
-        S = frozenset(subset)
-        if not S:
-            return Fraction(0)
-        return self.values[S]
-
-    @property
-    def subsets(self) -> tuple[frozenset, ...]:
-        return iter_nonempty_subsets(self.ground)
+        """The value of a subset given by its members' names."""
+        return self.values[sum(1 << self.ground.index(g) for g in frozenset(subset))]
 
     def is_rational(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.values.values())
+        return all(isinstance(v, (Fraction, int)) for v in self.values[1:])
 
 
 @dataclass(frozen=True)
@@ -216,39 +218,37 @@ def _first_violation(vals, order, tol, submodular: bool):
 
 
 def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
-    # The subsets in canonical order, empty set first, as bitmasks (bit p
-    # is ground[p]); the values in a list indexed by bitmask.
-    subsets = (frozenset(),) + f.subsets
-    bit = {g: 1 << p for p, g in enumerate(f.ground)}
-    order = np.array([sum(bit[g] for g in S) for S in subsets], dtype=np.int64)
-    values = [Fraction(0)] * len(subsets)
-    for mask, S in zip(order.tolist(), subsets):
-        values[mask] = f(S)
+    # The masks in canonical order, empty set first; the empty set's value
+    # is exactly 0 in whichever arithmetic the check runs.
+    masks = (0,) + subset_masks(len(f.ground))
+    order = np.array(masks, dtype=np.int64)
+    nonempty = f.values[1:]
     if f.is_rational():
         # Exact values stay exact: scaled to integers by the common
         # denominator (tolerance included), so no sum is ever rounded.
         tol = Fraction(tol)
-        scale = math.lcm(tol.denominator, *(v.denominator for v in values))
+        scale = math.lcm(tol.denominator, *(v.denominator for v in nonempty))
         tol = tol.numerator * (scale // tol.denominator)
-        ints = [v.numerator * (scale // v.denominator) for v in values]
+        ints = [0] + [v.numerator * (scale // v.denominator) for v in nonempty]
         # int64 when every sum the checks form fits, Python ints otherwise.
         vals = np.array(ints, dtype=np.int64 if 2 * max(ints) + tol < 2**63 else object)
         if tol == 0 and _diamonds_hold(vals, len(f.ground), submodular):
             return AxiomReport(True)
-    elif all(isinstance(v, float) for v in f.values.values()):
+    elif all(isinstance(v, float) for v in nonempty):
         # float64 sums and comparisons are bit-identical to Python's.
-        vals, tol = np.array(values, dtype=np.float64), float(tol)
+        vals, tol = np.array(f.values, dtype=np.float64), float(tol)
     else:
-        vals = np.array(values, dtype=object)
-        if not any(isinstance(v, float) and math.isfinite(v) for v in values):
+        vals = np.array(f.values, dtype=object)
+        vals[0] = Fraction(0)
+        if not any(isinstance(v, float) and math.isfinite(v) for v in nonempty):
             # Rationals and inf: an exact tolerance and inf keep sums exact.
             tol = Fraction(tol)
-            vals[[is_inf(v) for v in values]] = _INFINITY
+            vals[[is_inf(v) for v in f.values]] = _INFINITY
     hit = _first_violation(vals, order, tol, submodular)
     if hit is None:
         return AxiomReport(True)
     axiom, a, b = hit
-    return AxiomReport(False, axiom, (subsets[a], subsets[b]))
+    return AxiomReport(False, axiom, (members(masks[a], f.ground), members(masks[b], f.ground)))
 
 
 def is_polymatroid(f: SetFunction, tol=None) -> AxiomReport:
@@ -310,14 +310,13 @@ def sandwich_feasible(sigma: SetFunction, rho: SetFunction, tol=None) -> Sandwic
             f"{[sorted(w) for w in report.witness]})"
         )
 
-    for S in sigma.subsets:
-        if sigma(S) > rho(S) + sig_tol:
-            return SandwichResult(None, S)
-
     constraints = []
-    for S in sigma.subsets:
-        lo = snap_to_rational(sigma(S))
-        hi = rho(S)
+    for mask in subset_masks(len(sigma.ground)):
+        S = members(mask, sigma.ground)
+        if sigma.values[mask] > rho.values[mask] + sig_tol:
+            return SandwichResult(None, S)
+        lo = snap_to_rational(sigma.values[mask])
+        hi = rho.values[mask]
         if not is_inf(hi):
             hi = snap_to_rational(hi)
             if lo > hi:  # tolerated pointwise tie snapped the wrong way
@@ -342,7 +341,8 @@ def parse_setfunction(text: str) -> SetFunction:
          "values": {"s1": "1", "s2": "1", "s1+s2": "2"}}
 
     Subset keys join member names with ``+``; values are rational strings,
-    integers, numbers, or ``"inf"``.
+    integers, numbers, or ``"inf"``.  Two keys naming the same subset, such
+    as ``"a+b"`` and ``"b+a"``, are rejected.
     """
     try:
         doc = json.loads(text)
@@ -356,19 +356,25 @@ def parse_setfunction(text: str) -> SetFunction:
     check_label_names(ground)
     if not isinstance(doc["values"], dict):
         raise DocumentError("'values' must be an object mapping subsets to values")
-    values = {}
+    bit = {g: 1 << p for p, g in enumerate(ground)}
+    values: list = [Fraction(0)] + [None] * ((1 << len(ground)) - 1)
+    keys: dict = {}  # mask -> the key that gave its value
     for key, raw in doc["values"].items():
-        members = frozenset(part.strip() for part in key.split("+"))
-        if not members <= set(ground):
+        names = frozenset(part.strip() for part in key.split("+"))
+        if not names <= bit.keys():
             raise DocumentError(f"subset {key!r} uses elements outside the ground set")
+        mask = sum(bit[g] for g in names)
+        if mask in keys:
+            raise DocumentError(f"subset {key!r} names the same subset as {keys[mask]!r}")
+        keys[mask] = key
         if isinstance(raw, float):
-            values[members] = raw
+            values[mask] = raw
         else:
             try:
-                values[members] = parse_scalar(raw)
+                values[mask] = parse_scalar(raw)
             except ValueError as exc:
                 raise DocumentError(f"subset {key!r}: {exc}") from exc
-    return SetFunction(ground=tuple(ground), values=values)
+    return SetFunction(ground=tuple(ground), values=tuple(values))
 
 
 def setfunction_to_document(f: SetFunction) -> dict:
@@ -377,6 +383,7 @@ def setfunction_to_document(f: SetFunction) -> dict:
     return {
         "ground": list(f.ground),
         "values": {
-            subset_label(S, f.ground): format_scalar(f(S)) for S in f.subsets
+            subset_label(members(mask, f.ground), f.ground): format_scalar(f.values[mask])
+            for mask in subset_masks(len(f.ground))
         },
     }

@@ -45,7 +45,7 @@ from .entropy import SourceModel, check_source_names, joint_entropy, validate_mo
 from .errors import LimitError
 from .graph import Network, is_normalized, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
-from .setfunc import iter_nonempty_subsets
+from .setfunc import subset_masks
 
 #: Largest candidate space the typicality decoder will enumerate.
 DEFAULT_MAX_ENUMERATION = 1 << 24
@@ -321,8 +321,8 @@ class _CandidateSpace:
         rate is within lambda of its entropy."""
         digits = self._digits(np.arange(self.total, dtype=np.int64))
         typical = np.ones(self.total, dtype=bool)
-        for S in iter_nonempty_subsets(sources):
-            kept = [k for k, s in enumerate(sources) if s in S]
+        for mask in subset_masks(len(sources)):
+            kept = [k for k in range(len(sources)) if mask >> k & 1]
             key = np.ravel_multi_index([self.symbols[k] for k in kept], [sizes[k] for k in kept])
             marginal = np.zeros(math.prod(sizes[k] for k in kept))
             np.add.at(marginal, key, self.probs)  # in joint-symbol order
@@ -331,8 +331,9 @@ class _CandidateSpace:
             logp = np.zeros(self.total)
             for row in digits:
                 logp += table[row]
+            h = joint_entropy(m, [sources[k] for k in kept])
             with np.errstate(invalid="ignore"):
-                typical &= np.abs(-logp / self.n - joint_entropy(m, S)) < self.lam
+                typical &= np.abs(-logp / self.n - h) < self.lam
         return typical
 
     def _digits(self, ids: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .graph import Edge, Network
 from .mincut import max_flow
 from .regions import DEFAULT_TOLERANCE, Analysis, prepare_profiles
 from .scalars import check_tolerance, format_scalar, to_float
-from .setfunc import DEFAULT_MAX_SOURCES, iter_nonempty_subsets, subset_label
+from .setfunc import DEFAULT_MAX_SOURCES, members, subset_masks
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,12 @@ def check(
     """
     check_tolerance(tol)
     analysis = prepare_profiles(net, m, max_sources)
-    profile, sigma = analysis.capacity, analysis.entropy.sigma
+    profile, sigma = analysis.capacity, analysis.entropy.sigma.values
 
     rows = []
-    for S in iter_nonempty_subsets(profile.sources):
-        rho = profile.network_wide[S]
-        h = sigma(S)
+    for mask in subset_masks(len(profile.sources)):
+        rho = profile.network_wide[mask]
+        h = sigma[mask]
         margin = to_float(rho) - h
         if margin < -tol:
             status = "fail"
@@ -104,15 +104,16 @@ def check(
             status = "tight"
         else:
             status = "pass"
+        S = members(mask, profile.sources)
         rows.append(
             SubsetRow(
                 subset=S,
-                label=subset_label(S, m.sources),
+                label="+".join(s for s in m.sources if s in S),
                 sigma=h,
                 rho=rho,
                 margin=margin,
                 status=status,
-                binding_sink=profile.binding_sink(S),
+                binding_sink=profile.binding_sink(mask),
             )
         )
 

@@ -153,6 +153,41 @@ def random_source_model(
     return SourceModel(sources=sources, alphabet_sizes=sizes, pmf=pmf)
 
 
+def iter_nonempty_subsets(ground: Sequence[str]) -> tuple[frozenset, ...]:
+    """All nonempty subsets of ``ground`` as frozensets, in the reference
+    canonical order: by size, then lexicographically by member positions."""
+    out = []
+    for r in range(1, len(ground) + 1):
+        for combo in itertools.combinations(range(len(ground)), r):
+            out.append(frozenset(ground[k] for k in combo))
+    return tuple(out)
+
+
+def set_function(ground: Sequence[str], values: dict) -> SetFunction:
+    """A SetFunction from {frozenset of names: value}; the empty set gets 0
+    and a subset left out stays unassigned."""
+    ground = tuple(ground)
+    vector = [Fraction(0)] + [None] * ((1 << len(ground)) - 1)
+    for S, value in values.items():
+        vector[sum(1 << ground.index(g) for g in S)] = value
+    return SetFunction(ground, tuple(vector))
+
+
+def subset_values(f: SetFunction) -> dict:
+    """{frozenset of names: value} of ``f`` over its nonempty subsets."""
+    return {S: f(S) for S in iter_nonempty_subsets(f.ground)}
+
+
+def marginal_pmf(m: SourceModel, subset) -> dict:
+    """Marginal distribution over the given sources, summed exactly."""
+    positions = [k for k, s in enumerate(m.sources) if s in frozenset(subset)]
+    out: dict = {}
+    for tup, p in m.pmf.items():
+        key = tuple(tup[k] for k in positions)
+        out[key] = out.get(key, Fraction(0)) + p
+    return out
+
+
 def reference_axioms(f: SetFunction, tol=None, *, submodular: bool) -> AxiomReport:
     """The O(4^k) pair-by-pair axiom scan on frozensets: the test oracle.
 
@@ -164,13 +199,13 @@ def reference_axioms(f: SetFunction, tol=None, *, submodular: bool) -> AxiomRepo
         tol = 0 if f.is_rational() else 1e-9
     if f.is_rational():
         tol = Fraction(tol)
-    subsets = (frozenset(),) + f.subsets
+    proper = iter_nonempty_subsets(f.ground)
+    subsets = (frozenset(),) + proper
     for S in subsets:
         for T in subsets:
             if S != T and S <= T and f(S) > f(T) + tol:
                 return AxiomReport(False, "monotonicity", (S, T))
     kind = "submodularity" if submodular else "supermodularity"
-    proper = f.subsets
     for i, S in enumerate(proper):
         for T in proper[i + 1:]:
             lhs = f(S & T) + f(S | T)

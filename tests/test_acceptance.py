@@ -20,14 +20,13 @@ from netmatch.setfunc import (
     SetFunction,
     is_copolymatroid,
     is_polymatroid,
-    iter_nonempty_subsets,
     sandwich_feasible,
 )
 from netmatch import simplex
 from netmatch.simulator import butterfly_xor, estimate_error
 from netmatch.transmissibility import check
 
-from conftest import random_network, random_source_model
+from conftest import iter_nonempty_subsets, random_network, random_source_model, set_function
 
 
 def _oracle_h(p: float) -> float:
@@ -57,10 +56,11 @@ def test_criterion_1_first_demo_reproduction(criterion):
     }
     for key, value in expected_per_sink.items():
         t, S = key
-        if profile.per_sink[t][S] != Fraction(value):
-            failures.append(f"rho_{t}({sorted(S)}) = {profile.per_sink[t][S]} != {value}")
+        rho_t = profile.rho_t_function(t)
+        if rho_t(S) != Fraction(value):
+            failures.append(f"rho_{t}({sorted(S)}) = {rho_t(S)} != {value}")
     for S, value in {s1: 1, s2: 1, both: 2}.items():
-        if profile.network_wide[S] != Fraction(value):
+        if profile.rho_n_function()(S) != Fraction(value):
             failures.append(f"rho_N({sorted(S)}) != {value}")
     ep = entropy_profile(m)
     if [ep.sigma(S) for S in (s1, s2, both)] != [1.0, 1.0, 2.0]:
@@ -87,7 +87,7 @@ def test_criterion_2_second_demo_reproduction(criterion):
     s1, s2 = frozenset({"s1"}), frozenset({"s2"})
     both = frozenset({"s1", "s2"})
     for S, target in ((s1, h), (s2, h), (both, 2.0)):
-        got = float(profile.network_wide[S])
+        got = float(profile.rho_n_function()(S))
         if abs(got - target) > 1e-9:
             failures.append(f"rho_N({sorted(S)}) = {got} vs {target}")
     ep = entropy_profile(m)
@@ -204,7 +204,7 @@ def _random_copolymatroid(rng, ground):
         if len(S) == len(ground):
             total += bump
         values[S] = total
-    return SetFunction(ground=ground, values=values)
+    return set_function(ground, values)
 
 
 def _random_polymatroid(rng, ground):
@@ -212,19 +212,15 @@ def _random_polymatroid(rng, ground):
         net = random_network(rng, max_sources=len(ground))
         if len(net.sources) == len(ground):
             profile = capacity_profile(net)
-            mapping = dict(zip(profile.sources, ground))
-            values = {
-                frozenset(mapping[s] for s in S): value
-                for S, value in profile.per_sink[net.sinks[0]].items()
-            }
-            return SetFunction(ground=ground, values=values)
+            # The same values over ground: bit p stands for ground[p].
+            return SetFunction(ground, profile.per_sink[net.sinks[0]])
     weights = {g: Fraction(rng.randint(0, 8), rng.choice((1, 2))) for g in ground}
     budget = Fraction(rng.randint(0, 14), 2)
     values = {
         S: min(sum((weights[g] for g in S), Fraction(0)), budget)
         for S in iter_nonempty_subsets(ground)
     }
-    return SetFunction(ground=ground, values=values)
+    return set_function(ground, values)
 
 
 def test_criterion_6_sandwich_property(criterion):
@@ -236,10 +232,11 @@ def test_criterion_6_sandwich_property(criterion):
         ground = tuple(f"g{k}" for k in range(size))
         sigma = _random_copolymatroid(rng, ground)
         rho = _random_polymatroid(rng, ground)
-        pointwise = all(sigma(S) <= rho(S) for S in sigma.subsets)
+        subsets = iter_nonempty_subsets(ground)
+        pointwise = all(sigma(S) <= rho(S) for S in subsets)
         result = sandwich_feasible(sigma, rho)
         constraints = []
-        for S in sigma.subsets:
+        for S in subsets:
             constraints.append((S, ">=", sigma(S)))
             constraints.append((S, "<=", rho(S)))
         lp_point = simplex.solve_feasibility(ground, constraints)
@@ -248,7 +245,7 @@ def test_criterion_6_sandwich_property(criterion):
         if (lp_point is not None) != pointwise:
             failures.append(f"instance {instance}: LP oracle disagrees")
         if result.point is not None:
-            for S in sigma.subsets:
+            for S in subsets:
                 total = result.point.total(S)
                 if not sigma(S) <= total <= rho(S):
                     failures.append(f"instance {instance}: witness violates {sorted(S)}")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from netmatch import cli, fixtures, mincut, regions, transmissibility
+from netmatch import cli, fixtures, mincut, regions, scalars, setfunc, transmissibility
 from netmatch.cli import run
 from netmatch.entropy import source_model_to_document
 from netmatch.graph import network_to_document
@@ -255,6 +255,31 @@ def test_check_runs_max_flow_only_for_the_printed_cut(monkeypatch, capsys, name,
 
 
 
+@pytest.mark.parametrize("name", ["check_k6_fail", "check_renamed_fail", "order_ab"])
+def test_check_builds_no_slepian_wolf_rows(monkeypatch, capsys, name):
+    # check compares floats; only the region LPs need the snapped SW rows.
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (regions, setfunc, scalars):
+        monkeypatch.setattr(module, "snap_to_rational", counting(scalars.snap_to_rational))
+    monkeypatch.setattr(regions, "sw_polyhedron", counting(regions.sw_polyhedron))
+    network = DATA / ("order_ba" if name == "order_ab" else name)
+    run(["--format", "json", "check", "--network", f"{network}.network.json",
+         "--source", str(DATA / f"{name}.source.json")])
+    assert json.loads(capsys.readouterr().out)["rows"]
+    assert calls == []
+    run(["regions", "--network", f"{network}.network.json",
+         "--source", str(DATA / f"{name}.source.json")])
+    assert "sw_polyhedron" in calls and "snap_to_rational" in calls  # the probes see calls
+
+
+
 @pytest.mark.parametrize("name", ["example1", "example2"])
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 def test_demo_output_bytes_are_pinned(capsys, name, fmt, ext):
@@ -299,6 +324,29 @@ def test_setfunc_verify_rejects_nan_values(tmp_path, capsys, kind, values):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "NaN" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["poly", "copoly"])
+@pytest.mark.parametrize("values, message", [
+    ({"a": "1", "b": "1", "a+b": "2", "b+a": "5"},
+     "error: subset 'b+a' names the same subset as 'a+b'\n"),
+    ({"a": "1", "b": "1", "a+b": "2", "a+a": "9"},
+     "error: subset 'a+a' names the same subset as 'a'\n"),
+], ids=["reordered", "repeated-member"])
+def test_setfunc_verify_rejects_a_subset_given_twice(tmp_path, capsys, kind, values, message):
+    # Either key alone describes a valid function; given both, neither wins.
+    fn = tmp_path / "twice.json"
+    fn.write_text(json.dumps({"ground": ["a", "b"], "values": values}))
+    assert run(["setfunc", "verify", "--kind", kind, "--input", str(fn)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+def test_setfunc_verify_rejects_negative_infinity(tmp_path, capsys):
+    fn = tmp_path / "neginf.json"
+    fn.write_text('{"ground": ["a", "b"], "values": {"a": -Infinity, "b": 1, "a+b": 1}}')
+    assert run(["setfunc", "verify", "--kind", "poly", "--input", str(fn)]) == 65
+    assert capsys.readouterr().err == "error: negative value on subset ['a']\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

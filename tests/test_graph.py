@@ -20,7 +20,7 @@ from netmatch.graph import (
 from netmatch.mincut import capacity_profile, enumerate_min_cut
 from netmatch.scalars import INF
 
-from conftest import random_network, random_raw_network, reference_normalize
+from conftest import random_network, random_raw_network, reference_normalize, subset_values
 
 
 BUTTERFLY_DOC = json.dumps(network_to_document(fixtures.butterfly_network()))
@@ -137,7 +137,7 @@ def test_normalize_preserves_capacity_functions():
         ref, renaming = reference_normalize(net)
         profile = capacity_profile(net)
         for t in net.sinks:
-            for S, value in profile.per_sink[t].items():
+            for S, value in subset_values(profile.rho_t_function(t)).items():
                 expected = enumerate_min_cut(ref, frozenset(renaming[s] for s in S), t)[0]
                 assert value == expected
                 if t in S:

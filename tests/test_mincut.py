@@ -92,7 +92,7 @@ def test_capacity_profile_matches_cold_flow_and_enumeration():
         profile = capacity_profile(net)
         for t in net.sinks:
             for S in _nonempty_subsets(net.sources):
-                rho = profile.per_sink[t][S]
+                rho = profile.rho_t_function(t)(S)
                 value, members = max_flow(net, S, t)
                 oracle_value, oracle_members = enumerate_min_cut(net, S, t)
                 assert value == rho == oracle_value
@@ -150,16 +150,16 @@ def test_rho_t_is_polymatroid_on_random_networks():
 
 def test_capacity_profile_butterfly():
     profile = capacity_profile(fixtures.butterfly_network())
-    assert profile.network_wide[frozenset({"s1"})] == 1
-    assert profile.network_wide[frozenset({"s1", "s2"})] == 2
-    assert len(profile.per_sink["t1"]) == 3
-    assert profile.binding_sink(frozenset({"s1"})) == "t2"
+    # Indexed by mask: bit 0 is s1, bit 1 is s2, and the empty set holds 0.
+    assert profile.network_wide == (0, 1, 1, 2)
+    assert profile.per_sink["t1"] == (0, 2, 1, 2)
+    assert profile.binding_sink(0b01) == "t2"
 
 
 def test_capacity_profile_single_source():
     net = Network(("s", "t"), (Edge("s", "t", Fraction(1, 2)),), ("s",), ("t",))
     profile = capacity_profile(net)
-    assert profile.network_wide == {frozenset({"s"}): Fraction(1, 2)}
+    assert profile.network_wide == (0, Fraction(1, 2))
 
 
 def test_capacity_profile_subset_bound():
@@ -200,7 +200,7 @@ def test_normalization_edge_never_binds():
     assert rho_t(net, {"k"}, "k") == INF
     assert rho_n(net, {"k"}) == 2
     profile = capacity_profile(net)
-    assert profile.per_sink == {"k": {frozenset({"k"}): INF}, "t": {frozenset({"k"}): 2}}
+    assert profile.per_sink == {"k": (0, INF), "t": (0, 2)}
 
 
 def test_enumerate_min_cut_with_an_infinite_edge_past_the_float_range():

@@ -16,27 +16,36 @@ from netmatch.setfunc import (
     SetFunction,
     is_copolymatroid,
     is_polymatroid,
-    iter_nonempty_subsets,
+    members,
     parse_setfunction,
     sandwich_feasible,
     setfunction_to_document,
     subset_label,
+    subset_masks,
 )
 from netmatch import simplex
 from netmatch.scalars import INF
 
-from conftest import random_network, random_source_model, reference_axioms
+from conftest import (iter_nonempty_subsets, random_network, random_source_model,
+                      reference_axioms, set_function, subset_values)
 
 
 def sf(ground, *values):
     subsets = iter_nonempty_subsets(tuple(ground))
-    return SetFunction(ground=tuple(ground), values=dict(zip(subsets, map(Fraction, values))))
+    return set_function(ground, dict(zip(subsets, map(Fraction, values))))
 
 
 def test_subset_order_is_size_then_position():
-    subsets = iter_nonempty_subsets(("a", "b", "c"))
-    labels = [subset_label(S, ("a", "b", "c")) for S in subsets]
+    ground = ("a", "b", "c")
+    labels = [subset_label(members(mask, ground), ground) for mask in subset_masks(3)]
     assert labels == ["a", "b", "c", "a+b", "a+c", "b+c", "a+b+c"]
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_subset_masks_follow_the_reference_order(k):
+    ground = tuple(f"g{p}" for p in range(k))
+    assert [members(mask, ground) for mask in subset_masks(k)] == list(iter_nonempty_subsets(ground))
+    assert subset_masks(k) is subset_masks(k)  # one cached order per k
 
 
 def test_butterfly_rho_t1_is_polymatroid():
@@ -108,12 +117,23 @@ def test_submodular_but_not_supermodular_reported():
 
 def test_incomplete_function_rejected():
     with pytest.raises(DocumentError, match="every nonempty subset"):
-        SetFunction(ground=("a", "b"), values={frozenset({"a"}): Fraction(1)})
+        set_function(("a", "b"), {frozenset({"a"}): Fraction(1)})
+
+
+def test_values_are_one_per_mask_with_zero_for_the_empty_set():
+    f = SetFunction(("a", "b"), (0, Fraction(1), Fraction(2), Fraction(3)))
+    assert (f({"a"}), f({"b"}), f({"b", "a"}), f(set())) == (1, 2, 3, 0)
+    with pytest.raises(DocumentError, match=r"every nonempty subset \(2 given, 3 required\)"):
+        SetFunction(("a", "b"), (0, 1, 2))
+    with pytest.raises(DocumentError, match="empty set"):
+        SetFunction(("a", "b"), (1, 1, 2, 3))
+    with pytest.raises(DocumentError, match=r"negative value on subset \['b'\]"):
+        SetFunction(("a", "b"), (0, 1, -2, 3))
 
 
 def _floats(*values):
     subsets = iter_nonempty_subsets(("a", "b"))
-    return SetFunction(ground=("a", "b"), values=dict(zip(subsets, map(float, values))))
+    return set_function(("a", "b"), dict(zip(subsets, map(float, values))))
 
 
 @pytest.mark.parametrize("values", [(math.nan, 1, 2), (5, 1, math.nan)])
@@ -143,7 +163,7 @@ def test_sandwich_with_slack_returns_valid_point():
     result = sandwich_feasible(sigma, rho)
     point = result.point
     assert point is not None
-    for S in sigma.subsets:
+    for S in iter_nonempty_subsets(sigma.ground):
         assert sigma(S) <= point.total(S) <= rho(S)
 
 
@@ -176,7 +196,7 @@ def _random_copolymatroid(rng, ground):
         if len(S) == len(ground):
             total += bump
         values[S] = total
-    return SetFunction(ground=ground, values=values)
+    return set_function(ground, values)
 
 
 def _random_polymatroid(rng, ground):
@@ -187,7 +207,7 @@ def _random_polymatroid(rng, ground):
         S: min(sum((weights[g] for g in S), Fraction(0)), budget)
         for S in iter_nonempty_subsets(ground)
     }
-    return SetFunction(ground=ground, values=values)
+    return set_function(ground, values)
 
 
 def test_sandwich_matches_pointwise_and_lp_on_random_pairs():
@@ -197,17 +217,18 @@ def test_sandwich_matches_pointwise_and_lp_on_random_pairs():
         ground = tuple(f"g{k}" for k in range(size))
         sigma = _random_copolymatroid(rng, ground)
         rho = _random_polymatroid(rng, ground)
-        pointwise = all(sigma(S) <= rho(S) for S in sigma.subsets)
+        subsets = iter_nonempty_subsets(ground)
+        pointwise = all(sigma(S) <= rho(S) for S in subsets)
         # Independent route: one LP over the full two-sided system.
         constraints = []
-        for S in sigma.subsets:
+        for S in subsets:
             constraints.append((S, ">=", sigma(S)))
             constraints.append((S, "<=", rho(S)))
         lp_point = simplex.solve_feasibility(ground, constraints)
         result = sandwich_feasible(sigma, rho)
         assert (result.point is not None) == pointwise == (lp_point is not None)
         if result.point is not None:
-            for S in sigma.subsets:
+            for S in subsets:
                 assert sigma(S) <= result.point.total(S) <= rho(S)
 
 
@@ -244,7 +265,7 @@ def _coverage(rng, ground, items=10):
     """Weighted coverage function: a rational polymatroid."""
     weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(items)]
     covers = {g: {i for i in range(items) if rng.random() < 0.35} for g in ground}
-    return SetFunction(ground=ground, values={
+    return set_function(ground, {
         S: sum((weights[i] for i in set().union(*(covers[g] for g in S))), Fraction(0))
         for S in iter_nonempty_subsets(ground)
     })
@@ -252,9 +273,9 @@ def _coverage(rng, ground, items=10):
 
 def _nudged(rng, f, delta):
     """``f`` with one value, at a random subset, raised or lowered by ``delta``."""
-    S = rng.choice(f.subsets)
+    S = rng.choice(iter_nonempty_subsets(f.ground))
     value = f(S) + delta if rng.random() < 0.5 else max(f(S) - delta, 0 * delta)
-    return SetFunction(ground=f.ground, values={**f.values, S: value})
+    return set_function(f.ground, {**subset_values(f), S: value})
 
 
 def _ground(k):
@@ -274,13 +295,13 @@ def test_axioms_match_oracle_on_rational_functions(k):
             g = _nudged(rng, f, Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 6))))
             failing.add(_assert_matches_oracle(g)[0].axiom)
         # Raised past f(i) + f(N - i), the full set's value breaks submodularity.
-        full = f.subsets[-1]
-        g = SetFunction(ground=f.ground, values={**f.values, full: 2 * f(full) + 1})
+        full = frozenset(f.ground)
+        g = set_function(f.ground, {**subset_values(f), full: 2 * f(full) + 1})
         failing.add(_assert_matches_oracle(g)[0].axiom)
         # Scaled past int64 range: the same checks on Python integers.
         for h in (f, g):
-            _assert_matches_oracle(SetFunction(ground=h.ground, values={
-                S: v * Fraction(2**70, 3**45) for S, v in h.values.items()}))
+            _assert_matches_oracle(set_function(h.ground, {
+                S: v * Fraction(2**70, 3**45) for S, v in subset_values(h).items()}))
     if k > 1:  # the witness path runs, for both polymatroid axioms
         assert {"monotonicity", "submodularity"} <= failing
 
@@ -303,7 +324,7 @@ def test_axioms_match_oracle_on_float_functions_near_ties(k):
     rng = random.Random(4250 + k)
     for _ in range(_PER_SIZE[k]):
         f = _coverage(rng, _ground(k))
-        f = SetFunction(ground=f.ground, values={S: float(v) for S, v in f.values.items()})
+        f = set_function(f.ground, {S: float(v) for S, v in subset_values(f).items()})
         _assert_matches_oracle(f, 0.0)
         for tol, delta in ((0.0, 1e-12), (1e-9, 5e-10), (1e-9, 3e-9)):
             _assert_matches_oracle(_nudged(rng, f, delta), tol)
@@ -331,7 +352,7 @@ def test_axioms_match_oracle_on_capacity_functions_with_infinite_edges():
             Edge(e.tail, e.head, INF) if rng.random() < 0.25 else e for e in net.edges))
         profile = capacity_profile(net)
         for f in [profile.rho_n_function()] + [profile.rho_t_function(t) for t in net.sinks]:
-            seen_inf += INF in f.values.values()
+            seen_inf += INF in f.values
             for tol in (None, 0, 0.0, 1e-9):
                 _assert_matches_oracle(f, tol)
     assert seen_inf >= 10

@@ -11,7 +11,7 @@ from netmatch import simplex
 from netmatch.cli import run
 from netmatch.entropy import parse_source_model
 from netmatch.graph import parse_network
-from netmatch.regions import cutset_polyhedron, prepare_profiles
+from netmatch.regions import cutset_polyhedron, prepare_profiles, sw_polyhedron
 from netmatch.scalars import snap_to_rational
 from netmatch.simplex import irreducible_infeasible_subset, solve_feasibility
 
@@ -161,8 +161,9 @@ def _pinned_region_lps(name):
     analysis = prepare_profiles(net, model)
     cutsets = [cutset_polyhedron(analysis.network, t, analysis.capacity)
                for t in analysis.capacity.sinks]
-    for sets in [[analysis.sw, cs] for cs in cutsets] + [[analysis.sw, *cutsets]]:
-        yield analysis.sw.variables, [row for cs in sets for row in cs.constraints]
+    sw = sw_polyhedron(analysis.entropy)
+    for sets in [[sw, cs] for cs in cutsets] + [[sw, *cutsets]]:
+        yield sw.variables, [row for cs in sets for row in cs.constraints]
 
 
 @pytest.mark.parametrize("name", ["butterfly", "halved", "dsbs", "k4_feasible", "k3_infeasible"])
