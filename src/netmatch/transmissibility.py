@@ -24,7 +24,7 @@ from .graph import Edge, Network
 from .mincut import max_flow
 from .regions import DEFAULT_TOLERANCE, Analysis, prepare_profiles
 from .scalars import check_tolerance, format_scalar, to_float
-from .setfunc import DEFAULT_MAX_SOURCES, members, subset_masks
+from .setfunc import DEFAULT_MAX_SOURCES, members, subset_label, subset_masks
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def check(
         rows.append(
             SubsetRow(
                 subset=S,
-                label="+".join(s for s in m.sources if s in S),
+                label=subset_label(S, m.sources),
                 sigma=h,
                 rho=rho,
                 margin=margin,
