@@ -10,13 +10,12 @@ rational snapping.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DocumentError, LimitError
+from .errors import DocumentError, LimitError, load_json
 from .scalars import parse_probability
 from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, check_label_names
 
@@ -90,10 +89,7 @@ def parse_source_model(text: str) -> SourceModel:
     The source order fixes tuple coordinates.  ``p`` is a JSON number or
     an exact rational string.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"source document is not valid JSON: {exc}") from exc
+    doc = load_json(text, "source")
     if not isinstance(doc, dict):
         raise DocumentError("source document must be a JSON object")
     for key in ("sources", "alphabets", "pmf"):

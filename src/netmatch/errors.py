@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that
+turns a malformed document into a :class:`DocumentError`."""
+
+import json
 
 
 class NetmatchError(Exception):
@@ -26,3 +29,24 @@ class CycleError(NetmatchError):
 class LimitError(NetmatchError):
     """A configured enumeration or size bound was exceeded (source-subset
     cap, binning-table size, decoder enumeration cap)."""
+
+
+def load_json(text: str, kind: str):
+    """Parse a ``kind`` document (network, source, set-function) from JSON.
+
+    Invalid JSON, and an object that repeats a key (which ``json.loads``
+    would settle silently by keeping the last value), raise
+    :class:`DocumentError`.
+    """
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise DocumentError(f"{kind} document repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{kind} document is not valid JSON: {exc}") from exc

@@ -12,12 +12,11 @@ requires that form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import CycleError, DocumentError
+from .errors import CycleError, DocumentError, load_json
 from .scalars import INF, is_inf, parse_scalar
 from .setfunc import check_label_names
 
@@ -123,11 +122,7 @@ def parse_network(text: str) -> Network:
     capacity in a document, sum it into one edge (cut values add either
     way).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"network document is not valid JSON: {exc}") from exc
-    return network_from_document(doc)
+    return network_from_document(load_json(text, "network"))
 
 
 def network_from_document(doc) -> Network:

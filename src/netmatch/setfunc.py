@@ -29,7 +29,6 @@ pair in canonical order, found by the global scan.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DocumentError
+from .errors import DocumentError, load_json
 from .scalars import check_tolerance, is_inf, parse_scalar, snap_to_rational
 from . import simplex
 
@@ -342,12 +341,9 @@ def parse_setfunction(text: str) -> SetFunction:
 
     Subset keys join member names with ``+``; values are rational strings,
     integers, numbers, or ``"inf"``.  Two keys naming the same subset, such
-    as ``"a+b"`` and ``"b+a"``, are rejected.
+    as ``"a+b"`` and ``"b+a"``, are rejected, as is a key given twice.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"set-function document is not valid JSON: {exc}") from exc
+    doc = load_json(text, "set-function")
     if not isinstance(doc, dict) or "ground" not in doc or "values" not in doc:
         raise DocumentError("set-function document needs 'ground' and 'values'")
     ground = doc["ground"]

@@ -4,16 +4,19 @@ Every edge (i, j) gets an index set of size floor(2^{n (c_ij + tau - delta)})
 (clamped to at least 1) and an independent uniformly random bin map from
 node i's inputs to that index set.  A bin map is a keyed 64-bit hash, one
 key per edge, evaluated only at the inputs an encoding queries, so no
-table over an input domain is ever materialized.  One encoder,
-``_encode``, chains the bin maps in topological order over arrays of
-source blocks: one block for :func:`propagate`, the typical candidates
-for decoding.  The joint-typicality decoder outputs the unique typical
-preimage of a sink's reception, so :func:`decode` and
-:func:`estimate_error` encode the typical candidates once per code, and
-``_match`` compares each reception with that encoding.  A trial whose
-transmitted block is not typical is an error at every sink without any
-encoding.  The empirical per-sink error rate is estimated over many
-trials with a fresh random code per trial by default.
+table over an input domain is ever materialized.  One evaluator,
+``_inputs``, chains the bin maps in topological order over arrays of
+source blocks.  The joint-typicality decoder outputs the unique typical
+preimage of a sink's reception.  :func:`decode` and a fixed-code
+:func:`estimate_error` encode the typical candidates once per code
+(``_encode``), and ``_match`` compares each reception with that
+encoding.  A fresh code serves one trial only, so instead ``_narrow``
+keeps, edge by edge, the typical candidates that agree with the
+transmitted block at each sink, starting from the groups that share its
+bin on a source edge and computing node inputs at the survivors only.
+A trial whose transmitted block is not typical is an error at every sink
+without any encoding.  The empirical per-sink error rate is estimated
+over many trials with a fresh random code per trial by default.
 
 Candidate ids.  With the sources in network order and alphabet sizes
 |X_1|, ..., |X_k|, a joint symbol is a number below |X| = |X_1| ... |X_k|
@@ -31,6 +34,7 @@ Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -136,6 +140,14 @@ def build_code(net: Network, alphabets, n: int, tau, delta, seed) -> CodeInstanc
     bias of at most size/2^64.  Inputs are numbered in int64, so a node
     whose input domain passes 2^63 - 1 raises :class:`LimitError`.
     """
+    return _draw_code(_code_layout(net, alphabets, n, tau, delta), seed)
+
+
+def _code_layout(net: Network, alphabets, n: int, tau, delta) -> CodeInstance:
+    """Everything of :func:`build_code`'s code that does not depend on the
+    seed: the checks, the input domains and the index-set sizes.  Returns
+    a code whose ``seed`` is None and whose ``keys`` map every finite edge
+    to None, for :func:`_draw_code` to fill in."""
     tau = Fraction(tau)
     delta = Fraction(delta)
     if not 0 < delta < tau:
@@ -150,11 +162,9 @@ def build_code(net: Network, alphabets, n: int, tau, delta, seed) -> CodeInstanc
         if s not in alphabets or int(alphabets[s]) < 1:
             raise ValueError(f"missing or invalid alphabet size for source {s!r}")
 
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    state = sequence.generate_state(len(net.edges), np.uint64)
     slack = tau - delta
     index_sizes: dict[int, int] = {}
-    keys: dict[int, np.uint64] = {}
+    keys: dict[int, None] = {}
     domains: dict[str, int] = {}
     for node in topo:
         if not net.out_edges(node):
@@ -173,11 +183,18 @@ def build_code(net: Network, alphabets, n: int, tau, delta, seed) -> CodeInstanc
                 index_sizes[k] = domain
                 continue
             index_sizes[k] = max(1, floor_pow2(n * (cap + slack)))
-            keys[k] = state[k]
+            keys[k] = None
     return CodeInstance(
-        net=net, alphabets=dict(alphabets), n=n, tau=tau, delta=delta, seed=seed,
+        net=net, alphabets=dict(alphabets), n=n, tau=tau, delta=delta, seed=None,
         index_sizes=index_sizes, keys=keys, domains=domains, topo_order=topo,
     )
+
+
+def _draw_code(layout: CodeInstance, seed) -> CodeInstance:
+    """``layout`` (from :func:`_code_layout`) with its keys drawn from ``seed``."""
+    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    state = sequence.generate_state(len(layout.net.edges), np.uint64)
+    return dataclasses.replace(layout, seed=seed, keys={k: state[k] for k in layout.keys})
 
 
 def _hash(words: np.ndarray, key: np.uint64, size: int) -> np.ndarray:
@@ -229,6 +246,26 @@ def _sequence_code(seq: Sequence[int], alphabet: int) -> int:
     return code
 
 
+def _inputs(code: CodeInstance, values: dict, nodes) -> None:
+    """Add to ``values`` the input of each of ``nodes`` that it lacks.
+
+    ``values`` maps nodes to equally long int64 arrays and holds every
+    source's sequence codes; ``nodes`` are non-source nodes in topological
+    order, each after the nodes its input needs.  A node's input is its
+    in-edges' indices read as one mixed-radix number, in edge order.
+    """
+    net = code.net
+    length = len(next(iter(values.values())))
+    for node in nodes:
+        if node in values:
+            continue
+        composite = np.zeros(length, dtype=np.int64)
+        for k in net.in_edges(node):
+            idx = _bin(code, k, values[net.edges[k].tail])
+            composite = composite * code.index_sizes[k] + idx
+        values[node] = composite
+
+
 def _encode(code: CodeInstance, source_codes: dict) -> dict:
     """Chain the edges' bin maps on arrays of per-source sequence codes.
 
@@ -238,15 +275,7 @@ def _encode(code: CodeInstance, source_codes: dict) -> dict:
     """
     net = code.net
     values = dict(source_codes)
-    length = len(next(iter(source_codes.values())))
-    for node in code.topo_order:
-        if node in values or not net.out_edges(node):
-            continue
-        composite = np.zeros(length, dtype=np.int64)
-        for k in net.in_edges(node):
-            idx = _bin(code, k, values[net.edges[k].tail])
-            composite = composite * code.index_sizes[k] + idx
-        values[node] = composite
+    _inputs(code, values, [node for node in code.topo_order if net.out_edges(node)])
     return {
         t: [_bin(code, k, values[net.edges[k].tail]) for k in net.in_edges(t)]
         for t in net.sinks
@@ -277,9 +306,10 @@ class _CandidateSpace:
     by joint symbol) and ``probs`` (each joint symbol's probability),
     serves the typicality test, block sampling and :meth:`sequence_of`.
     Only the typical candidates are kept: ``ids``, their sorted ids, and
-    ``codes``, their per-source sequence codes, which a code encodes once
-    and every decoding compares against.  All of it depends only on
-    (model, n, lambda), so Monte-Carlo trials share one instance.
+    ``codes``, their per-source sequence codes, which a fixed code encodes
+    once and fresh-code narrowing reads at its survivors.  All of it
+    depends only on (model, n, lambda), so Monte-Carlo trials share one
+    instance.
     """
 
     def __init__(self, net: Network, m: SourceModel, n: int, lam,
@@ -319,7 +349,6 @@ class _CandidateSpace:
     def _typical(self, sources: tuple, m: SourceModel, sizes: tuple) -> np.ndarray:
         """Mask of the candidates whose every nonempty subset's empirical
         rate is within lambda of its entropy."""
-        digits = self._digits(np.arange(self.total, dtype=np.int64))
         typical = np.ones(self.total, dtype=bool)
         for mask in subset_masks(len(sources)):
             kept = [k for k in range(len(sources)) if mask >> k & 1]
@@ -328,9 +357,11 @@ class _CandidateSpace:
             np.add.at(marginal, key, self.probs)  # in joint-symbol order
             log_marginal = np.array([math.log2(p) if p > 0.0 else -math.inf for p in marginal])
             table = log_marginal[key]
-            logp = np.zeros(self.total)
-            for row in digits:
-                logp += table[row]
+            # A block's log-probability adds its symbols' terms in time order
+            # from 0.0; row-major outer sums lay the blocks out by id.
+            logp = np.zeros(1)
+            for _ in range(self.n):
+                logp = (logp[:, None] + table).ravel()
             h = joint_entropy(m, [sources[k] for k in kept])
             with np.errstate(invalid="ignore"):
                 typical &= np.abs(-logp / self.n - h) < self.lam
@@ -351,6 +382,23 @@ class _CandidateSpace:
             for row in digits:
                 codes[s] = codes[s] * a + symbol[row]
         return codes
+
+    @functools.cached_property
+    def groups(self) -> dict:
+        """{source: (its distinct sequence codes among the typical
+        candidates, each candidate's group (an index into them), candidate
+        positions listed group by group and increasing within a group, and
+        each group's offset into that list, one past the end included)}.
+
+        Built on first use, so only fresh-code narrowing pays for it.
+        """
+        groups = {}
+        for s, codes in self.codes.items():
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            offsets = np.zeros(len(distinct) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(inverse, minlength=len(distinct)), out=offsets[1:])
+            groups[s] = (distinct, inverse, np.argsort(inverse, kind="stable"), offsets)
+        return groups
 
     def sequence_of(self, J: int) -> list[tuple]:
         """Decode a candidate id back into a length-n list of symbol tuples."""
@@ -376,6 +424,81 @@ def _match(space: _CandidateSpace, received: dict, targets: dict) -> dict:
             mask &= arr == z
         found = space.ids[mask]
         result[t] = (len(found), int(found[0]) if len(found) else -1)
+    return result
+
+
+def _upstream(net: Network, topo: tuple, node: str) -> tuple:
+    """The non-source nodes whose inputs ``node``'s input needs, itself
+    included, in topological order."""
+    needed = {node}
+    for v in reversed(topo):
+        if v in needed:
+            needed.update(net.edges[k].tail for k in net.in_edges(v))
+    return tuple(v for v in topo if v in needed and v not in net.source_set)
+
+
+def _plans(layout: CodeInstance) -> dict:
+    """{sink: ((in-edge, the nodes :func:`_inputs` computes for its tail),
+    ...)} in the order :func:`_narrow` tests them.
+
+    Source edges come first, the one on which another candidate is least
+    likely to share the truth's index (1/domain + 1/size) leading; then
+    the other edges in edge order.  Any order gives the same matches.
+    """
+    net = layout.net
+
+    def rank(k: int) -> tuple:
+        tail = net.edges[k].tail
+        if tail not in net.source_set:
+            return (1, 0.0)
+        return (0, 1 / layout.domains[tail] + 1 / layout.index_sizes[k])
+
+    return {
+        t: tuple((k, _upstream(net, layout.topo_order, net.edges[k].tail))
+                 for k in sorted(net.in_edges(t), key=rank))
+        for t in net.sinks
+    }
+
+
+def _narrow(space: _CandidateSpace, code: CodeInstance, pos: int, plans: dict) -> dict:
+    """``_match`` of the truth's reception, without encoding every candidate.
+
+    ``pos`` is the transmitted block's position in ``space.ids`` and
+    ``plans`` is :func:`_plans` of ``code``.  Each sink keeps the
+    candidates that agree with the truth on its in-edges, one edge at a
+    time, computing node inputs at the survivors only.  On a source edge
+    first, the source's distinct sequence codes are hashed once and whole
+    groups of candidates are kept (``space.groups``); a sink with no
+    source edge starts from every candidate, and the node inputs over
+    every candidate are shared by such sinks, so no edge's bins over the
+    whole candidate set are computed twice.  Survivors stay sorted, so
+    the first is the first matching id.  Returns {sink: (matches, first
+    matching candidate id)}.
+    """
+    net = code.net
+    full = dict(space.codes)
+    result = {}
+    for t, plan in plans.items():
+        if plan and net.edges[plan[0][0]].tail in net.source_set:
+            (k, _), *plan = plan
+            distinct, inverse, order, offsets = space.groups[net.edges[k].tail]
+            bins = _bin(code, k, distinct)
+            kept = np.flatnonzero(bins == bins[inverse[pos]])
+            positions = np.concatenate([order[offsets[g]:offsets[g + 1]] for g in kept])
+            if len(kept) > 1:
+                positions.sort()
+            values = {s: c[positions] for s, c in space.codes.items()}
+        else:
+            positions, values = np.arange(len(space.ids)), full
+        for k, upstream in plan:
+            if len(positions) == 1:  # only the truth is left
+                break
+            _inputs(code, values, upstream)
+            carried = _bin(code, k, values[net.edges[k].tail])
+            keep = carried == carried[np.searchsorted(positions, pos)]
+            positions = positions[keep]
+            values = {v: arr[keep] for v, arr in values.items()}
+        result[t] = (len(positions), int(space.ids[positions[0]]))
     return result
 
 
@@ -486,6 +609,8 @@ def estimate_error(
     if trials < 1:
         raise ValueError("at least one trial is required")
     space = _CandidateSpace(net, m, n, lam, max_enumeration)
+    layout = _code_layout(net, space.alphabets, n, tau, delta)
+    plans = None if fixed_code else _plans(layout)
     errors = {t: 0 for t in net.sinks}
     for trial in range(trials):
         truth = space.draw(np.random.default_rng(
@@ -494,17 +619,19 @@ def estimate_error(
         pos = int(np.searchsorted(space.ids, truth))
         typical = pos < len(space.ids) and space.ids[pos] == truth
         if trial == 0 or (typical and not fixed_code):
-            received = None  # drop the last code's encoding before the next is built
-            received = _encode(build_code(
-                net, space.alphabets, n, tau, delta,
-                np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)),
-            ), space.codes)
+            code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)))
+            if fixed_code:
+                received = _encode(code, space.codes)
         if not typical:
             for t in errors:
                 errors[t] += 1
             continue
-        targets = {t: tuple(int(arr[pos]) for arr in arrays) for t, arrays in received.items()}
-        for t, (matches, first) in _match(space, received, targets).items():
+        if fixed_code:
+            found = _match(space, received, {
+                t: tuple(int(arr[pos]) for arr in arrays) for t, arrays in received.items()})
+        else:
+            found = _narrow(space, code, pos, plans)
+        for t, (matches, first) in found.items():
             if matches != 1 or first != truth:
                 errors[t] += 1
 

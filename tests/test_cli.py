@@ -342,6 +342,28 @@ def test_setfunc_verify_rejects_a_subset_given_twice(tmp_path, capsys, kind, val
     assert captured.out == "" and captured.err == message
 
 
+@pytest.mark.parametrize("argv, document, message", [
+    (["setfunc", "verify", "--kind", "poly", "--input"],
+     '{"ground": ["a", "b"], "values": {"a": "1", "b": "1", "a+b": "2", "a+b": "5"}}',
+     "error: set-function document repeats the key 'a+b'\n"),
+    (["mincut", "--all", "--network"],
+     '{"nodes": ["s", "t"], "edges": [{"from": "s", "to": "t", "capacity": "1", '
+     '"capacity": "3"}], "sources": ["s"], "sinks": ["t"]}',
+     "error: network document repeats the key 'capacity'\n"),
+    (["entropy", "--source"],
+     '{"sources": ["a"], "alphabets": [2], "pmf": [{"symbols": [0], "p": "1/2"}, '
+     '{"symbols": [1], "p": "1/2", "p": "1/4"}]}',
+     "error: source document repeats the key 'p'\n"),
+], ids=["set-function", "network", "source"])
+def test_documents_reject_a_repeated_key(tmp_path, capsys, argv, document, message):
+    # json.loads alone keeps the last of the repeated values.
+    fn = tmp_path / "repeated.json"
+    fn.write_text(document)
+    assert run([*argv, str(fn)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
 def test_setfunc_verify_rejects_negative_infinity(tmp_path, capsys):
     fn = tmp_path / "neginf.json"
     fn.write_text('{"ground": ["a", "b"], "values": {"a": -Infinity, "b": 1, "a+b": 1}}')

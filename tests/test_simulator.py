@@ -400,10 +400,10 @@ def _count_calls(monkeypatch, name: str) -> list:
 def test_fixed_code_encodes_the_candidate_space_once(monkeypatch, name):
     make_net, make_model, lam = PINNED_INSTANCES[name]
     encodes = _count_calls(monkeypatch, "_encode")
-    builds = _count_calls(monkeypatch, "build_code")
+    draws = _count_calls(monkeypatch, "_draw_code")
     estimate_error(make_net(), make_model(), 6, Fraction(1, 4), Fraction(1, 20), lam,
                    trials=40, seed=7, fixed_code=True)
-    assert (len(builds), len(encodes)) == (1, 1)
+    assert (len(draws), len(encodes)) == (1, 1)
 
 
 def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
@@ -417,9 +417,10 @@ def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
         for trial in range(1, trials))
     assert 0 < later < trials - 1
     encodes = _count_calls(monkeypatch, "_encode")
-    builds = _count_calls(monkeypatch, "build_code")
+    layouts = _count_calls(monkeypatch, "_code_layout")
+    draws = _count_calls(monkeypatch, "_draw_code")
     estimate_error(net, m, n, Fraction(1, 4), Fraction(1, 20), lam, trials=trials, seed=seed)
-    assert len(builds) == len(encodes) == 1 + later
+    assert (len(layouts), len(draws), len(encodes)) == (1, 1 + later, 0)
 
 
 def test_empty_typical_set_errs_everywhere_without_hiding_limits():
@@ -492,6 +493,73 @@ def _encoder_instances():
         "three": (three_source_network(),
                   random_source_model(random.Random(11), ("a", "b", "c"), max_alphabet=2)),
     }
+
+
+def relay_fed_network() -> Network:
+    """Sources s1 and s2 reach the sinks through relays only: t1 hears r,
+    and t2 hears m (through a lossless edge) and r, where m hears r and s2."""
+    edges = (Edge("s1", "r", Fraction(1)), Edge("s2", "r", Fraction(1)),
+             Edge("r", "t1", Fraction(2)), Edge("r", "m", Fraction(3, 2)),
+             Edge("s2", "m", Fraction(1, 2)), Edge("m", "t2", INF), Edge("r", "t2", Fraction(1)))
+    return Network(nodes=("s1", "s2", "r", "m", "t1", "t2"), edges=edges,
+                   sources=("s1", "s2"), sinks=("t1", "t2"))
+
+
+def test_narrowing_matches_the_full_encoding():
+    # A fresh code's matches at sampled truths, narrowed edge by edge,
+    # against _match on the encoding of every typical candidate.
+    instances = dict(_encoder_instances())
+    instances["relay_fed"] = (relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100)))
+    rng = random.Random(14)
+    multi = set()
+    for name, (net, model) in sorted(instances.items()):
+        for n in (1, 2, 3, 4):
+            for lam in (Fraction(3, 32), Fraction(1, 2)):
+                space = _CandidateSpace(net, model, n, lam)
+                if not len(space.ids):
+                    continue
+                for seed in range(3):
+                    tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
+                    code = build_code(net, space.alphabets, n, tau, tau / 5, seed=seed)
+                    plans = simulator._plans(code)
+                    received = simulator._encode(code, space.codes)
+                    for pos in rng.sample(range(len(space.ids)), min(5, len(space.ids))):
+                        targets = {t: tuple(int(arr[pos]) for arr in arrays)
+                                   for t, arrays in received.items()}
+                        assert (simulator._narrow(space, code, pos, plans)
+                                == simulator._match(space, received, targets)), (name, n, seed, pos)
+                        for t, plan in plans.items():
+                            k = plan[0][0]
+                            tail = net.edges[k].tail
+                            if tail in net.source_set:
+                                distinct, inverse = space.groups[tail][:2]
+                                bins = simulator._bin(code, k, distinct)
+                                if (bins == bins[inverse[pos]]).sum() > 1:
+                                    multi.add(name)
+    assert {"halved", "three"} <= multi
+
+
+def test_relay_fed_sinks_share_one_pass_over_the_candidates(monkeypatch):
+    # Neither sink hears a source, so narrowing starts from every typical
+    # candidate; no edge's bins over all of them are computed twice per code.
+    net, model = relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100))
+    n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2)
+    every = len(_CandidateSpace(net, model, n, lam).ids)
+    args = (net, model, n, tau, delta, lam)
+    want = reference_estimate_error(*args, trials=30, seed=4).to_json()
+    full = []
+    inner = simulator._bin
+
+    def recorded(code, k, inputs):
+        if len(inputs) == every:
+            full.append((code.seed.spawn_key, k))
+        return inner(code, k, inputs)
+
+    monkeypatch.setattr(simulator, "_bin", recorded)
+    encodes = _count_calls(monkeypatch, "_encode")
+    assert estimate_error(*args, trials=30, seed=4).to_json() == want
+    assert full and len(set(full)) == len(full)
+    assert not encodes
 
 
 def test_encode_matches_python_int_reference(monkeypatch):
