@@ -12,6 +12,7 @@ fractions, floats rounded to 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -24,8 +25,8 @@ from .graph import parse_network
 from .mincut import capacity_profile, rho_n, rho_t
 from .regions import DEFAULT_TOLERANCE, equivalence_check, separation_check
 from .scalars import check_tolerance, format_scalar, parse_scalar, round_float
-from .setfunc import (DEFAULT_MAX_SOURCES, is_copolymatroid, is_polymatroid, members,
-                      parse_setfunction, subset_label, subset_masks)
+from .setfunc import (is_copolymatroid, is_polymatroid, members, parse_setfunction,
+                      subset_label, subset_masks)
 from .simulator import estimate_error, exhaustive_xor_check
 from .transmissibility import check as transmissibility_check
 from .transmissibility import diagnose
@@ -52,6 +53,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Built once per process: building it takes longer than running a small command.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="netmatch", description=__doc__)
     parser.add_argument("--format", choices=("table", "json"), default="table")
@@ -62,19 +65,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--network", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--tol", default=DEFAULT_TOLERANCE, type=float)
-    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("mincut", help="capacity functions rho_t / rho_N")
     p.add_argument("--network", required=True)
     p.add_argument("--subset", help="comma-separated source names")
     p.add_argument("--sink")
     p.add_argument("--all", action="store_true", help="full capacity profile")
-    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("entropy", help="joint and conditional entropy rates")
     p.add_argument("--source", required=True)
     p.add_argument("--subset", help="comma-separated source names")
-    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("setfunc", help="set-function axioms")
     setfunc_sub = p.add_subparsers(dest="setfunc_command", required=True)
@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--source", required=True)
     p.add_argument("--separation", action="store_true")
     p.add_argument("--tol", default=DEFAULT_TOLERANCE, type=float)
-    p.add_argument("--max-sources", default=DEFAULT_MAX_SOURCES, type=int)
 
     p = sub.add_parser("simulate", help="random-binning Monte-Carlo error estimation",
                        description="Index-set sizes are exact for any rational capacity, "
@@ -135,6 +134,9 @@ def _split_subset(raw: str) -> list[str]:
     parts = [part.strip() for part in raw.split(",") if part.strip()]
     if not parts:
         raise _UsageError("--subset must name at least one source")
+    for i, part in enumerate(parts):
+        if part in parts[:i]:
+            raise _UsageError(f"--subset names {part!r} twice")
     return parts
 
 
@@ -144,7 +146,7 @@ def _split_subset(raw: str) -> list[str]:
 def _cmd_check(args):
     net = parse_network(_read(args.network))
     model = parse_source_model(_read(args.source))
-    report = transmissibility_check(net, model, args.tol, max_sources=args.max_sources)
+    report = transmissibility_check(net, model, args.tol)
     doc = {
         "verdict": report.verdict,
         "tolerance": report.tolerance,
@@ -212,9 +214,13 @@ def _entropy_table(doc) -> str:
 
 
 def _cmd_mincut(args):
+    if args.all and (args.subset is not None or args.sink is not None):
+        raise _UsageError("--all takes neither --subset nor --sink")
+    if args.sink is not None and args.subset is None:
+        raise _UsageError("--sink needs --subset")
     net = parse_network(_read(args.network))
-    if args.all or not args.subset:
-        profile = capacity_profile(net, max_sources=args.max_sources)
+    if args.subset is None:
+        profile = capacity_profile(net)
         doc = {"sources": list(profile.sources), "sinks": list(profile.sinks),
                **_profile_document(profile)}
         return EXIT_PASS, doc, lambda: _profile_table(doc)
@@ -227,7 +233,7 @@ def _cmd_mincut(args):
 
 def _cmd_entropy(args):
     model = parse_source_model(_read(args.source))
-    if args.subset:
+    if args.subset is not None:
         subset = _split_subset(args.subset)
         doc = {
             "subset": "+".join(subset),
@@ -236,7 +242,7 @@ def _cmd_entropy(args):
         }
         return EXIT_PASS, doc, lambda: (f"H({doc['subset']}) = {doc['joint']:.9g}\n"
                                         f"H({doc['subset']}|rest) = {doc['conditional']:.9g}")
-    ep = entropy_profile(model, max_sources=args.max_sources)
+    ep = entropy_profile(model)
     doc = {"sources": list(model.sources), **_entropy_document(ep)}
     return EXIT_PASS, doc, lambda: _entropy_table(doc)
 
@@ -272,7 +278,7 @@ def _cmd_regions(args):
     model = parse_source_model(_read(args.source))
     check_tolerance(args.tol)
     if args.separation:
-        report = separation_check(net, model, max_sources=args.max_sources)
+        report = separation_check(net, model)
         doc = {
             "separable": report.separable,
             "rho_N_polymatroid": report.rho_n_polymatroid.holds,
@@ -292,7 +298,7 @@ def _cmd_regions(args):
             return "\n".join(lines)
 
         return (EXIT_PASS if report.separable else EXIT_FAIL), doc, table
-    report = equivalence_check(net, model, args.tol, max_sources=args.max_sources)
+    report = equivalence_check(net, model, args.tol)
     doc = {
         "condition_holds": report.condition_holds,
         "min_margin": round_float(report.min_margin),

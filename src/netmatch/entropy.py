@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DocumentError, LimitError, load_json
+from .errors import DocumentError, load_json
 from .scalars import parse_probability
-from .setfunc import DEFAULT_MAX_SOURCES, SetFunction, check_label_names
+from .setfunc import SetFunction, check_label_names, check_source_count
 
 PMF_TOLERANCE = 1e-12
 
@@ -221,7 +221,7 @@ class EntropyProfile:
     joint: SetFunction
 
 
-def entropy_profile(m: SourceModel, *, max_sources: int = DEFAULT_MAX_SOURCES) -> EntropyProfile:
+def entropy_profile(m: SourceModel) -> EntropyProfile:
     """Joint and conditional entropies of every nonempty source subset.
 
     Marginals come from a lattice walk on exact integer weights (see
@@ -231,12 +231,9 @@ def entropy_profile(m: SourceModel, *, max_sources: int = DEFAULT_MAX_SOURCES) -
     Integer sums are exact and child dicts keep first-occurrence key
     order, so every value is bit-identical to :func:`joint_entropy`.
     """
-    if len(m.sources) > max_sources:
-        raise LimitError(
-            f"{len(m.sources)} sources exceed the subset enumeration bound {max_sources}"
-        )
-    validate_model(m)
     k = len(m.sources)
+    check_source_count(k)
+    validate_model(m)
     weights, den = _integer_weights(m)
     full = (1 << k) - 1
     joint = [0.0] * (full + 1)

@@ -21,7 +21,7 @@ from typing import Iterable
 from .errors import LimitError
 from .graph import Network, cut_value
 from .scalars import INF, is_inf
-from .setfunc import DEFAULT_MAX_SOURCES, SetFunction
+from .setfunc import SetFunction, check_source_count
 
 #: Node-count guard for exhaustive cut enumeration.
 MAX_ENUMERATION_NODES = 24
@@ -188,11 +188,11 @@ class CapacityProfile:
         return next(t for t in self.sinks if self.per_sink[t][mask] == self.network_wide[mask])
 
 
-def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) -> CapacityProfile:
+def capacity_profile(net: Network) -> CapacityProfile:
     """Evaluate rho_t and rho_n for all nonempty source subsets and sinks.
 
     Subset enumeration is exponential in the number of sources by design;
-    raises :class:`LimitError` past ``max_sources``.
+    raises :class:`LimitError` past ``setfunc.MAX_SOURCES``.
 
     One integer residual graph (see :func:`max_flow`) is built per network.
     For each sink the subset lattice is walked depth-first, S -> S+{i}
@@ -207,10 +207,7 @@ def capacity_profile(net: Network, *, max_sources: int = DEFAULT_MAX_SOURCES) ->
     a sink outside it gives the same value and forms its minimum cut.
     """
     k = len(net.sources)
-    if k > max_sources:
-        raise LimitError(
-            f"{k} sources exceed the subset enumeration bound {max_sources}"
-        )
+    check_source_count(k)
     residual = _Residual(net, net.sources)
     big, scale, source_arc = residual.big, residual.scale, residual.source_arc
     levels = [list(residual.cap) for _ in range(k)]

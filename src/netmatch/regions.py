@@ -34,7 +34,6 @@ from .graph import Network, validate_acyclic
 from .mincut import CapacityProfile, capacity_profile
 from .scalars import check_tolerance, format_scalar, is_inf, snap_to_rational, to_float
 from .setfunc import (
-    DEFAULT_MAX_SOURCES,
     AxiomReport,
     RatePoint,
     SetFunction,
@@ -145,8 +144,7 @@ class Analysis:
     entropy: EntropyProfile
 
 
-def prepare_profiles(net: Network, m: SourceModel,
-                     max_sources: int = DEFAULT_MAX_SOURCES) -> Analysis:
+def prepare_profiles(net: Network, m: SourceModel) -> Analysis:
     """Check source names, validate, and compute both profiles.
 
     The one constructor of :class:`Analysis`.  The model's source names
@@ -155,8 +153,8 @@ def prepare_profiles(net: Network, m: SourceModel,
     """
     check_source_names(m, net.sources)
     validate_acyclic(net)
-    profile = capacity_profile(net, max_sources=max_sources)
-    ep = entropy_profile(m, max_sources=max_sources)
+    profile = capacity_profile(net)
+    ep = entropy_profile(m)
     if profile.sources != tuple(m.sources):
         gather = [0]  # gather[mask] is the network-order mask in the model's bit order
         for s in profile.sources:
@@ -194,12 +192,10 @@ def equivalence_check(
     net: Network,
     m: SourceModel,
     tol: float = DEFAULT_TOLERANCE,
-    *,
-    max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> EquivalenceReport:
     """Evaluate the matching condition and the per-sink region test."""
     check_tolerance(tol)
-    analysis = prepare_profiles(net, m, max_sources)
+    analysis = prepare_profiles(net, m)
     profile, sw = analysis.capacity, sw_polyhedron(analysis.entropy)
     # The rows are in canonical order, as are the masks.
     rho = [profile.network_wide[mask] for mask in subset_masks(len(profile.sources))]
@@ -252,17 +248,12 @@ class SeparationReport:
     sinks: tuple[str, ...]
 
 
-def separation_check(
-    net: Network,
-    m: SourceModel,
-    *,
-    max_sources: int = DEFAULT_MAX_SOURCES,
-) -> SeparationReport:
+def separation_check(net: Network, m: SourceModel) -> SeparationReport:
     """Decide feasibility of the all-sinks intersection with the SW region.
 
     Exact on the snapped Slepian-Wolf rows; no tolerance enters.
     """
-    analysis = prepare_profiles(net, m, max_sources)
+    analysis = prepare_profiles(net, m)
     profile = analysis.capacity
     cutsets = [cutset_polyhedron(analysis.network, t, profile) for t in profile.sinks]
     result = feasible([sw_polyhedron(analysis.entropy)] + cutsets)

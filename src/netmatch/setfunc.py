@@ -37,12 +37,18 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DocumentError, load_json
+from .errors import DocumentError, LimitError, load_json
 from .scalars import check_tolerance, is_inf, parse_scalar, snap_to_rational
 from . import simplex
 
-#: Hard default on the number of sources whose subsets get enumerated.
-DEFAULT_MAX_SOURCES = 16
+#: The most sources whose 2^k subsets get enumerated.
+MAX_SOURCES = 16
+
+
+def check_source_count(k: int) -> None:
+    """Raise :class:`LimitError` past :data:`MAX_SOURCES` sources."""
+    if k > MAX_SOURCES:
+        raise LimitError(f"{k} sources exceed the subset enumeration bound {MAX_SOURCES}")
 
 
 @functools.cache

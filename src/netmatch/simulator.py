@@ -27,8 +27,8 @@ has id x_1 |X|^(n-1) + ... + x_n, and a source's sequence code reads its
 n symbols the same way in base |X_i|.
 
 Typicality is decided once per candidate space by enumerating every
-block, so this is strictly a desk-scale tool; the enumeration is guarded
-by a configurable cap, and a node's input domain must fit int64.
+block, so this is strictly a desk-scale tool; the enumeration stops at
+:data:`MAX_ENUMERATION` blocks, and a node's input domain must fit int64.
 Everything is deterministic given the seed.
 """
 
@@ -52,7 +52,7 @@ from .scalars import format_scalar, is_inf, round_float, to_float
 from .setfunc import subset_masks
 
 #: Largest candidate space the typicality decoder will enumerate.
-DEFAULT_MAX_ENUMERATION = 1 << 24
+MAX_ENUMERATION = 1 << 24
 _INT64_MAX = (1 << 63) - 1
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the increment, then the
 # finaliser's (shift, multiplier) rounds and its last shift.
@@ -312,8 +312,7 @@ class _CandidateSpace:
     instance.
     """
 
-    def __init__(self, net: Network, m: SourceModel, n: int, lam,
-                 max_enumeration: int = DEFAULT_MAX_ENUMERATION):
+    def __init__(self, net: Network, m: SourceModel, n: int, lam):
         if n < 1:
             raise ValueError("block length n must be positive")
         if lam <= 0:
@@ -329,10 +328,10 @@ class _CandidateSpace:
         self.alphabets = dict(zip(net.sources, sizes))
         joint = math.prod(sizes)
         # joint**n without forming a huge power: at n = bit_length(bound), joint >= 2 passes it.
-        total = joint ** min(n, max_enumeration.bit_length())
-        if total > max_enumeration:
+        total = joint ** min(n, MAX_ENUMERATION.bit_length())
+        if total > MAX_ENUMERATION:
             raise LimitError(f"candidate space has {joint}^{n} sequences, "
-                             f"past the configured bound {max_enumeration}")
+                             f"past the bound {MAX_ENUMERATION}")
         self.joint_size = joint
         self.total = total
         self.place = joint ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -441,21 +440,14 @@ def _plans(layout: CodeInstance) -> dict:
     """{sink: ((in-edge, the nodes :func:`_inputs` computes for its tail),
     ...)} in the order :func:`_narrow` tests them.
 
-    Source edges come first, the one on which another candidate is least
-    likely to share the truth's index (1/domain + 1/size) leading; then
-    the other edges in edge order.  Any order gives the same matches.
+    Edges from a source come first, then the rest, each in edge order.
+    Any order gives the same matches.
     """
     net = layout.net
-
-    def rank(k: int) -> tuple:
-        tail = net.edges[k].tail
-        if tail not in net.source_set:
-            return (1, 0.0)
-        return (0, 1 / layout.domains[tail] + 1 / layout.index_sizes[k])
-
     return {
         t: tuple((k, _upstream(net, layout.topo_order, net.edges[k].tail))
-                 for k in sorted(net.in_edges(t), key=rank))
+                 for k in sorted(net.in_edges(t),
+                                 key=lambda k: net.edges[k].tail not in net.source_set))
         for t in net.sinks
     }
 
@@ -508,8 +500,6 @@ def decode(
     sink: str,
     z_t: Sequence[int],
     lam: float,
-    *,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> Optional[list]:
     """Joint-typicality decoding at one sink.
 
@@ -524,7 +514,7 @@ def decode(
     width = len(code.net.in_edges(sink))
     if len(want) != width:
         raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
-    space = _CandidateSpace(code.net, m, code.n, lam, max_enumeration)
+    space = _CandidateSpace(code.net, m, code.n, lam)
     matches, first = _match(space, _encode(code, space.codes), {sink: want})[sink]
     return space.sequence_of(first) if matches == 1 else None
 
@@ -591,7 +581,6 @@ def estimate_error(
     seed: int,
     *,
     fixed_code: bool = False,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> SimResult:
     """Monte-Carlo estimate of each sink's block error probability.
 
@@ -608,7 +597,7 @@ def estimate_error(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    space = _CandidateSpace(net, m, n, lam, max_enumeration)
+    space = _CandidateSpace(net, m, n, lam)
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     plans = None if fixed_code else _plans(layout)
     errors = {t: 0 for t in net.sinks}

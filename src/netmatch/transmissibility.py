@@ -24,7 +24,7 @@ from .graph import Edge, Network
 from .mincut import max_flow
 from .regions import DEFAULT_TOLERANCE, Analysis, prepare_profiles
 from .scalars import check_tolerance, format_scalar, to_float
-from .setfunc import DEFAULT_MAX_SOURCES, members, subset_label, subset_masks
+from .setfunc import members, subset_label, subset_masks
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,6 @@ def check(
     net: Network,
     m: SourceModel,
     tol: float = DEFAULT_TOLERANCE,
-    *,
-    max_sources: int = DEFAULT_MAX_SOURCES,
 ) -> TransmissibilityReport:
     """Evaluate the matching condition with per-subset diagnostics.
 
@@ -90,7 +88,7 @@ def check(
     then lexicographically by network source position).
     """
     check_tolerance(tol)
-    analysis = prepare_profiles(net, m, max_sources)
+    analysis = prepare_profiles(net, m)
     profile, sigma = analysis.capacity, analysis.entropy.sigma.values
 
     rows = []

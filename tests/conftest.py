@@ -17,7 +17,6 @@ from netmatch.graph import Edge, Network, is_normalized
 from netmatch.scalars import INF
 from netmatch.setfunc import AxiomReport, SetFunction
 from netmatch.simulator import (
-    DEFAULT_MAX_ENUMERATION,
     SimResult,
     SinkStats,
     _CandidateSpace,
@@ -306,7 +305,6 @@ def reference_estimate_error(
     seed: int,
     *,
     fixed_code: bool = False,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> SimResult:
     """The per-trial full re-encode loop: the test oracle for
     ``estimate_error``.
@@ -317,7 +315,7 @@ def reference_estimate_error(
     sink receives identically; a sink errs unless that is exactly the
     transmitted block.
     """
-    space = _CandidateSpace(net, m, n, lam, max_enumeration)
+    space = _CandidateSpace(net, m, n, lam)
     every = space._codes(space._digits(np.arange(space.total, dtype=np.int64)))
     typical = np.zeros(space.total, dtype=bool)
     typical[space.ids] = True

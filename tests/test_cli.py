@@ -726,3 +726,67 @@ def test_simulate_names_why_the_slack_is_rejected(capsys, argv, message):
     # float range, so no float threshold can honour it.
     assert run(["simulate", *_BUTTERFLY, "--n", "2", *argv]) == 64
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def _seventeen_sources(tmp_path):
+    """A network of 17 sources with one edge each to the sink, and a model
+    whose one joint symbol has probability 1."""
+    names = [f"s{i}" for i in range(17)]
+    network, source = tmp_path / "k17.network.json", tmp_path / "k17.source.json"
+    network.write_text(json.dumps({
+        "nodes": [*names, "t"], "sources": names, "sinks": ["t"],
+        "edges": [{"from": s, "to": "t", "capacity": "1"} for s in names]}))
+    source.write_text(json.dumps({
+        "sources": names, "alphabets": [1] * 17,
+        "pmf": [{"symbols": [0] * 17, "p": "1"}]}))
+    return {"network": str(network), "source": str(source)}
+
+
+def _argv(args, paths):
+    return [paths.get(arg, arg) for arg in args]
+
+
+_NETWORK_AND_SOURCE = ["--network", "network", "--source", "source"]
+
+
+@pytest.mark.parametrize("args", [
+    ["check", *_NETWORK_AND_SOURCE],
+    ["mincut", "--network", "network", "--all"],
+    ["entropy", "--source", "source"],
+    ["regions", *_NETWORK_AND_SOURCE],
+    ["regions", "--separation", *_NETWORK_AND_SOURCE],
+])
+def test_more_sources_than_the_cap_is_data_error(tmp_path, capsys, args):
+    assert run(_argv(args, _seventeen_sources(tmp_path))) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 17 sources exceed the subset enumeration bound 16\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["check", *_NETWORK_AND_SOURCE],
+    ["mincut", "--network", "network", "--all"],
+    ["entropy", "--source", "source"],
+    ["regions", *_NETWORK_AND_SOURCE],
+])
+def test_the_source_cap_is_not_an_option(paths, capsys, args):
+    assert run(_argv(args, paths) + ["--max-sources", "16"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: unrecognized arguments: --max-sources 16\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["mincut", "--network", "network", "--all", "--subset", "s1"],
+    ["mincut", "--network", "network", "--all", "--sink", "t1"],
+    ["mincut", "--network", "network", "--sink", "t1"],
+    ["mincut", "--network", "network", "--subset", "s1,s1", "--sink", "t1"],
+    ["mincut", "--network", "network", "--subset", ""],
+    ["entropy", "--source", "source", "--subset", "s1,s1"],
+    ["entropy", "--source", "source", "--subset", ""],
+])
+def test_subset_flags_that_would_be_ignored_are_usage_errors(paths, capsys, args):
+    assert run(_argv(args, paths)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from netmatch import fixtures
-from netmatch.entropy import entropy_profile
-from netmatch.errors import DocumentError
+from netmatch.entropy import SourceModel, entropy_profile
+from netmatch.errors import DocumentError, LimitError
 from netmatch.graph import Edge, Network
 from netmatch.mincut import capacity_profile
 from netmatch.setfunc import (
+    MAX_SOURCES,
     SetFunction,
     is_copolymatroid,
     is_polymatroid,
@@ -356,3 +357,22 @@ def test_axioms_match_oracle_on_capacity_functions_with_infinite_edges():
             for tol in (None, 0, 0.0, 1e-9):
                 _assert_matches_oracle(f, tol)
     assert seen_inf >= 10
+
+
+@pytest.mark.parametrize("k", [MAX_SOURCES, MAX_SOURCES + 1])
+def test_both_subset_walks_stop_past_the_source_cap(k):
+    # capacity_profile and entropy_profile each allocate 2^k slots; both
+    # take MAX_SOURCES sources and refuse one more before allocating.
+    names = tuple(f"s{i}" for i in range(k))
+    net = Network(names + ("t",), tuple(Edge(s, "t", Fraction(1)) for s in names),
+                  names, ("t",))
+    model = SourceModel(names, (1,) * k, {(0,) * k: Fraction(1)})
+    walks = (lambda: capacity_profile(net).network_wide,
+             lambda: entropy_profile(model).sigma.values)
+    for walk in walks:
+        if k <= MAX_SOURCES:
+            assert len(walk()) == 1 << k
+            continue
+        with pytest.raises(LimitError) as raised:
+            walk()
+        assert str(raised.value) == f"{k} sources exceed the subset enumeration bound 16"

@@ -672,3 +672,20 @@ def test_reference_bin_agrees_with_the_vectorised_hash():
         key = np.uint64(rng.getrandbits(64))
         got = simulator._hash(np.array(words, dtype=np.uint64), key, size)
         assert got.tolist() == [reference_bin(x, key, size) for x in words]
+
+
+def test_candidate_cap_stops_before_enumerating(monkeypatch):
+    # Two binary sources at n=13 give 4^13 = 2^26 candidate blocks, past
+    # the 2^24 cap: estimate_error and decode raise before any typicality scan.
+    def scan(*args):
+        raise AssertionError("the candidate space was enumerated")
+
+    monkeypatch.setattr(_CandidateSpace, "_typical", scan)
+    net, model = fixtures.butterfly_network(), fixtures.uniform_pair_source()
+    tau, delta, lam = Fraction(1, 4), Fraction(1, 20), Fraction(3, 32)
+    message = "candidate space has 4\\^13 sequences, past the bound 16777216"
+    with pytest.raises(LimitError, match=message):
+        estimate_error(net, model, 13, tau, delta, lam, trials=1, seed=0)
+    code = build_code(net, ALPHABETS, 13, tau, delta, seed=0)
+    with pytest.raises(LimitError, match=message):
+        decode(code, model, "t1", (1, 1), lam)
