@@ -225,8 +225,8 @@ def _cmd_mincut(args):
                **_profile_document(profile)}
         return EXIT_PASS, doc, lambda: _profile_table(doc)
     subset = _split_subset(args.subset)
-    value = rho_t(net, subset, args.sink) if args.sink else rho_n(net, subset)
-    label = f"rho_{args.sink or 'N'}({'+'.join(subset)})"
+    value = rho_n(net, subset) if args.sink is None else rho_t(net, subset, args.sink)
+    label = f"rho_{'N' if args.sink is None else args.sink}({'+'.join(subset)})"
     doc = {label: format_scalar(value)}
     return EXIT_PASS, doc, lambda: f"{label} = {doc[label]}"
 

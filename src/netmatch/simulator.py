@@ -7,16 +7,20 @@ key per edge, evaluated only at the inputs an encoding queries, so no
 table over an input domain is ever materialized.  One evaluator,
 ``_inputs``, chains the bin maps in topological order over arrays of
 source blocks.  The joint-typicality decoder outputs the unique typical
-preimage of a sink's reception.  :func:`decode` and a fixed-code
-:func:`estimate_error` encode the typical candidates once per code
-(``_encode``), and ``_match`` compares each reception with that
-encoding.  A fresh code serves one trial only, so instead ``_narrow``
-keeps, edge by edge, the typical candidates that agree with the
-transmitted block at each sink, starting from the groups that share its
-bin on a source edge and computing node inputs at the survivors only.
-A trial whose transmitted block is not typical is an error at every sink
-without any encoding.  The empirical per-sink error rate is estimated
-over many trials with a fresh random code per trial by default.
+preimage of a sink's reception.
+
+:func:`decode` and a fixed-code :func:`estimate_error` encode the typical
+candidates once per code (``_encode``), and ``_match`` compares each
+reception with that encoding.  A fresh code serves one trial only, so
+instead the typical trials are gathered in blocks of :data:`_BLOCK`, and
+``_narrow`` keeps, edge by edge, the (trial, candidate) pairs that agree
+with their trial's transmitted block at each sink, under that trial's
+keys.  It starts from the groups of candidates that share the truth's bin
+on a source edge and computes node inputs at the survivors only, so one
+pass of numpy calls serves the whole block.  A trial whose transmitted
+block is not typical is an error at every sink without any encoding.  The
+empirical per-sink error rate is estimated over many trials with a fresh
+random code per trial by default.
 
 Candidate ids.  With the sources in network order and alphabet sizes
 |X_1|, ..., |X_k|, a joint symbol is a number below |X| = |X_1| ... |X_k|
@@ -49,7 +53,7 @@ from .entropy import SourceModel, check_source_names, joint_entropy, validate_mo
 from .errors import LimitError
 from .graph import Network, is_normalized, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
-from .setfunc import subset_masks
+from .setfunc import check_source_count, subset_masks
 
 #: Largest candidate space the typicality decoder will enumerate.
 MAX_ENUMERATION = 1 << 24
@@ -60,6 +64,13 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
         (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 _LAST_SHIFT = np.uint64(31)
+#: :func:`_hash` works through longer arrays slice by slice.
+_SLICE = 1 << 14
+#: Fresh-code trials narrowed together (see :func:`_narrow`).
+_BLOCK = 16
+#: Most (trial, candidate) pairs a block starts from at once for the
+#: sinks that hear no source.
+_BLOCK_WORDS = 1 << 16
 
 
 @functools.lru_cache(maxsize=256)
@@ -197,44 +208,59 @@ def _draw_code(layout: CodeInstance, seed) -> CodeInstance:
     return dataclasses.replace(layout, seed=seed, keys={k: state[k] for k in layout.keys})
 
 
-def _hash(words: np.ndarray, key: np.uint64, size: int) -> np.ndarray:
+def _hash(words: np.ndarray, key, size: int) -> np.ndarray:
     """SplitMix64's finaliser of words * golden + key, mod size, in place.
 
-    ``words`` is a uint64 array that is overwritten; returns it viewed as
-    int64.  Every product and sum wraps mod 2^64.
+    ``words`` is a uint64 array that is overwritten, and ``key`` is one
+    np.uint64 or a uint64 array of one key per word.  Returns ``words``
+    viewed as int64.  Every product and sum wraps mod 2^64.  The passes
+    run over :data:`_SLICE` words at a time, which stay in cache between
+    them.
     """
-    scratch = np.empty_like(words)
-    words *= _GOLDEN
-    words += key
-    for shift, multiplier in _MIX:
-        np.right_shift(words, shift, out=scratch)
-        words ^= scratch
-        words *= multiplier
-    np.right_shift(words, _LAST_SHIFT, out=scratch)
-    words ^= scratch
-    # words % size as words - words // size * size: numpy divides by a
-    # scalar several times faster than it takes a remainder.
     size = np.uint64(size)
-    np.floor_divide(words, size, out=scratch)
-    scratch *= size
-    words -= scratch
+    scratch = np.empty(min(len(words), _SLICE), dtype=np.uint64)
+    for start in range(0, len(words), _SLICE):
+        part = words[start:start + _SLICE]
+        spare = scratch[:len(part)]
+        part *= _GOLDEN
+        part += key[start:start + _SLICE] if np.ndim(key) else key
+        for shift, multiplier in _MIX:
+            np.right_shift(part, shift, out=spare)
+            part ^= spare
+            part *= multiplier
+        np.right_shift(part, _LAST_SHIFT, out=spare)
+        part ^= spare
+        # part % size as part - part // size * size: numpy divides by a
+        # scalar several times faster than it takes a remainder.
+        np.floor_divide(part, size, out=spare)
+        spare *= size
+        part -= spare
     return words.view(np.int64)
 
 
-def _bin(code: CodeInstance, k: int, inputs: np.ndarray) -> np.ndarray:
+def _bin(code: CodeInstance, k: int, inputs: np.ndarray, trials=None) -> np.ndarray:
     """Edge k's index for each of its tail's inputs (an int64 array).
 
-    A tail domain no larger than the array is hashed whole and gathered
-    from; any other is hashed at the inputs alone.  Both give the same
+    ``code`` comes from :func:`build_code` and ``trials`` is None, or
+    ``code`` is a block of codes from :func:`_stack` and ``trials`` gives
+    each input's trial, an index into the block.  A tail domain whose
+    copies, one per code, fit in the array is hashed whole and gathered
+    from; otherwise the inputs alone are hashed.  Both give the same
     values, and neither allocates more entries than there are inputs.
     """
     key = code.keys.get(k)
     if key is None:  # an infinite edge forwards its input
         return inputs
     domain = code.domains[code.net.edges[k].tail]
-    if domain <= len(inputs):
-        return _hash(np.arange(domain, dtype=np.uint64), key, code.index_sizes[k])[inputs]
-    return _hash(inputs.astype(np.uint64), key, code.index_sizes[k])
+    size = code.index_sizes[k]
+    if trials is None:
+        if domain <= len(inputs):
+            return _hash(np.arange(domain, dtype=np.uint64), key, size)[inputs]
+        return _hash(inputs.astype(np.uint64), key, size)
+    if len(key) * domain <= len(inputs):
+        words = np.tile(np.arange(domain, dtype=np.uint64), len(key))
+        return _hash(words, np.repeat(key, domain), size)[trials * domain + inputs]
+    return _hash(inputs.astype(np.uint64), key[trials], size)
 
 
 def _sequence_code(seq: Sequence[int], alphabet: int) -> int:
@@ -246,13 +272,14 @@ def _sequence_code(seq: Sequence[int], alphabet: int) -> int:
     return code
 
 
-def _inputs(code: CodeInstance, values: dict, nodes) -> None:
+def _inputs(code: CodeInstance, values: dict, nodes, trials=None) -> None:
     """Add to ``values`` the input of each of ``nodes`` that it lacks.
 
     ``values`` maps nodes to equally long int64 arrays and holds every
     source's sequence codes; ``nodes`` are non-source nodes in topological
     order, each after the nodes its input needs.  A node's input is its
     in-edges' indices read as one mixed-radix number, in edge order.
+    ``trials`` is as in :func:`_bin`.
     """
     net = code.net
     length = len(next(iter(values.values())))
@@ -261,7 +288,7 @@ def _inputs(code: CodeInstance, values: dict, nodes) -> None:
             continue
         composite = np.zeros(length, dtype=np.int64)
         for k in net.in_edges(node):
-            idx = _bin(code, k, values[net.edges[k].tail])
+            idx = _bin(code, k, values[net.edges[k].tail], trials)
             composite = composite * code.index_sizes[k] + idx
         values[node] = composite
 
@@ -299,6 +326,15 @@ def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
     return {t: tuple(int(z[0]) + 1 for z in arrays) for t, arrays in received.items()}
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """A stable argsort of nonnegative int64 ``keys`` below 2^32, by
+    16-bit radix passes."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    if len(keys) and keys.max() >> 16:
+        order = order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
+
+
 class _CandidateSpace:
     """Every length-n source block of one model, by candidate id.
 
@@ -307,9 +343,11 @@ class _CandidateSpace:
     serves the typicality test, block sampling and :meth:`sequence_of`.
     Only the typical candidates are kept: ``ids``, their sorted ids, and
     ``codes``, their per-source sequence codes, which a fixed code encodes
-    once and fresh-code narrowing reads at its survivors.  All of it
-    depends only on (model, n, lambda), so Monte-Carlo trials share one
-    instance.
+    once and fresh-code narrowing reads at its survivors.  Both take time
+    linear in the candidates and no n x |typical| array: a code is looked
+    up in two tables, one for each half of the id's joint symbols, and
+    ``groups`` sorts the codes by counting.  All of it depends only on
+    (model, n, lambda), so Monte-Carlo trials share one instance.
     """
 
     def __init__(self, net: Network, m: SourceModel, n: int, lam):
@@ -322,6 +360,7 @@ class _CandidateSpace:
             raise ValueError("typicality slack is positive but underflows a float")
         validate_model(m)
         check_source_names(m, net.sources)
+        check_source_count(len(net.sources))
         self.n = n
         columns = [m.sources.index(s) for s in net.sources]  # joint symbols follow net order
         sizes = tuple(m.alphabet_sizes[k] for k in columns)
@@ -343,7 +382,7 @@ class _CandidateSpace:
         self.cumulative[-1] = 1.0
 
         self.ids = np.flatnonzero(self._typical(net.sources, m, sizes))
-        self.codes = self._codes(self._digits(self.ids))
+        self.codes = self._codes(self.ids)
 
     def _typical(self, sources: tuple, m: SourceModel, sizes: tuple) -> np.ndarray:
         """Mask of the candidates whose every nonempty subset's empirical
@@ -366,20 +405,22 @@ class _CandidateSpace:
                 typical &= np.abs(-logp / self.n - h) < self.lam
         return typical
 
-    def _digits(self, ids: np.ndarray) -> np.ndarray:
-        """The joint symbols of each candidate id, one row per time step."""
-        digits = np.empty((self.n, len(ids)), dtype=np.int64)
-        for k in range(self.n - 1, -1, -1):
-            ids, digits[k] = np.divmod(ids, self.joint_size)
-        return digits
+    def _codes(self, ids: np.ndarray) -> dict:
+        """{source: sequence code of each candidate in ``ids``}.
 
-    def _codes(self, digits: np.ndarray) -> dict:
-        """{source: sequence code of each block whose joint symbols are ``digits``}."""
+        An id's last n//2 joint symbols and its first n - n//2 each index
+        a table of the codes of that many symbols, built by row-major
+        outer sums; the code is the high half's entry shifted past the
+        low half's.
+        """
+        low = self.n // 2
+        high, rest = np.divmod(ids, self.joint_size ** low)
         codes = {}
         for (s, a), symbol in zip(self.alphabets.items(), self.symbols):
-            codes[s] = np.zeros(digits.shape[1], dtype=np.int64)
-            for row in digits:
-                codes[s] = codes[s] * a + symbol[row]
+            tables = [np.zeros(1, dtype=np.int64)]
+            for _ in range(self.n - low):
+                tables.append((tables[-1][:, None] * a + symbol).ravel())
+            codes[s] = tables[-1][high] * a**low + tables[low][rest]
         return codes
 
     @functools.cached_property
@@ -389,20 +430,28 @@ class _CandidateSpace:
         positions listed group by group and increasing within a group, and
         each group's offset into that list, one past the end included)}.
 
-        Built on first use, so only fresh-code narrowing pays for it.
+        A counting sort over the code range: a group is a code's rank
+        among the codes present, and the listing is a stable radix sort
+        of the groups.  Built on first use, so only fresh-code narrowing
+        pays for it.
         """
         groups = {}
         for s, codes in self.codes.items():
-            distinct, inverse = np.unique(codes, return_inverse=True)
-            offsets = np.zeros(len(distinct) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(inverse, minlength=len(distinct)), out=offsets[1:])
-            groups[s] = (distinct, inverse, np.argsort(inverse, kind="stable"), offsets)
+            counts = np.bincount(codes)
+            present = counts > 0
+            inverse = (np.cumsum(present) - 1)[codes]
+            offsets = np.zeros(np.count_nonzero(present) + 1, dtype=np.int64)
+            np.cumsum(counts[present], out=offsets[1:])
+            groups[s] = (np.flatnonzero(present), inverse, _stable_order(inverse), offsets)
         return groups
 
     def sequence_of(self, J: int) -> list[tuple]:
         """Decode a candidate id back into a length-n list of symbol tuples."""
-        return [tuple(int(symbol[x]) for symbol in self.symbols)
-                for x in self._digits(np.array([J]))[:, 0]]
+        joint = []
+        for _ in range(self.n):
+            J, x = divmod(J, self.joint_size)
+            joint.append(x)
+        return [tuple(int(symbol[x]) for symbol in self.symbols) for x in reversed(joint)]
 
     def draw(self, rng: np.random.Generator) -> int:
         """The id of a block drawn i.i.d. from the model."""
@@ -452,46 +501,79 @@ def _plans(layout: CodeInstance) -> dict:
     }
 
 
-def _narrow(space: _CandidateSpace, code: CodeInstance, pos: int, plans: dict) -> dict:
-    """``_match`` of the truth's reception, without encoding every candidate.
+def _stack(codes: list) -> CodeInstance:
+    """Codes drawn from one layout as one block code: its ``seed`` is the
+    tuple of their seeds and each edge's key the array of their keys, for
+    :func:`_bin` to pick from by trial."""
+    keys = np.array([list(code.keys.values()) for code in codes], dtype=np.uint64)
+    return dataclasses.replace(codes[0], seed=tuple(code.seed for code in codes),
+                               keys=dict(zip(codes[0].keys, keys.T)))
 
-    ``pos`` is the transmitted block's position in ``space.ids`` and
-    ``plans`` is :func:`_plans` of ``code``.  Each sink keeps the
-    candidates that agree with the truth on its in-edges, one edge at a
-    time, computing node inputs at the survivors only.  On a source edge
-    first, the source's distinct sequence codes are hashed once and whole
-    groups of candidates are kept (``space.groups``); a sink with no
-    source edge starts from every candidate, and the node inputs over
-    every candidate are shared by such sinks, so no edge's bins over the
-    whole candidate set are computed twice.  Survivors stay sorted, so
-    the first is the first matching id.  Returns {sink: (matches, first
-    matching candidate id)}.
+
+def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
+            plans: dict) -> dict:
+    """``_match`` of each trial's transmitted block under its own fresh
+    code, without encoding every candidate.
+
+    ``block`` is :func:`_stack` of the trials' codes, ``truths`` holds the
+    transmitted blocks' positions in ``space.ids``, one per trial, and
+    ``plans`` is :func:`_plans` of the codes' layout.  A survivor is a
+    (trial, position) pair; each sink keeps the survivors that agree with
+    their trial's truth, one in-edge at a time, computing node inputs at
+    the survivors only.  A sink that hears a source starts on that edge:
+    the source's distinct sequence codes are hashed under every trial's
+    key at once, and the groups in the truth's bin (``space.groups``)
+    become survivors.  The other sinks start from every candidate of up to
+    :data:`_BLOCK_WORDS` // |candidates| trials at a time and share the
+    node inputs over those, so no edge's bins over the whole candidate set
+    are computed twice for one code.  Returns {sink: (matches per trial,
+    first matching candidate id per trial)}.
     """
-    net = code.net
-    full = dict(space.codes)
-    result = {}
-    for t, plan in plans.items():
-        if plan and net.edges[plan[0][0]].tail in net.source_set:
-            (k, _), *plan = plan
-            distinct, inverse, order, offsets = space.groups[net.edges[k].tail]
-            bins = _bin(code, k, distinct)
-            kept = np.flatnonzero(bins == bins[inverse[pos]])
-            positions = np.concatenate([order[offsets[g]:offsets[g + 1]] for g in kept])
-            if len(kept) > 1:
-                positions.sort()
-            values = {s: c[positions] for s, c in space.codes.items()}
-        else:
-            positions, values = np.arange(len(space.ids)), full
+    net = block.net
+    count = len(truths)
+    found = {t: (np.zeros(count, dtype=np.int64), np.full(count, len(space.ids))) for t in plans}
+
+    def survive(t, plan, trials, positions, values):
+        truth = positions == truths[trials]
         for k, upstream in plan:
-            if len(positions) == 1:  # only the truth is left
+            if truth.all():  # only the truths are left
                 break
-            _inputs(code, values, upstream)
-            carried = _bin(code, k, values[net.edges[k].tail])
-            keep = carried == carried[np.searchsorted(positions, pos)]
-            positions = positions[keep]
+            _inputs(block, values, upstream, trials)
+            carried = _bin(block, k, values[net.edges[k].tail], trials)
+            want = np.empty(count, dtype=np.int64)
+            want[trials[truth]] = carried[truth]
+            keep = carried == want[trials]
+            trials, positions, truth = trials[keep], positions[keep], truth[keep]
             values = {v: arr[keep] for v, arr in values.items()}
-        result[t] = (len(positions), int(space.ids[positions[0]]))
-    return result
+        matches, first = found[t]
+        matches += np.bincount(trials, minlength=count)
+        np.minimum.at(first, trials, positions)
+
+    relay_fed = []
+    for t, plan in plans.items():
+        if not plan or net.edges[plan[0][0]].tail not in net.source_set:
+            relay_fed.append(t)
+            continue
+        (k, _), *plan = plan
+        distinct, inverse, order, offsets = space.groups[net.edges[k].tail]
+        bins = _bin(block, k, np.tile(distinct, count),
+                    np.repeat(np.arange(count), len(distinct))).reshape(count, -1)
+        trials, kept = np.nonzero(bins == bins[np.arange(count), inverse[truths]][:, None])
+        sizes = offsets[kept + 1] - offsets[kept]
+        trials = np.repeat(trials, sizes)
+        # Each kept group's positions, laid end to end.
+        starts = np.repeat(offsets[kept] - np.cumsum(sizes) + sizes, sizes)
+        positions = order[starts + np.arange(len(trials))]
+        survive(t, plan, trials, positions, {s: c[positions] for s, c in space.codes.items()})
+    every = len(space.ids)
+    step = max(1, _BLOCK_WORDS // every)
+    for start in range(0, count if relay_fed else 0, step):
+        part = np.arange(start, min(start + step, count))
+        full = {s: np.tile(c, len(part)) for s, c in space.codes.items()}
+        trials, positions = np.repeat(part, every), np.tile(np.arange(every), len(part))
+        for t in relay_fed:
+            survive(t, plans[t], trials, positions, full)
+    return {t: (matches, space.ids[first]) for t, (matches, first) in found.items()}
 
 
 def decode(
@@ -601,6 +683,7 @@ def estimate_error(
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     plans = None if fixed_code else _plans(layout)
     errors = {t: 0 for t in net.sinks}
+    block, truths = [], []  # typical fresh-code trials awaiting _narrow
     for trial in range(trials):
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
@@ -614,15 +697,20 @@ def estimate_error(
         if not typical:
             for t in errors:
                 errors[t] += 1
-            continue
-        if fixed_code:
+        elif fixed_code:
             found = _match(space, received, {
                 t: tuple(int(arr[pos]) for arr in arrays) for t, arrays in received.items()})
+            for t, (matches, first) in found.items():
+                if matches != 1 or first != truth:
+                    errors[t] += 1
         else:
-            found = _narrow(space, code, pos, plans)
-        for t, (matches, first) in found.items():
-            if matches != 1 or first != truth:
-                errors[t] += 1
+            block.append(code)
+            truths.append(pos)
+        if block and (len(block) == _BLOCK or trial == trials - 1):
+            truths = np.array(truths)
+            for t, (matches, first) in _narrow(space, _stack(block), truths, plans).items():
+                errors[t] += int(np.count_nonzero((matches != 1) | (first != space.ids[truths])))
+            block, truths = [], []
 
     return SimResult(
         n=n,

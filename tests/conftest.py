@@ -262,6 +262,21 @@ def reference_candidates(order, m: SourceModel, n: int, lam):
 _MASK64 = (1 << 64) - 1
 
 
+def reference_codes(space, ids: np.ndarray) -> dict:
+    """{source: sequence code of each candidate in ``ids``} of a candidate
+    space, by way of an n x len(ids) array of joint symbols, one row per
+    time step: the test oracle for ``_CandidateSpace.codes``."""
+    digits = np.empty((space.n, len(ids)), dtype=np.int64)
+    for k in range(space.n - 1, -1, -1):
+        ids, digits[k] = np.divmod(ids, space.joint_size)
+    codes = {}
+    for (s, a), symbol in zip(space.alphabets.items(), space.symbols):
+        codes[s] = np.zeros(digits.shape[1], dtype=np.int64)
+        for row in digits:
+            codes[s] = codes[s] * a + symbol[row]
+    return codes
+
+
 def reference_bin(x: int, key: int, size: int) -> int:
     """SplitMix64's finaliser of x * golden + key, mod size, in Python ints
     masked to 64 bits: the oracle for the simulator's bin maps."""
@@ -316,7 +331,7 @@ def reference_estimate_error(
     transmitted block.
     """
     space = _CandidateSpace(net, m, n, lam)
-    every = space._codes(space._digits(np.arange(space.total, dtype=np.int64)))
+    every = reference_codes(space, np.arange(space.total, dtype=np.int64))
     typical = np.zeros(space.total, dtype=bool)
     typical[space.ids] = True
     errors = {t: 0 for t in net.sinks}

@@ -79,6 +79,16 @@ def test_mincut_subset_and_sink(paths, capsys):
     assert capsys.readouterr().out.strip() == "rho_N(s1+s2) = 2"
 
 
+def test_mincut_empty_sink_is_an_unknown_sink(capsys):
+    # An empty --sink names no sink; it must not fall back to rho_N.
+    argv = ["mincut", "--network", str(DATA / "regions_butterfly.network.json"),
+            "--subset", "s1", "--sink", ""]
+    assert run(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: '' is not a sink node\n"
+
+
 def test_mincut_all_document(paths, capsys):
     assert run(["--format", "json", "mincut", "--network", paths["network"],
                 "--all"]) == 0
@@ -755,6 +765,7 @@ _NETWORK_AND_SOURCE = ["--network", "network", "--source", "source"]
     ["entropy", "--source", "source"],
     ["regions", *_NETWORK_AND_SOURCE],
     ["regions", "--separation", *_NETWORK_AND_SOURCE],
+    ["simulate", *_NETWORK_AND_SOURCE, "--n", "1"],
 ])
 def test_more_sources_than_the_cap_is_data_error(tmp_path, capsys, args):
     assert run(_argv(args, _seventeen_sources(tmp_path))) == 65

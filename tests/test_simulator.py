@@ -11,6 +11,7 @@ from conftest import (
     random_source_model,
     reference_bin,
     reference_candidates,
+    reference_codes,
     reference_encode,
     reference_estimate_error,
 )
@@ -456,12 +457,12 @@ def test_decode_validates_the_model_on_every_call():
             decode(code, bad, "t1", z["t1"], 1 / 4)
 
 
-def test_candidate_space_matches_reference():
-    # 1 to 3 sources with alphabets of 1 to 3 symbols, rational and float
-    # pmfs; every third model lists its sources in another order than the
-    # network does.
+def _candidate_space_family():
+    """240 seeded candidate spaces: 1 to 3 sources with alphabets of 1 to 3
+    symbols, rational and float pmfs; every third model lists its sources
+    in another order than the network does.  Yields (source names, model,
+    n, lambda, space)."""
     rng = random.Random(2026)
-    mixed = 0
     for case in range(240):
         names = tuple(f"s{j}" for j in range(rng.randint(1, 3)))
         listed = tuple(rng.sample(names, len(names))) if case % 3 == 0 else names
@@ -473,16 +474,49 @@ def test_candidate_space_matches_reference():
         lam = rng.choice([0.05, Fraction(3, 32), Fraction(1, 4), Fraction(1, 2)])
         net = Network(nodes=(*names, "t"), edges=tuple(Edge(s, "t", Fraction(1)) for s in names),
                       sources=names, sinks=("t",))
-        space = _CandidateSpace(net, model, n, lam)
+        yield names, model, n, lam, _CandidateSpace(net, model, n, lam)
+
+
+def test_candidate_space_matches_reference():
+    mixed = 0
+    for names, model, n, lam, space in _candidate_space_family():
         blocks, codes, typical = reference_candidates(names, model, n, lam)
         assert [space.sequence_of(J) for J in range(space.total)] == blocks
-        every = space._codes(space._digits(np.arange(space.total)))
+        every = space._codes(np.arange(space.total))
         for s in names:
             assert np.array_equal(every[s], codes[s])
             assert np.array_equal(space.codes[s], np.array(codes[s], dtype=np.int64)[typical])
         assert np.array_equal(space.ids, np.flatnonzero(typical))
         mixed += 0 < sum(typical) < len(typical)
     assert mixed >= 60
+
+
+def test_codes_and_groups_match_the_digit_route():
+    # The table lookup and the counting sort against the n x |typical|
+    # digit array, np.unique and a stable comparison sort.
+    split = 0
+    for names, _, _, _, space in _candidate_space_family():
+        want = reference_codes(space, space.ids)
+        for s in names:
+            assert space.codes[s].dtype == np.int64
+            assert np.array_equal(space.codes[s], want[s])
+            distinct, inverse = np.unique(want[s], return_inverse=True)
+            offsets = np.concatenate([[0], np.cumsum(np.bincount(inverse))])
+            got = space.groups[s]
+            for have, expected in zip(got, (distinct, inverse, np.argsort(inverse, kind="stable"),
+                                            offsets)):
+                assert np.array_equal(have, expected)
+            split += len(distinct) > 1
+    assert split >= 150
+
+
+def test_stable_order_matches_a_comparison_sort():
+    # Keys past 2^16 take the second radix pass.
+    rng = np.random.default_rng(16)
+    for bound in (1, 3, 1 << 16, (1 << 16) + 1, 1 << 24):
+        for length in (0, 1, 1000, 70000):
+            keys = rng.integers(0, bound, size=length, dtype=np.int64)
+            assert np.array_equal(simulator._stable_order(keys), np.argsort(keys, kind="stable"))
 
 
 def _encoder_instances():
@@ -505,9 +539,11 @@ def relay_fed_network() -> Network:
                    sources=("s1", "s2"), sinks=("t1", "t2"))
 
 
-def test_narrowing_matches_the_full_encoding():
-    # A fresh code's matches at sampled truths, narrowed edge by edge,
-    # against _match on the encoding of every typical candidate.
+def test_narrowing_matches_the_full_encoding(monkeypatch):
+    # Fresh codes' matches at sampled truths, narrowed edge by edge as one
+    # block of (code, truth) trials, against _match on the encoding of every
+    # typical candidate under each trial's code.  The relay-fed sinks start
+    # from the whole block at once and from one trial at a time.
     instances = dict(_encoder_instances())
     instances["relay_fed"] = (relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100)))
     rng = random.Random(14)
@@ -518,17 +554,18 @@ def test_narrowing_matches_the_full_encoding():
                 space = _CandidateSpace(net, model, n, lam)
                 if not len(space.ids):
                     continue
+                tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
+                codes, truths, expected = [], [], []
                 for seed in range(3):
-                    tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
                     code = build_code(net, space.alphabets, n, tau, tau / 5, seed=seed)
-                    plans = simulator._plans(code)
                     received = simulator._encode(code, space.codes)
                     for pos in rng.sample(range(len(space.ids)), min(5, len(space.ids))):
                         targets = {t: tuple(int(arr[pos]) for arr in arrays)
                                    for t, arrays in received.items()}
-                        assert (simulator._narrow(space, code, pos, plans)
-                                == simulator._match(space, received, targets)), (name, n, seed, pos)
-                        for t, plan in plans.items():
+                        codes.append(code)
+                        truths.append(pos)
+                        expected.append(simulator._match(space, received, targets))
+                        for t, plan in simulator._plans(code).items():
                             k = plan[0][0]
                             tail = net.edges[k].tail
                             if tail in net.source_set:
@@ -536,12 +573,22 @@ def test_narrowing_matches_the_full_encoding():
                                 bins = simulator._bin(code, k, distinct)
                                 if (bins == bins[inverse[pos]]).sum() > 1:
                                     multi.add(name)
+                block = simulator._stack(codes)
+                plans = simulator._plans(block)
+                for words in (simulator._BLOCK_WORDS, 1):
+                    monkeypatch.setattr(simulator, "_BLOCK_WORDS", words)
+                    narrowed = simulator._narrow(space, block, np.array(truths), plans)
+                    for j, want in enumerate(expected):
+                        got = {t: (int(matches[j]), int(first[j]))
+                               for t, (matches, first) in narrowed.items()}
+                        assert got == want, (name, n, codes[j].seed, truths[j])
     assert {"halved", "three"} <= multi
 
 
 def test_relay_fed_sinks_share_one_pass_over_the_candidates(monkeypatch):
     # Neither sink hears a source, so narrowing starts from every typical
-    # candidate; no edge's bins over all of them are computed twice per code.
+    # candidate of every trial in a block; no edge's bins over all of them
+    # are computed twice for one trial's code.
     net, model = relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100))
     n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2)
     every = len(_CandidateSpace(net, model, n, lam).ids)
@@ -550,10 +597,13 @@ def test_relay_fed_sinks_share_one_pass_over_the_candidates(monkeypatch):
     full = []
     inner = simulator._bin
 
-    def recorded(code, k, inputs):
-        if len(inputs) == every:
-            full.append((code.seed.spawn_key, k))
-        return inner(code, k, inputs)
+    def recorded(code, k, inputs, trials=None):
+        if trials is None:
+            full.extend([(code.seed.spawn_key, k)] * (len(inputs) == every))
+        else:
+            per_trial = np.bincount(trials, minlength=len(code.seed))
+            full.extend((code.seed[b].spawn_key, k) for b in np.flatnonzero(per_trial == every))
+        return inner(code, k, inputs, trials)
 
     monkeypatch.setattr(simulator, "_bin", recorded)
     encodes = _count_calls(monkeypatch, "_encode")
@@ -580,7 +630,7 @@ def test_encode_matches_python_int_reference(monkeypatch):
     for name, (net, model) in sorted(_encoder_instances().items()):
         for n in (1, 2, 3, 4):
             space = _CandidateSpace(net, model, n, Fraction(1, 2))
-            every = space._codes(space._digits(np.arange(space.total)))
+            every = reference_codes(space, np.arange(space.total))
             for seed in range(3):
                 tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
                 code = build_code(net, space.alphabets, n, tau, tau / 5, seed=seed)
@@ -672,6 +722,16 @@ def test_reference_bin_agrees_with_the_vectorised_hash():
         key = np.uint64(rng.getrandbits(64))
         got = simulator._hash(np.array(words, dtype=np.uint64), key, size)
         assert got.tolist() == [reference_bin(x, key, size) for x in words]
+    # Two whole slices and a ragged tail, under one key and under a key per word.
+    words = [rng.getrandbits(64) for _ in range(2 * simulator._SLICE + 77)]
+    keys = [rng.getrandbits(64) for _ in words]
+    for size in (776, 2**62):
+        key = np.uint64(keys[0])
+        got = simulator._hash(np.array(words, dtype=np.uint64), key, size)
+        assert got.tolist() == [reference_bin(x, key, size) for x in words]
+        got = simulator._hash(np.array(words, dtype=np.uint64), np.array(keys, dtype=np.uint64),
+                              size)
+        assert got.tolist() == [reference_bin(x, k, size) for x, k in zip(words, keys)]
 
 
 def test_candidate_cap_stops_before_enumerating(monkeypatch):
