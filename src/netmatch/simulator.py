@@ -288,8 +288,8 @@ def _inputs(code: CodeInstance, values: dict, nodes, trials=None) -> None:
             continue
         composite = np.zeros(length, dtype=np.int64)
         for k in net.in_edges(node):
-            idx = _bin(code, k, values[net.edges[k].tail], trials)
-            composite = composite * code.index_sizes[k] + idx
+            composite *= code.index_sizes[k]
+            composite += _bin(code, k, values[net.edges[k].tail], trials)
         values[node] = composite
 
 
@@ -408,19 +408,20 @@ class _CandidateSpace:
     def _codes(self, ids: np.ndarray) -> dict:
         """{source: sequence code of each candidate in ``ids``}.
 
-        An id's last n//2 joint symbols and its first n - n//2 each index
-        a table of the codes of that many symbols, built by row-major
-        outer sums; the code is the high half's entry shifted past the
-        low half's.
+        An id's first n - n//2 joint symbols and its last n//2 each index
+        one table of the codes of n - n//2 symbols, built by row-major
+        outer sums (a shorter sequence reads as one led by joint symbol 0,
+        whose symbols are all 0); the code is the first entry shifted past
+        the second.
         """
         low = self.n // 2
         high, rest = np.divmod(ids, self.joint_size ** low)
         codes = {}
         for (s, a), symbol in zip(self.alphabets.items(), self.symbols):
-            tables = [np.zeros(1, dtype=np.int64)]
+            table = np.zeros(1, dtype=np.int64)
             for _ in range(self.n - low):
-                tables.append((tables[-1][:, None] * a + symbol).ravel())
-            codes[s] = tables[-1][high] * a**low + tables[low][rest]
+                table = (table[:, None] * a + symbol).ravel()
+            codes[s] = table[high] * a**low + table[rest]
         return codes
 
     @functools.cached_property
@@ -535,16 +536,18 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
 
     def survive(t, plan, trials, positions, values):
         truth = positions == truths[trials]
-        for k, upstream in plan:
+        for j, (k, upstream) in enumerate(plan):
             if truth.all():  # only the truths are left
                 break
             _inputs(block, values, upstream, trials)
             carried = _bin(block, k, values[net.edges[k].tail], trials)
             want = np.empty(count, dtype=np.int64)
             want[trials[truth]] = carried[truth]
-            keep = carried == want[trials]
+            # Indices, not a mask: numpy compresses by a dense mask slowly.
+            keep = np.flatnonzero(carried == want[trials])
             trials, positions, truth = trials[keep], positions[keep], truth[keep]
-            values = {v: arr[keep] for v, arr in values.items()}
+            if j + 1 < len(plan):
+                values = {v: arr[keep] for v, arr in values.items()}
         matches, first = found[t]
         matches += np.bincount(trials, minlength=count)
         np.minimum.at(first, trials, positions)
@@ -565,14 +568,15 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
         starts = np.repeat(offsets[kept] - np.cumsum(sizes) + sizes, sizes)
         positions = order[starts + np.arange(len(trials))]
         survive(t, plan, trials, positions, {s: c[positions] for s, c in space.codes.items()})
-    every = len(space.ids)
-    step = max(1, _BLOCK_WORDS // every)
-    for start in range(0, count if relay_fed else 0, step):
-        part = np.arange(start, min(start + step, count))
-        full = {s: np.tile(c, len(part)) for s, c in space.codes.items()}
-        trials, positions = np.repeat(part, every), np.tile(np.arange(every), len(part))
-        for t in relay_fed:
-            survive(t, plans[t], trials, positions, full)
+    if relay_fed:
+        every = len(space.ids)
+        step = max(1, _BLOCK_WORDS // every)
+        for start in range(0, count, step):
+            part = np.arange(start, min(start + step, count))
+            full = {s: np.tile(c, len(part)) for s, c in space.codes.items()}
+            trials, positions = np.repeat(part, every), np.tile(np.arange(every), len(part))
+            for t in relay_fed:
+                survive(t, plans[t], trials, positions, full)
     return {t: (matches, space.ids[first]) for t, (matches, first) in found.items()}
 
 
@@ -683,7 +687,7 @@ def estimate_error(
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     plans = None if fixed_code else _plans(layout)
     errors = {t: 0 for t in net.sinks}
-    block, truths = [], []  # typical fresh-code trials awaiting _narrow
+    block, truths = [], []  # codes and truths of typical fresh-code trials awaiting _narrow
     for trial in range(trials):
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
@@ -707,9 +711,9 @@ def estimate_error(
             block.append(code)
             truths.append(pos)
         if block and (len(block) == _BLOCK or trial == trials - 1):
-            truths = np.array(truths)
-            for t, (matches, first) in _narrow(space, _stack(block), truths, plans).items():
-                errors[t] += int(np.count_nonzero((matches != 1) | (first != space.ids[truths])))
+            where = np.array(truths)
+            for t, (matches, first) in _narrow(space, _stack(block), where, plans).items():
+                errors[t] += int(np.count_nonzero((matches != 1) | (first != space.ids[where])))
             block, truths = [], []
 
     return SimResult(
