@@ -241,9 +241,9 @@ def _hash(words: np.ndarray, key, size: int) -> np.ndarray:
 def _bin(code: CodeInstance, k: int, inputs: np.ndarray, trials=None) -> np.ndarray:
     """Edge k's index for each of its tail's inputs (an int64 array).
 
-    ``code`` comes from :func:`build_code` and ``trials`` is None, or
-    ``code`` is a block of codes from :func:`_stack` and ``trials`` gives
-    each input's trial, an index into the block.  A tail domain whose
+    ``code`` is one code and ``trials`` is None, or ``code`` is a block
+    of codes from :func:`_stack` and ``trials`` gives each input's trial,
+    an index into the block.  A tail domain whose
     copies, one per code, fit in the array is hashed whole and gathered
     from; otherwise the inputs alone are hashed.  Both give the same
     values, and neither allocates more entries than there are inputs.
