@@ -597,12 +597,9 @@ def test_relay_fed_sinks_share_one_pass_over_the_candidates(monkeypatch):
     full = []
     inner = simulator._bin
 
-    def recorded(code, k, inputs, trials=None):
-        if trials is None:
-            full.extend([(code.seed.spawn_key, k)] * (len(inputs) == every))
-        else:
-            per_trial = np.bincount(trials, minlength=len(code.seed))
-            full.extend((code.seed[b].spawn_key, k) for b in np.flatnonzero(per_trial == every))
+    def recorded(code, k, inputs, trials):
+        per_trial = np.bincount(trials, minlength=len(code.seed))
+        full.extend((code.seed[b].spawn_key, k) for b in np.flatnonzero(per_trial == every))
         return inner(code, k, inputs, trials)
 
     monkeypatch.setattr(simulator, "_bin", recorded)
