@@ -9,18 +9,20 @@ table over an input domain is ever materialized.  One evaluator,
 source blocks.  The joint-typicality decoder outputs the unique typical
 preimage of a sink's reception.
 
-:func:`decode` and a fixed-code :func:`estimate_error` encode the typical
-candidates once per code (``_encode``), and ``_match`` compares each
-reception with that encoding.  A fresh code serves one trial only, so
-instead the typical trials are gathered in blocks of :data:`_BLOCK`, and
-``_narrow`` keeps, edge by edge, the (trial, candidate) pairs that agree
-with their trial's transmitted block at each sink, under that trial's
-keys.  It starts from the groups of candidates that share the truth's bin
-on a source edge and computes node inputs at the survivors only, so one
-pass of numpy calls serves the whole block.  A trial whose transmitted
-block is not typical is an error at every sink without any encoding.  The
-empirical per-sink error rate is estimated over many trials with a fresh
-random code per trial by default.
+:func:`decode` encodes the typical candidates (``_encode``) and compares
+the reception with that encoding.  A fixed-code :func:`estimate_error`
+encodes them once and keys each sink's receptions once
+(``_sink_keys``), then answers every typical trial by a binary search
+for its truth's key among each sink's sorted keys.  A fresh code serves
+one trial only, so instead the typical trials are gathered in blocks of
+at least :data:`_BLOCK`, and ``_narrow`` keeps, edge by edge, the (trial,
+candidate) pairs that agree with their trial's transmitted block at each
+sink, under that trial's keys.  It starts from the groups of candidates
+that share the truth's bin on a source edge and computes node inputs at
+the survivors only, so one pass of numpy calls serves the whole block.  A
+trial whose transmitted block is not typical is an error at every sink
+without any encoding.  The empirical per-sink error rate is estimated
+over many trials with a fresh random code per trial by default.
 
 Candidate ids.  With the sources in network order and alphabet sizes
 |X_1|, ..., |X_k|, a joint symbol is a number below |X| = |X_1| ... |X_k|
@@ -66,7 +68,8 @@ _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
 _LAST_SHIFT = np.uint64(31)
 #: :func:`_hash` works through longer arrays slice by slice.
 _SLICE = 1 << 14
-#: Fresh-code trials narrowed together (see :func:`_narrow`).
+#: Fewest fresh-code trials narrowed together (see :func:`_narrow`); a
+#: block holds :data:`_BLOCK_WORDS` // |typical| trials where that is more.
 _BLOCK = 16
 #: Most (trial, candidate) pairs a block starts from at once for the
 #: sinks that hear no source.
@@ -343,7 +346,8 @@ class _CandidateSpace:
     serves the typicality test, block sampling and :meth:`sequence_of`.
     Only the typical candidates are kept: ``ids``, their sorted ids, and
     ``codes``, their per-source sequence codes, which a fixed code encodes
-    once and fresh-code narrowing reads at its survivors.  Both take time
+    and keys per sink once, answering each trial by a binary search, and
+    which fresh-code narrowing reads at its survivors.  Both take time
     linear in the candidates and no n x |typical| array: a code is looked
     up in two tables, one for each half of the id's joint symbols, and
     ``groups`` sorts the codes by counting.  All of it depends only on
@@ -459,21 +463,27 @@ class _CandidateSpace:
         return int(np.searchsorted(self.cumulative, rng.random(self.n), side="right") @ self.place)
 
 
-def _match(space: _CandidateSpace, received: dict, targets: dict) -> dict:
-    """Find the typical candidates each sink receives as its target.
-
-    ``received`` is ``_encode`` of ``space.codes``; ``targets`` maps sinks
-    to tuples of 0-based received indices.  Returns {sink: (matches, first
-    matching candidate id or -1)}.
-    """
-    result = {}
-    for t, want in targets.items():
-        mask = np.ones(len(space.ids), dtype=bool)
-        for arr, z in zip(received[t], want):
-            mask &= arr == z
-        found = space.ids[mask]
-        result[t] = (len(found), int(found[0]) if len(found) else -1)
-    return result
+def _sink_keys(code: CodeInstance, received: dict, count: int) -> dict:
+    """{sink: an int64 key per candidate} of ``received``, ``_encode`` of
+    ``count`` candidates: its indices as one mixed-radix number in the
+    in-edges' index-set sizes, so keys are equal iff receptions are.  Where
+    that would pass int64, the key so far and the next indices are first
+    ranked among their distinct values; ranks are below ``count`` <= 2^24,
+    so their product is below 2^48."""
+    keys = {}
+    for t, arrays in received.items():
+        key, span = np.zeros(count, dtype=np.int64), 1
+        for k, arr in zip(code.net.in_edges(t), arrays):
+            size = code.index_sizes[k]
+            if span * size > _INT64_MAX:
+                distinct, key = np.unique(key, return_inverse=True)
+                ranks, arr = np.unique(arr, return_inverse=True)
+                span, size = len(distinct), len(ranks)
+            key *= size
+            key += arr
+            span *= size
+        keys[t] = key
+    return keys
 
 
 def _upstream(net: Network, topo: tuple, node: str) -> tuple:
@@ -513,8 +523,8 @@ def _stack(codes: list) -> CodeInstance:
 
 def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
             plans: dict) -> dict:
-    """``_match`` of each trial's transmitted block under its own fresh
-    code, without encoding every candidate.
+    """The candidates each sink receives as each trial's transmitted block
+    under that trial's own fresh code, without encoding every candidate.
 
     ``block`` is :func:`_stack` of the trials' codes, ``truths`` holds the
     transmitted blocks' positions in ``space.ids``, one per trial, and
@@ -601,8 +611,11 @@ def decode(
     if len(want) != width:
         raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
     space = _CandidateSpace(code.net, m, code.n, lam)
-    matches, first = _match(space, _encode(code, space.codes), {sink: want})[sink]
-    return space.sequence_of(first) if matches == 1 else None
+    mask = np.ones(len(space.ids), dtype=bool)
+    for arr, z in zip(_encode(code, space.codes)[sink], want):
+        mask &= arr == z
+    found = space.ids[mask]
+    return space.sequence_of(int(found[0])) if len(found) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -686,8 +699,9 @@ def estimate_error(
     space = _CandidateSpace(net, m, n, lam)
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     plans = None if fixed_code else _plans(layout)
+    flush = max(_BLOCK, _BLOCK_WORDS // max(1, len(space.ids)))
     errors = {t: 0 for t in net.sinks}
-    block, truths = [], []  # codes and truths of typical fresh-code trials awaiting _narrow
+    block, truths = [], []  # codes and truths of typical trials: fresh ones await _narrow
     for trial in range(trials):
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
@@ -697,24 +711,28 @@ def estimate_error(
         if trial == 0 or (typical and not fixed_code):
             code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)))
             if fixed_code:
-                received = _encode(code, space.codes)
+                keys = _sink_keys(code, _encode(code, space.codes), len(space.ids))
         if not typical:
             for t in errors:
                 errors[t] += 1
-        elif fixed_code:
-            found = _match(space, received, {
-                t: tuple(int(arr[pos]) for arr in arrays) for t, arrays in received.items()})
-            for t, (matches, first) in found.items():
-                if matches != 1 or first != truth:
-                    errors[t] += 1
         else:
-            block.append(code)
             truths.append(pos)
-        if block and (len(block) == _BLOCK or trial == trials - 1):
+            if not fixed_code:
+                block.append(code)
+        if block and (len(block) == flush or trial == trials - 1):
             where = np.array(truths)
             for t, (matches, first) in _narrow(space, _stack(block), where, plans).items():
                 errors[t] += int(np.count_nonzero((matches != 1) | (first != space.ids[where])))
             block, truths = [], []
+    if fixed_code:
+        where = np.array(truths, dtype=np.int64)
+        for t, key in keys.items():
+            at = key[where]
+            key.sort()
+            # The truth carries its own key, so a key that occurs once is the
+            # truth's alone: "matches != 1 or first != truth" in one test.
+            matches = np.searchsorted(key, at, side="right") - np.searchsorted(key, at)
+            errors[t] += int(np.count_nonzero(matches != 1))
 
     return SimResult(
         n=n,

@@ -309,6 +309,23 @@ def reference_encode(code, block: dict) -> dict:
     return {t: tuple(carried(k) for k in net.in_edges(t)) for t in net.sinks}
 
 
+def reference_match(space, received: dict, targets: dict) -> dict:
+    """Find the typical candidates each sink receives as its target.
+
+    ``received`` is ``_encode`` of ``space.codes``; ``targets`` maps sinks
+    to tuples of 0-based received indices.  Returns {sink: (matches, first
+    matching candidate id or -1)}.
+    """
+    result = {}
+    for t, want in targets.items():
+        mask = np.ones(len(space.ids), dtype=bool)
+        for arr, z in zip(received[t], want):
+            mask &= arr == z
+        found = space.ids[mask]
+        result[t] = (len(found), int(found[0]) if len(found) else -1)
+    return result
+
+
 def reference_estimate_error(
     net: Network,
     m: SourceModel,

@@ -14,6 +14,7 @@ from conftest import (
     reference_codes,
     reference_encode,
     reference_estimate_error,
+    reference_match,
 )
 
 from netmatch import fixtures, simulator
@@ -402,9 +403,10 @@ def test_fixed_code_encodes_the_candidate_space_once(monkeypatch, name):
     make_net, make_model, lam = PINNED_INSTANCES[name]
     encodes = _count_calls(monkeypatch, "_encode")
     draws = _count_calls(monkeypatch, "_draw_code")
+    keys = _count_calls(monkeypatch, "_sink_keys")
     estimate_error(make_net(), make_model(), 6, Fraction(1, 4), Fraction(1, 20), lam,
                    trials=40, seed=7, fixed_code=True)
-    assert (len(draws), len(encodes)) == (1, 1)
+    assert (len(draws), len(encodes), len(keys)) == (1, 1, 1)
 
 
 def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
@@ -422,6 +424,39 @@ def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
     draws = _count_calls(monkeypatch, "_draw_code")
     estimate_error(net, m, n, Fraction(1, 4), Fraction(1, 20), lam, trials=trials, seed=seed)
     assert (len(layouts), len(draws), len(encodes)) == (1, 1 + later, 0)
+
+
+def test_fresh_blocks_grow_on_small_candidate_spaces(monkeypatch):
+    # Uniform bits make all 16 blocks of the n=2 butterfly typical, so a
+    # fresh block holds _BLOCK_WORDS // 16 trials: all 200, twelve _BLOCKs'
+    # worth, are narrowed in one call.
+    net, model = fixtures.butterfly_network(), fixtures.uniform_pair_source()
+    args = (net, model, 2, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2))
+    space = _CandidateSpace(net, model, 2, Fraction(1, 2))
+    assert len(space.ids) == space.total == 16
+    trials = 200
+    assert trials >= 2 * simulator._BLOCK
+    want = reference_estimate_error(*args, trials=trials, seed=5).to_json()
+    narrows = _count_calls(monkeypatch, "_narrow")
+    assert estimate_error(*args, trials=trials, seed=5).to_json() == want
+    assert len(narrows) == 1
+
+
+def test_fixed_code_keys_stay_exact_past_int64():
+    # Three edges of 2^32 indices each into one sink: its reception as one
+    # mixed-radix number needs 96 bits, so the keys must be ranked first.
+    sources = ("s1", "s2", "s3")
+    tau, delta, lam = Fraction(1, 4), Fraction(1, 20), Fraction(1, 2)
+    for n, capacity in ((2, Fraction(79, 5)), (4, Fraction(39, 5))):
+        net = Network(nodes=sources + ("t",), edges=tuple(Edge(s, "t", capacity) for s in sources),
+                      sources=sources, sinks=("t",))
+        model = random_source_model(random.Random(n), sources, min_alphabet=2, max_alphabet=2)
+        code = build_code(net, dict.fromkeys(sources, 2), n, tau, delta, seed=0)
+        assert set(code.index_sizes.values()) == {1 << 32}
+        for fixed in (False, True):
+            kwargs = dict(trials=30, seed=n, fixed_code=fixed)
+            assert (estimate_error(net, model, n, tau, delta, lam, **kwargs).to_json()
+                    == reference_estimate_error(net, model, n, tau, delta, lam, **kwargs).to_json())
 
 
 def test_empty_typical_set_errs_everywhere_without_hiding_limits():
@@ -541,9 +576,9 @@ def relay_fed_network() -> Network:
 
 def test_narrowing_matches_the_full_encoding(monkeypatch):
     # Fresh codes' matches at sampled truths, narrowed edge by edge as one
-    # block of (code, truth) trials, against _match on the encoding of every
-    # typical candidate under each trial's code.  The relay-fed sinks start
-    # from the whole block at once and from one trial at a time.
+    # block of (code, truth) trials, against reference_match on the encoding
+    # of every typical candidate under each trial's code.  The relay-fed
+    # sinks start from the whole block at once and from one trial at a time.
     instances = dict(_encoder_instances())
     instances["relay_fed"] = (relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100)))
     rng = random.Random(14)
@@ -564,7 +599,7 @@ def test_narrowing_matches_the_full_encoding(monkeypatch):
                                    for t, arrays in received.items()}
                         codes.append(code)
                         truths.append(pos)
-                        expected.append(simulator._match(space, received, targets))
+                        expected.append(reference_match(space, received, targets))
                         for t, plan in simulator._plans(code).items():
                             k = plan[0][0]
                             tail = net.edges[k].tail
