@@ -11,11 +11,11 @@ preimage of a sink's reception.
 
 :func:`decode` encodes the typical candidates (``_encode``) and compares
 the reception with that encoding.  A fixed-code :func:`estimate_error`
-encodes them once and keys each sink's receptions once
-(``_sink_keys``), then answers every typical trial by a binary search
+encodes them once, keys each sink's receptions once (``_sink_keys``)
+and sorts the keys, then answers every typical trial by a binary search
 for its truth's key among each sink's sorted keys.  A fresh code serves
 one trial only, so instead the typical trials are gathered in blocks of
-at least :data:`_BLOCK`, and ``_narrow`` keeps, edge by edge, the (trial,
+:data:`_BLOCK`, and ``_narrow`` keeps, edge by edge, the (trial,
 candidate) pairs that agree with their trial's transmitted block at each
 sink, under that trial's keys.  It starts from the groups of candidates
 that share the truth's bin on a source edge and computes node inputs at
@@ -68,8 +68,7 @@ _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
 _LAST_SHIFT = np.uint64(31)
 #: :func:`_hash` works through longer arrays slice by slice.
 _SLICE = 1 << 14
-#: Fewest fresh-code trials narrowed together (see :func:`_narrow`); a
-#: block holds :data:`_BLOCK_WORDS` // |typical| trials where that is more.
+#: Fresh-code trials narrowed together (see :func:`_narrow`).
 _BLOCK = 16
 #: Most (trial, candidate) pairs a block starts from at once for the
 #: sinks that hear no source.
@@ -699,9 +698,8 @@ def estimate_error(
     space = _CandidateSpace(net, m, n, lam)
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     plans = None if fixed_code else _plans(layout)
-    flush = max(_BLOCK, _BLOCK_WORDS // max(1, len(space.ids)))
     errors = {t: 0 for t in net.sinks}
-    block, truths = [], []  # codes and truths of typical trials: fresh ones await _narrow
+    block, truths = [], []  # codes and truths of typical fresh-code trials awaiting _narrow
     for trial in range(trials):
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
@@ -712,27 +710,25 @@ def estimate_error(
             code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)))
             if fixed_code:
                 keys = _sink_keys(code, _encode(code, space.codes), len(space.ids))
+                ranked = {t: np.sort(key) for t, key in keys.items()}
         if not typical:
             for t in errors:
                 errors[t] += 1
+        elif fixed_code:
+            for t, key in keys.items():
+                # The truth carries its own key, so it is the first of its
+                # equals in ranked[t], and the one match ("matches == 1 and
+                # first == truth") iff the key after it differs.
+                after = int(ranked[t].searchsorted(key[pos])) + 1
+                errors[t] += after < len(key) and bool(ranked[t][after] == key[pos])
         else:
+            block.append(code)
             truths.append(pos)
-            if not fixed_code:
-                block.append(code)
-        if block and (len(block) == flush or trial == trials - 1):
+        if block and (len(block) == _BLOCK or trial == trials - 1):
             where = np.array(truths)
             for t, (matches, first) in _narrow(space, _stack(block), where, plans).items():
                 errors[t] += int(np.count_nonzero((matches != 1) | (first != space.ids[where])))
             block, truths = [], []
-    if fixed_code:
-        where = np.array(truths, dtype=np.int64)
-        for t, key in keys.items():
-            at = key[where]
-            key.sort()
-            # The truth carries its own key, so a key that occurs once is the
-            # truth's alone: "matches != 1 or first != truth" in one test.
-            matches = np.searchsorted(key, at, side="right") - np.searchsorted(key, at)
-            errors[t] += int(np.count_nonzero(matches != 1))
 
     return SimResult(
         n=n,

@@ -426,20 +426,20 @@ def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
     assert (len(layouts), len(draws), len(encodes)) == (1, 1 + later, 0)
 
 
-def test_fresh_blocks_grow_on_small_candidate_spaces(monkeypatch):
-    # Uniform bits make all 16 blocks of the n=2 butterfly typical, so a
-    # fresh block holds _BLOCK_WORDS // 16 trials: all 200, twelve _BLOCKs'
-    # worth, are narrowed in one call.
+def test_runs_of_many_blocks_match_the_reference(monkeypatch):
+    # Uniform bits make all 16 blocks of the n=2 butterfly typical, so 200
+    # fresh trials fill twelve blocks of _BLOCK and a last one of eight, and
+    # a fixed code answers 200 trials from one set of keys.
     net, model = fixtures.butterfly_network(), fixtures.uniform_pair_source()
     args = (net, model, 2, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2))
     space = _CandidateSpace(net, model, 2, Fraction(1, 2))
     assert len(space.ids) == space.total == 16
     trials = 200
-    assert trials >= 2 * simulator._BLOCK
-    want = reference_estimate_error(*args, trials=trials, seed=5).to_json()
-    narrows = _count_calls(monkeypatch, "_narrow")
-    assert estimate_error(*args, trials=trials, seed=5).to_json() == want
-    assert len(narrows) == 1
+    for fixed in (False, True):
+        want = reference_estimate_error(*args, trials=trials, seed=5, fixed_code=fixed).to_json()
+        narrows = _count_calls(monkeypatch, "_narrow")
+        assert estimate_error(*args, trials=trials, seed=5, fixed_code=fixed).to_json() == want
+        assert len(narrows) == (0 if fixed else -(-trials // simulator._BLOCK))
 
 
 def test_fixed_code_keys_stay_exact_past_int64():
