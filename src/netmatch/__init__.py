@@ -22,7 +22,6 @@ from .errors import CycleError, DocumentError, LimitError, NetmatchError
 from .graph import (
     Edge,
     Network,
-    cut_value,
     is_normalized,
     parse_network,
     validate_acyclic,
@@ -30,7 +29,6 @@ from .graph import (
 from .mincut import (
     CapacityProfile,
     capacity_profile,
-    enumerate_min_cut,
     max_flow,
     rho_n,
     rho_t,
@@ -96,12 +94,10 @@ __all__ = [
     "capacity_profile",
     "check",
     "conditional_entropy",
-    "cut_value",
     "cutset_polyhedron",
     "decode",
     "diagnose",
     "entropy_profile",
-    "enumerate_min_cut",
     "estimate_error",
     "feasible",
     "is_copolymatroid",

@@ -87,7 +87,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--network", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--separation", action="store_true")
-    p.add_argument("--tol", default=DEFAULT_TOLERANCE, type=float)
+    p.add_argument("--tol", default=DEFAULT_TOLERANCE, type=float,
+                   help="only marks an agreement within it as boundary; "
+                   "--separation does not read it")
 
     p = sub.add_parser("simulate", help="random-binning Monte-Carlo error estimation",
                        description="Index-set sizes are exact for any rational capacity, "

@@ -35,9 +35,6 @@ class SourceModel:
     alphabet_sizes: tuple[int, ...]
     pmf: Mapping[tuple, object]
 
-    def alphabet_of(self, source: str) -> int:
-        return self.alphabet_sizes[self.sources.index(source)]
-
     def is_rational(self) -> bool:
         return all(isinstance(p, (Fraction, int)) for p in self.pmf.values())
 
@@ -129,21 +126,6 @@ def parse_source_model(text: str) -> SourceModel:
     )
     validate_model(model)
     return model
-
-
-def source_model_to_document(m: SourceModel) -> dict:
-    from .scalars import format_scalar
-
-    entries = []
-    for tup in sorted(m.pmf):
-        p = m.pmf[tup]
-        rendered = format_scalar(p) if isinstance(p, (Fraction, int)) else float(p)
-        entries.append({"symbols": list(tup), "p": rendered})
-    return {
-        "sources": list(m.sources),
-        "alphabets": list(m.alphabet_sizes),
-        "pmf": entries,
-    }
 
 
 def _shannon_bits(probabilities: Iterable) -> float:
@@ -266,6 +248,4 @@ def binary_entropy(p) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return _shannon_bits((p, 1.0 - p))

@@ -29,9 +29,8 @@ class CycleError(NetmatchError):
 class LimitError(NetmatchError):
     """A fixed work or size bound was exceeded: more sources than
     ``setfunc.MAX_SOURCES``, more candidate blocks than
-    ``simulator.MAX_ENUMERATION``, a node input domain past int64, an
-    index set past 2^62, or a brute-force cut enumeration past
-    ``mincut.MAX_ENUMERATION_NODES`` nodes."""
+    ``simulator.MAX_ENUMERATION``, a node input domain past int64, or an
+    index set past 2^62."""
 
 
 def load_json(text: str, kind: str):

@@ -1,4 +1,4 @@
-"""Capacitated acyclic networks: representation, validation, raw cut values.
+"""Capacitated acyclic networks: representation, parsing and validation.
 
 A network is a finite digraph without self-loops, a nonnegative capacity
 (bits per symbol) on every edge, a set of source nodes and a set of sink
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import CycleError, DocumentError, load_json
-from .scalars import INF, is_inf, parse_scalar
+from .scalars import is_inf, parse_scalar
 from .setfunc import check_label_names
 
 
@@ -163,21 +163,6 @@ def network_from_document(doc) -> Network:
     )
 
 
-def network_to_document(net: Network) -> dict:
-    """Inverse of :func:`network_from_document` (capacities as strings)."""
-    from .scalars import format_scalar
-
-    return {
-        "nodes": list(net.nodes),
-        "edges": [
-            {"from": e.tail, "to": e.head, "capacity": format_scalar(e.capacity)}
-            for e in net.edges
-        ],
-        "sources": list(net.sources),
-        "sinks": list(net.sinks),
-    }
-
-
 def validate_acyclic(net: Network) -> tuple[str, ...]:
     """Return a topological order of the nodes, or raise :class:`CycleError`.
 
@@ -230,18 +215,3 @@ def is_normalized(net: Network) -> bool:
     if src & net.sink_set:
         return False
     return all(e.head not in src for e in net.edges)
-
-
-def cut_value(net: Network, member_set: Iterable[str]):
-    """Total capacity of edges leaving ``member_set`` (Fraction, or inf)."""
-    members = frozenset(member_set)
-    for name in members:
-        if not net.has_node(name):
-            raise DocumentError(f"unknown node {name!r}")
-    total = Fraction(0)
-    for e in net.edges:
-        if e.tail in members and e.head not in members:
-            if is_inf(e.capacity):
-                return INF
-            total += e.capacity
-    return total

@@ -5,9 +5,7 @@ from sinks.
 source subset S on one side and sink t on the other; ``rho_n(S)`` is its
 minimum over all sinks (the network-wide capacity function).  Max-flow
 computes these exactly, on integers scaled from the rational capacities,
-so that boundary instances are decided bit-exactly;
-:func:`enumerate_min_cut` is the brute-force reference used to
-cross-check it.
+so that boundary instances are decided bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,16 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
-from .errors import LimitError
-from .graph import Network, cut_value
+from .graph import Network
 from .scalars import INF, is_inf
 from .setfunc import SetFunction, check_source_count
-
-#: Node-count guard for exhaustive cut enumeration.
-MAX_ENUMERATION_NODES = 24
 
 
 class _Residual:
@@ -111,7 +104,7 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
 
     Returns ``(value, member_set)`` where ``member_set`` is the source
     side of a minimum cut (it contains every node of ``source_set`` and
-    not ``sink``), and ``cut_value(net, member_set) == value`` exactly.
+    not ``sink``): the edges leaving it have total capacity ``value``.
     The source set is contracted through a virtual super-source attached
     by infinite-capacity arcs, so node identities survive in the cut.
 
@@ -237,30 +230,3 @@ def capacity_profile(net: Network) -> CapacityProfile:
         per_sink=per_sink,
         network_wide=network_wide,
     )
-
-
-def enumerate_min_cut(net: Network, subset: Iterable[str], sink: str):
-    """Exhaustive minimum cut: brute force over all admissible member sets.
-
-    Independent of the max-flow path; used as its testing oracle.  Returns
-    ``(value, member_set)`` with deterministic tie-breaking (first minimum
-    in enumeration order).
-    """
-    S = frozenset(subset)
-    if not S:
-        raise ValueError("source subset must be nonempty")
-    if sink in S:
-        raise ValueError(f"sink {sink!r} is inside the source subset")
-    if len(net.nodes) > MAX_ENUMERATION_NODES:
-        raise LimitError(f"cut enumeration limited to {MAX_ENUMERATION_NODES} nodes")
-    free = [v for v in net.nodes if v not in S and v != sink]
-    best_value = None
-    best_members = None
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            members = S | frozenset(extra)
-            value = cut_value(net, members)
-            if best_value is None or value < best_value:
-                best_value = value
-                best_members = members
-    return best_value, best_members

@@ -92,8 +92,8 @@ def _rational(value, text: str) -> Fraction:
         raise ValueError(f"not a rational value: {value!r}") from exc
 
 
-def snap_to_rational(x, denominator: int = SNAP_DENOMINATOR) -> Fraction:
-    """Round a float onto the grid of multiples of 1/denominator.
+def snap_to_rational(x) -> Fraction:
+    """Round a float onto the grid of multiples of 1/SNAP_DENOMINATOR.
 
     Exact inputs (Fraction/int) pass through unchanged.
     """
@@ -103,7 +103,7 @@ def snap_to_rational(x, denominator: int = SNAP_DENOMINATOR) -> Fraction:
         return Fraction(x)
     if is_inf(x):
         raise ValueError("cannot snap infinity to a rational")
-    return Fraction(round(x * denominator), denominator)
+    return Fraction(round(x * SNAP_DENOMINATOR), SNAP_DENOMINATOR)
 
 
 def to_float(x) -> float:

@@ -377,15 +377,3 @@ def parse_setfunction(text: str) -> SetFunction:
             except ValueError as exc:
                 raise DocumentError(f"subset {key!r}: {exc}") from exc
     return SetFunction(ground=tuple(ground), values=tuple(values))
-
-
-def setfunction_to_document(f: SetFunction) -> dict:
-    from .scalars import format_scalar
-
-    return {
-        "ground": list(f.ground),
-        "values": {
-            subset_label(members(mask, f.ground), f.ground): format_scalar(f.values[mask])
-            for mask in subset_masks(len(f.ground))
-        },
-    }

@@ -19,11 +19,12 @@ y.A >= 0 and y.b < 0 on at most k + 1 rows.  A point is checked exactly
 against every row, a certificate over its support; a failed check raises
 ``AssertionError``.
 
-The irreducible infeasible subset is the deletion filter's (Chinneck and
-Dravnieks, 1991): rows in order, each dropped iff the rest stays
-infeasible.  A row outside the current certificate's support is dropped
-without a solve, as the certificate still holds for the rest; the filter
-keeps the rows a filter solving every row would keep.
+The irreducible infeasible subset that :func:`point_or_iis` returns is
+the deletion filter's (Chinneck and Dravnieks, 1991): rows in order, each
+dropped iff the rest stays infeasible.  A row outside the current
+certificate's support is dropped without a solve, as the certificate
+still holds for the rest; the filter keeps the rows a filter solving
+every row would keep.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def point_or_iis(
     constraints: Sequence[tuple],
 ) -> tuple[Optional[dict], Optional[list[int]]]:
     """(point, None) as :func:`solve_feasibility` finds it, or (None, the
-    :func:`irreducible_infeasible_subset`), solving the full system once."""
+    indices of the deletion filter's irreducible infeasible subsystem),
+    solving the full system once."""
     rows, k = _rows(variables, constraints), len(variables)
     point, y = _solve(rows, k)
     if point is not None:
@@ -132,16 +134,3 @@ def point_or_iis(
             y = {trial[i]: v for i, v in sub.items()}
         keep = trial
     return None, keep
-
-
-def irreducible_infeasible_subset(
-    variables: Sequence[str],
-    constraints: Sequence[tuple],
-) -> list[int]:
-    """Indices of an irreducible infeasible subsystem, by deletion filtering:
-    every constraint in it is necessary for the contradiction.  Raises
-    ValueError when the full system is feasible."""
-    point, core = point_or_iis(variables, constraints)
-    if point is not None:
-        raise ValueError("system is feasible; no infeasible subsystem exists")
-    return core

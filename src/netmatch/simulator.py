@@ -133,10 +133,6 @@ class CodeInstance:
     domains: dict  # node with out-edges -> input domain size
     topo_order: tuple
 
-    @property
-    def source_order(self) -> tuple[str, ...]:
-        return self.net.sources
-
 
 def build_code(net: Network, alphabets, n: int, tau, delta, seed) -> CodeInstance:
     """Draw one random code for the network at rate budget c + tau.
@@ -321,7 +317,7 @@ def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
     if len(x) != code.n:
         raise ValueError(f"input block has length {len(x)}, expected n={code.n}")
     source_codes = {}
-    for pos, s in enumerate(code.source_order):
+    for pos, s in enumerate(code.net.sources):
         seq = [step[pos] for step in x]
         source_codes[s] = np.array([_sequence_code(seq, code.alphabets[s])], dtype=np.int64)
     received = _encode(code, source_codes)

@@ -7,15 +7,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
 
 from netmatch.entropy import SourceModel, joint_entropy
+from netmatch.errors import DocumentError, LimitError
 from netmatch.graph import Edge, Network, is_normalized
-from netmatch.scalars import INF
-from netmatch.setfunc import AxiomReport, SetFunction
+from netmatch.scalars import INF, format_scalar, is_inf
+from netmatch.setfunc import AxiomReport, SetFunction, members, subset_label, subset_masks
 from netmatch.simulator import (
     SimResult,
     SinkStats,
@@ -185,6 +186,89 @@ def marginal_pmf(m: SourceModel, subset) -> dict:
         key = tuple(tup[k] for k in positions)
         out[key] = out.get(key, Fraction(0)) + p
     return out
+
+
+def network_to_document(net: Network) -> dict:
+    """Inverse of :func:`netmatch.graph.network_from_document` (capacities
+    as strings)."""
+    return {
+        "nodes": list(net.nodes),
+        "edges": [
+            {"from": e.tail, "to": e.head, "capacity": format_scalar(e.capacity)}
+            for e in net.edges
+        ],
+        "sources": list(net.sources),
+        "sinks": list(net.sinks),
+    }
+
+
+def source_model_to_document(m: SourceModel) -> dict:
+    entries = []
+    for tup in sorted(m.pmf):
+        p = m.pmf[tup]
+        rendered = format_scalar(p) if isinstance(p, (Fraction, int)) else float(p)
+        entries.append({"symbols": list(tup), "p": rendered})
+    return {
+        "sources": list(m.sources),
+        "alphabets": list(m.alphabet_sizes),
+        "pmf": entries,
+    }
+
+
+def setfunction_to_document(f: SetFunction) -> dict:
+    return {
+        "ground": list(f.ground),
+        "values": {
+            subset_label(members(mask, f.ground), f.ground): format_scalar(f.values[mask])
+            for mask in subset_masks(len(f.ground))
+        },
+    }
+
+
+def cut_value(net: Network, member_set: Iterable[str]):
+    """Total capacity of edges leaving ``member_set`` (Fraction, or inf)."""
+    members = frozenset(member_set)
+    for name in members:
+        if not net.has_node(name):
+            raise DocumentError(f"unknown node {name!r}")
+    total = Fraction(0)
+    for e in net.edges:
+        if e.tail in members and e.head not in members:
+            if is_inf(e.capacity):
+                return INF
+            total += e.capacity
+    return total
+
+
+#: Node-count guard for exhaustive cut enumeration.
+MAX_ENUMERATION_NODES = 24
+
+
+def enumerate_min_cut(net: Network, subset: Iterable[str], sink: str):
+    """Exhaustive minimum cut: brute force over all admissible member sets.
+
+    Independent of the max-flow path; used as its testing oracle.  Returns
+    ``(value, member_set)`` with deterministic tie-breaking (first minimum
+    in enumeration order).
+    """
+    S = frozenset(subset)
+    if not S:
+        raise ValueError("source subset must be nonempty")
+    if sink in S:
+        raise ValueError(f"sink {sink!r} is inside the source subset")
+    if len(net.nodes) > MAX_ENUMERATION_NODES:
+        raise LimitError(f"cut enumeration limited to {MAX_ENUMERATION_NODES} nodes")
+    free = [v for v in net.nodes if v not in S and v != sink]
+    best_value = None
+    best_members = None
+    for r in range(len(free) + 1):
+        for extra in itertools.combinations(free, r):
+            members = S | frozenset(extra)
+            value = cut_value(net, members)
+            if best_value is None or value < best_value:
+                best_value = value
+                best_members = members
+    return best_value, best_members
 
 
 def reference_axioms(f: SetFunction, tol=None, *, submodular: bool) -> AxiomReport:

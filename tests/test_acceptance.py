@@ -14,7 +14,7 @@ from fractions import Fraction
 from netmatch import fixtures
 from netmatch.entropy import binary_entropy, entropy_profile
 from netmatch.graph import Edge, Network
-from netmatch.mincut import capacity_profile, enumerate_min_cut, max_flow
+from netmatch.mincut import capacity_profile, max_flow
 from netmatch.regions import separation_check, equivalence_check
 from netmatch.setfunc import (
     SetFunction,
@@ -26,7 +26,8 @@ from netmatch import simplex
 from netmatch.simulator import butterfly_xor, estimate_error
 from netmatch.transmissibility import check
 
-from conftest import iter_nonempty_subsets, random_network, random_source_model, set_function
+from conftest import (enumerate_min_cut, iter_nonempty_subsets, random_network,
+                      random_source_model, set_function)
 
 
 def _oracle_h(p: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, document output, round-trips."""
 
+import ast
 import json
 import sys
 from fractions import Fraction
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import netmatch
 from netmatch import cli, fixtures, mincut, regions, scalars, setfunc, transmissibility
 from netmatch.cli import run
-from netmatch.entropy import source_model_to_document
-from netmatch.graph import network_to_document
 from netmatch.scalars import parse_probability, parse_scalar
+
+from conftest import network_to_document, source_model_to_document
 
 
 @pytest.fixture
@@ -801,3 +803,37 @@ def test_subset_flags_that_would_be_ignored_are_usage_errors(paths, capsys, args
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+#: Public methods that nothing in src/ calls but that belong to the library
+#: face: the README prints ``SimResult.to_json()``, and the other two read
+#: one sink's capacity function and a report's verdict.
+LIBRARY_METHODS = {"SimResult.to_json", "CapacityProfile.rho_t_function",
+                   "TransmissibilityReport.transmissible"}
+
+
+def test_every_public_function_in_src_has_a_caller_or_is_library_face():
+    # A caller is any reference to the name in src/: a call, an attribute
+    # read, or a function passed by name.  Test-only helpers live in
+    # conftest.py; the library face is netmatch.__all__, the fixtures module
+    # and LIBRARY_METHODS.
+    defined, referenced = [], set()
+    for path in sorted(Path(netmatch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.stem, node.name, node.name))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined += [(path.stem, f"{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert LIBRARY_METHODS <= {qualified for _, qualified, _ in defined}
+    uncalled = [f"{module}.{qualified}" for module, qualified, name in defined
+                if not name.startswith("_") and name not in referenced
+                and module != "fixtures" and qualified not in netmatch.__all__
+                and qualified not in LIBRARY_METHODS]
+    assert uncalled == []

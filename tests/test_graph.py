@@ -8,19 +8,12 @@ import pytest
 
 from netmatch import fixtures
 from netmatch.errors import CycleError, DocumentError
-from netmatch.graph import (
-    Edge,
-    Network,
-    cut_value,
-    is_normalized,
-    network_to_document,
-    parse_network,
-    validate_acyclic,
-)
-from netmatch.mincut import capacity_profile, enumerate_min_cut
+from netmatch.graph import Edge, Network, is_normalized, parse_network, validate_acyclic
+from netmatch.mincut import capacity_profile
 from netmatch.scalars import INF
 
-from conftest import random_network, random_raw_network, reference_normalize, subset_values
+from conftest import (cut_value, enumerate_min_cut, network_to_document, random_network,
+                      random_raw_network, reference_normalize, subset_values)
 
 
 BUTTERFLY_DOC = json.dumps(network_to_document(fixtures.butterfly_network()))

@@ -7,18 +7,12 @@ import pytest
 
 from netmatch import fixtures
 from netmatch.errors import LimitError
-from netmatch.graph import Edge, Network, cut_value
-from netmatch.mincut import (
-    capacity_profile,
-    enumerate_min_cut,
-    max_flow,
-    rho_n,
-    rho_t,
-)
+from netmatch.graph import Edge, Network
+from netmatch.mincut import capacity_profile, max_flow, rho_n, rho_t
 from netmatch.scalars import INF
 from netmatch.setfunc import is_polymatroid
 
-from conftest import random_network
+from conftest import cut_value, enumerate_min_cut, random_network
 
 
 def test_butterfly_per_sink_values():

@@ -20,7 +20,6 @@ from netmatch.setfunc import (
     members,
     parse_setfunction,
     sandwich_feasible,
-    setfunction_to_document,
     subset_label,
     subset_masks,
 )
@@ -28,7 +27,7 @@ from netmatch import simplex
 from netmatch.scalars import INF
 
 from conftest import (iter_nonempty_subsets, random_network, random_source_model,
-                      reference_axioms, set_function, subset_values)
+                      reference_axioms, set_function, setfunction_to_document, subset_values)
 
 
 def sf(ground, *values):

@@ -13,7 +13,7 @@ from netmatch.entropy import parse_source_model
 from netmatch.graph import parse_network
 from netmatch.regions import cutset_polyhedron, prepare_profiles, sw_polyhedron
 from netmatch.scalars import snap_to_rational
-from netmatch.simplex import irreducible_infeasible_subset, solve_feasibility
+from netmatch.simplex import point_or_iis, solve_feasibility
 
 from conftest import reference_iis, reference_solve_feasibility
 
@@ -26,7 +26,7 @@ def assert_matches_reference(variables, constraints):
     expected = reference_solve_feasibility(variables, constraints)
     assert (point is None) == (expected is None)
     if point is None:
-        assert irreducible_infeasible_subset(variables, constraints) == reference_iis(
+        assert point_or_iis(variables, constraints)[1] == reference_iis(
             variables, constraints)
         return
     assert all(value >= 0 for value in point.values())
@@ -78,7 +78,7 @@ def test_infeasible_pair():
         (frozenset({"x"}), "<=", Fraction(1)),
     ]
     assert solve_feasibility(("x",), constraints) is None
-    core = irreducible_infeasible_subset(("x",), constraints)
+    core = point_or_iis(("x",), constraints)[1]
     assert core == [0, 1]
 
 
@@ -89,7 +89,7 @@ def test_irreducible_core_drops_red_herrings():
         (frozenset({"x", "y"}), "<=", Fraction(2)),
         (frozenset({"y"}), ">=", Fraction(0)),
     ]
-    core = irreducible_infeasible_subset(("x", "y"), constraints)
+    core = point_or_iis(("x", "y"), constraints)[1]
     assert core == [1, 2]
     # Irreducibility: every proper subset of the core is feasible.
     for skip in core:
