@@ -328,7 +328,7 @@ def sandwich_feasible(sigma: SetFunction, rho: SetFunction, tol=None) -> Sandwic
                 lo = hi
             constraints.append((S, "<=", hi))
         constraints.append((S, ">=", lo))
-    point = simplex.solve_feasibility(sigma.ground, constraints)
+    point = simplex.point_or_iis(sigma.ground, constraints)[0]
     if point is None:
         raise AssertionError(
             "sandwich LP infeasible although sigma <= rho pointwise; "

@@ -102,24 +102,15 @@ def _solve(rows: Sequence[tuple], k: int) -> tuple:
     return [Fraction(x, d * scale) for x in point], None
 
 
-def solve_feasibility(
-    variables: Sequence[str],
-    constraints: Sequence[tuple],
-) -> Optional[dict]:
-    """Nonnegative values meeting every constraint sum_{v in subset} x_v
-    <sense> bound: the vertex of the module's rule as a dict variable ->
-    Fraction, or None when the system is infeasible."""
-    point, _ = _solve(_rows(variables, constraints), len(variables))
-    return None if point is None else dict(zip(variables, point))
-
-
 def point_or_iis(
     variables: Sequence[str],
     constraints: Sequence[tuple],
 ) -> tuple[Optional[dict], Optional[list[int]]]:
-    """(point, None) as :func:`solve_feasibility` finds it, or (None, the
-    indices of the deletion filter's irreducible infeasible subsystem),
-    solving the full system once."""
+    """(point, None) with nonnegative values meeting every constraint
+    sum_{v in subset} x_v <sense> bound, the vertex of the module's rule
+    as a dict variable -> Fraction, or (None, the indices of the deletion
+    filter's irreducible infeasible subsystem), solving the full system
+    once."""
     rows, k = _rows(variables, constraints), len(variables)
     point, y = _solve(rows, k)
     if point is not None:

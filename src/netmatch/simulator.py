@@ -10,12 +10,13 @@ source blocks.  The joint-typicality decoder outputs the unique typical
 preimage of a sink's reception.
 
 :func:`decode` encodes the typical candidates (``_encode``) and compares
-the reception with that encoding.  A fixed-code :func:`estimate_error`
-encodes them once, keys each sink's receptions once (``_sink_keys``)
-and sorts the keys, then answers every typical trial by a binary search
-for its truth's key among each sink's sorted keys.  A fresh code serves
-one trial only, so instead the typical trials are gathered in blocks of
-:data:`_BLOCK`, and ``_narrow`` keeps, edge by edge, the (trial,
+the reception with that encoding.  :func:`estimate_error` decides the
+trials whose transmitted block is typical in blocks of :data:`_BLOCK`:
+a trial decodes at a sink iff one typical candidate, the truth itself,
+is received as the transmitted block.  A fixed code encodes the
+candidates once and sorts each sink's keys of their receptions
+(``_sink_keys``), so a block's counts are two binary searches per sink.
+With fresh codes, ``_narrow`` keeps, edge by edge, the (trial,
 candidate) pairs that agree with their trial's transmitted block at each
 sink, under that trial's keys.  It starts from the groups of candidates
 that share the truth's bin on a source edge and computes node inputs at
@@ -68,7 +69,7 @@ _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
 _LAST_SHIFT = np.uint64(31)
 #: :func:`_hash` works through longer arrays slice by slice.
 _SLICE = 1 << 14
-#: Fresh-code trials narrowed together (see :func:`_narrow`).
+#: Typical trials decided together (see :func:`estimate_error`).
 _BLOCK = 16
 #: Most (trial, candidate) pairs a block starts from at once for the
 #: sinks that hear no source.
@@ -341,8 +342,8 @@ class _CandidateSpace:
     serves the typicality test, block sampling and :meth:`sequence_of`.
     Only the typical candidates are kept: ``ids``, their sorted ids, and
     ``codes``, their per-source sequence codes, which a fixed code encodes
-    and keys per sink once, answering each trial by a binary search, and
-    which fresh-code narrowing reads at its survivors.  Both take time
+    and keys per sink once and fresh-code narrowing reads at its
+    survivors.  Both take time
     linear in the candidates and no n x |typical| array: a code is looked
     up in two tables, one for each half of the id's joint symbols, and
     ``groups`` sorts the codes by counting.  All of it depends only on
@@ -352,7 +353,7 @@ class _CandidateSpace:
     def __init__(self, net: Network, m: SourceModel, n: int, lam):
         if n < 1:
             raise ValueError("block length n must be positive")
-        if lam <= 0:
+        if not lam > 0:  # NaN too
             raise ValueError("typicality slack must be positive")
         self.lam = to_float(lam)
         if self.lam == 0:
@@ -518,8 +519,9 @@ def _stack(codes: list) -> CodeInstance:
 
 def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
             plans: dict) -> dict:
-    """The candidates each sink receives as each trial's transmitted block
-    under that trial's own fresh code, without encoding every candidate.
+    """How many candidates each sink receives as each trial's transmitted
+    block under that trial's own fresh code, without encoding every
+    candidate.
 
     ``block`` is :func:`_stack` of the trials' codes, ``truths`` holds the
     transmitted blocks' positions in ``space.ids``, one per trial, and
@@ -532,12 +534,12 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
     become survivors.  The other sinks start from every candidate of up to
     :data:`_BLOCK_WORDS` // |candidates| trials at a time and share the
     node inputs over those, so no edge's bins over the whole candidate set
-    are computed twice for one code.  Returns {sink: (matches per trial,
-    first matching candidate id per trial)}.
+    are computed twice for one code.  Returns {sink: survivors per trial},
+    each trial's truth among them.
     """
     net = block.net
     count = len(truths)
-    found = {t: (np.zeros(count, dtype=np.int64), np.full(count, len(space.ids))) for t in plans}
+    survivors = {t: np.zeros(count, dtype=np.int64) for t in plans}
 
     def survive(t, plan, trials, positions, values):
         truth = positions == truths[trials]
@@ -550,12 +552,10 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
             want[trials[truth]] = carried[truth]
             # Indices, not a mask: numpy compresses by a dense mask slowly.
             keep = np.flatnonzero(carried == want[trials])
-            trials, positions, truth = trials[keep], positions[keep], truth[keep]
+            trials, truth = trials[keep], truth[keep]
             if j + 1 < len(plan):
                 values = {v: arr[keep] for v, arr in values.items()}
-        matches, first = found[t]
-        matches += np.bincount(trials, minlength=count)
-        np.minimum.at(first, trials, positions)
+        survivors[t] += np.bincount(trials, minlength=count)
 
     relay_fed = []
     for t, plan in plans.items():
@@ -582,7 +582,7 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
             trials, positions = np.repeat(part, every), np.tile(np.arange(every), len(part))
             for t in relay_fed:
                 survive(t, plans[t], trials, positions, full)
-    return {t: (matches, space.ids[first]) for t, (matches, first) in found.items()}
+    return survivors
 
 
 def decode(
@@ -686,45 +686,44 @@ def estimate_error(
     every trial also draws a fresh random code, estimating the ensemble
     average; ``fixed_code=True`` reuses one code across trials to probe a
     single deterministic code.  Trial k's code and block come from seed
-    streams (k, 0) and (k, 1); a trial that would only discard its fresh
-    code draws none, which leaves every other stream where it was.
+    streams (k, 0) and (k, 1), and a fixed code is trial 0's; a trial
+    that would only discard its fresh code draws none, which leaves every
+    other stream where it was.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     space = _CandidateSpace(net, m, n, lam)
     layout = _code_layout(net, space.alphabets, n, tau, delta)
-    plans = None if fixed_code else _plans(layout)
+    if fixed_code:
+        code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
+        keys = _sink_keys(code, _encode(code, space.codes), len(space.ids))
+        ranked = {t: np.sort(key) for t, key in keys.items()}
+    else:
+        plans = _plans(layout)
     errors = {t: 0 for t in net.sinks}
-    block, truths = [], []  # codes and truths of typical fresh-code trials awaiting _narrow
+    block = []  # (trial, truth position) of the typical trials awaiting a decision
     for trial in range(trials):
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
         ))
         pos = int(np.searchsorted(space.ids, truth))
-        typical = pos < len(space.ids) and space.ids[pos] == truth
-        if trial == 0 or (typical and not fixed_code):
-            code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)))
-            if fixed_code:
-                keys = _sink_keys(code, _encode(code, space.codes), len(space.ids))
-                ranked = {t: np.sort(key) for t, key in keys.items()}
-        if not typical:
+        if pos < len(space.ids) and space.ids[pos] == truth:
+            block.append((trial, pos))
+        else:
             for t in errors:
                 errors[t] += 1
-        elif fixed_code:
-            for t, key in keys.items():
-                # The truth carries its own key, so it is the first of its
-                # equals in ranked[t], and the one match ("matches == 1 and
-                # first == truth") iff the key after it differs.
-                after = int(ranked[t].searchsorted(key[pos])) + 1
-                errors[t] += after < len(key) and bool(ranked[t][after] == key[pos])
-        else:
-            block.append(code)
-            truths.append(pos)
         if block and (len(block) == _BLOCK or trial == trials - 1):
-            where = np.array(truths)
-            for t, (matches, first) in _narrow(space, _stack(block), where, plans).items():
-                errors[t] += int(np.count_nonzero((matches != 1) | (first != space.ids[where])))
-            block, truths = [], []
+            done, truths = np.array(block).T
+            if fixed_code:  # the candidates whose key equals the truth's
+                survivors = {t: ranked[t].searchsorted(key[truths], "right")
+                             - ranked[t].searchsorted(key[truths]) for t, key in keys.items()}
+            else:
+                codes = [_draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
+                         for k in done.tolist()]
+                survivors = _narrow(space, _stack(codes), truths, plans)
+            for t, count in survivors.items():
+                errors[t] += int(np.count_nonzero(count != 1))
+            block = []
 
     return SimResult(
         n=n,

@@ -240,7 +240,7 @@ def test_criterion_6_sandwich_property(criterion):
         for S in subsets:
             constraints.append((S, ">=", sigma(S)))
             constraints.append((S, "<=", rho(S)))
-        lp_point = simplex.solve_feasibility(ground, constraints)
+        lp_point = simplex.point_or_iis(ground, constraints)[0]
         if (result.point is not None) != pointwise:
             failures.append(f"instance {instance}: verdict != pointwise comparison")
         if (lp_point is not None) != pointwise:

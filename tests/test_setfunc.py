@@ -224,7 +224,7 @@ def test_sandwich_matches_pointwise_and_lp_on_random_pairs():
         for S in subsets:
             constraints.append((S, ">=", sigma(S)))
             constraints.append((S, "<=", rho(S)))
-        lp_point = simplex.solve_feasibility(ground, constraints)
+        lp_point = simplex.point_or_iis(ground, constraints)[0]
         result = sandwich_feasible(sigma, rho)
         assert (result.point is not None) == pointwise == (lp_point is not None)
         if result.point is not None:

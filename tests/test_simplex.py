@@ -13,7 +13,7 @@ from netmatch.entropy import parse_source_model
 from netmatch.graph import parse_network
 from netmatch.regions import cutset_polyhedron, prepare_profiles, sw_polyhedron
 from netmatch.scalars import snap_to_rational
-from netmatch.simplex import point_or_iis, solve_feasibility
+from netmatch.simplex import point_or_iis
 
 from conftest import reference_iis, reference_solve_feasibility
 
@@ -22,7 +22,7 @@ DATA = Path(__file__).parent / "data"
 
 def assert_matches_reference(variables, constraints):
     """Same verdict and IIS as the dense tableau; a point meets every row."""
-    point = solve_feasibility(variables, constraints)
+    point = point_or_iis(variables, constraints)[0]
     expected = reference_solve_feasibility(variables, constraints)
     assert (point is None) == (expected is None)
     if point is None:
@@ -36,28 +36,28 @@ def assert_matches_reference(variables, constraints):
 
 
 def test_simple_feasible_box():
-    point = solve_feasibility(
+    point = point_or_iis(
         ("x", "y"),
         [
             (frozenset({"x"}), ">=", Fraction(1)),
             (frozenset({"x"}), "<=", Fraction(2)),
             (frozenset({"y"}), "<=", Fraction(1)),
         ],
-    )
+    )[0]
     assert point is not None
     assert Fraction(1) <= point["x"] <= Fraction(2)
     assert Fraction(0) <= point["y"] <= Fraction(1)
 
 
 def test_single_point_region_is_hit_exactly():
-    point = solve_feasibility(
+    point = point_or_iis(
         ("x", "y"),
         [
             (frozenset({"x"}), ">=", Fraction(1)),
             (frozenset({"y"}), ">=", Fraction(1)),
             (frozenset({"x", "y"}), "<=", Fraction(2)),
         ],
-    )
+    )[0]
     assert point == {"x": Fraction(1), "y": Fraction(1)}
 
 
@@ -69,7 +69,7 @@ def test_single_point_region_is_hit_exactly():
                        (frozenset("y"), ">=", 1), (frozenset("y"), ">=", 1)], (1, 2, 0)),
 ])
 def test_vertex_rule_follows_bland_by_variable_id(variables, constraints, vertex):
-    assert solve_feasibility(variables, constraints) == dict(zip(variables, map(Fraction, vertex)))
+    assert point_or_iis(variables, constraints)[0] == dict(zip(variables, map(Fraction, vertex)))
 
 
 def test_infeasible_pair():
@@ -77,7 +77,7 @@ def test_infeasible_pair():
         (frozenset({"x"}), ">=", Fraction(2)),
         (frozenset({"x"}), "<=", Fraction(1)),
     ]
-    assert solve_feasibility(("x",), constraints) is None
+    assert point_or_iis(("x",), constraints)[0] is None
     core = point_or_iis(("x",), constraints)[1]
     assert core == [0, 1]
 
@@ -94,24 +94,24 @@ def test_irreducible_core_drops_red_herrings():
     # Irreducibility: every proper subset of the core is feasible.
     for skip in core:
         rest = [constraints[i] for i in core if i != skip]
-        assert solve_feasibility(("x", "y"), rest) is not None
+        assert point_or_iis(("x", "y"), rest)[0] is not None
 
 
 def test_zero_bound_and_empty_system():
-    assert solve_feasibility(("x",), []) == {"x": Fraction(0)}
-    point = solve_feasibility(("x",), [(frozenset({"x"}), ">=", Fraction(0))])
+    assert point_or_iis(("x",), [])[0] == {"x": Fraction(0)}
+    point = point_or_iis(("x",), [(frozenset({"x"}), ">=", Fraction(0))])[0]
     assert point == {"x": Fraction(0)}
 
 
 def test_exact_rational_arithmetic():
-    point = solve_feasibility(
+    point = point_or_iis(
         ("x", "y"),
         [
             (frozenset({"x", "y"}), ">=", Fraction(1, 3)),
             (frozenset({"x", "y"}), "<=", Fraction(1, 3)),
             (frozenset({"x"}), "<=", Fraction(1, 7)),
         ],
-    )
+    )[0]
     assert point is not None
     assert point["x"] + point["y"] == Fraction(1, 3)
     assert point["x"] <= Fraction(1, 7)
@@ -199,4 +199,4 @@ def test_regions_solves_only_certificate_support(monkeypatch, capsys, separation
 
 def test_unknown_sense_rejected():
     with pytest.raises(ValueError):
-        solve_feasibility(("x",), [(frozenset({"x"}), "==", Fraction(1))])
+        point_or_iis(("x",), [(frozenset({"x"}), "==", Fraction(1))])[0]

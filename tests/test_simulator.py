@@ -415,15 +415,16 @@ def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
     n, lam, trials, seed = 8, 3 / 32, 40, 3
     space = _CandidateSpace(net, m, n, lam)
     typical = set(space.ids.tolist())
-    later = sum(space.draw(np.random.default_rng(
+    hits = [space.draw(np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))) in typical
-        for trial in range(1, trials))
-    assert 0 < later < trials - 1
+        for trial in range(trials)]
+    # Trial 0 is atypical, and like every atypical trial it draws no code.
+    assert not hits[0] and 0 < sum(hits) < trials
     encodes = _count_calls(monkeypatch, "_encode")
     layouts = _count_calls(monkeypatch, "_code_layout")
     draws = _count_calls(monkeypatch, "_draw_code")
     estimate_error(net, m, n, Fraction(1, 4), Fraction(1, 20), lam, trials=trials, seed=seed)
-    assert (len(layouts), len(draws), len(encodes)) == (1, 1 + later, 0)
+    assert (len(layouts), len(draws), len(encodes)) == (1, sum(hits), 0)
 
 
 def test_runs_of_many_blocks_match_the_reference(monkeypatch):
@@ -442,6 +443,30 @@ def test_runs_of_many_blocks_match_the_reference(monkeypatch):
         assert len(narrows) == (0 if fixed else -(-trials // simulator._BLOCK))
 
 
+def test_blocks_mixed_with_atypical_trials_match_the_reference(monkeypatch):
+    # DSBS at n=6: 38 of 46 trials are typical, interleaved with atypical
+    # ones, so the typical trials fill two blocks of _BLOCK and a last one
+    # of six, flushed at the last trial, which is atypical, in both modes.
+    p = Fraction(11, 100)
+    net, model = fixtures.dsbs_network(p), fixtures.dsbs_source(p)
+    lam, trials, seed = Fraction(1, 2), 46, 0
+    space = _CandidateSpace(net, model, 6, lam)
+    typical = set(space.ids.tolist())
+    hits = [space.draw(np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))) in typical
+        for trial in range(trials)]
+    assert sum(hits) == 38 and not hits[-1]
+    for tau in (Fraction(1, 10), Fraction(1, 4)):
+        args = (net, model, 6, tau, tau / 5, lam)
+        for fixed in (False, True):
+            want = reference_estimate_error(*args, trials=trials, seed=seed, fixed_code=fixed)
+            narrows = _count_calls(monkeypatch, "_narrow")
+            got = estimate_error(*args, trials=trials, seed=seed, fixed_code=fixed)
+            assert got.to_json() == want.to_json(), (tau, fixed)
+            assert len(narrows) == (0 if fixed else 3)
+            assert all(trials - sum(hits) < s.errors < trials for s in got.per_sink.values())
+
+
 def test_fixed_code_keys_stay_exact_past_int64():
     # Three edges of 2^32 indices each into one sink: its reception as one
     # mixed-radix number needs 96 bits, so the keys must be ranked first.
@@ -457,6 +482,20 @@ def test_fixed_code_keys_stay_exact_past_int64():
             kwargs = dict(trials=30, seed=n, fixed_code=fixed)
             assert (estimate_error(net, model, n, tau, delta, lam, **kwargs).to_json()
                     == reference_estimate_error(net, model, n, tau, delta, lam, **kwargs).to_json())
+
+
+@pytest.mark.parametrize("lam", [0, -0.25, float("nan")])
+def test_slack_must_be_positive(lam):
+    # NaN fails every comparison, so "lam <= 0" would let it through to a
+    # run in which every trial errs.
+    net, m = fixtures.butterfly_network(), fixtures.uniform_pair_source()
+    n, tau, delta = 2, Fraction(1, 4), Fraction(1, 20)
+    with pytest.raises(ValueError, match="typicality slack must be positive"):
+        estimate_error(net, m, n, tau, delta, lam, trials=2, seed=1)
+    code = build_code(net, ALPHABETS, n, tau, delta, seed=1)
+    z = propagate(code, [(0, 0)] * n)
+    with pytest.raises(ValueError, match="typicality slack must be positive"):
+        decode(code, m, "t1", z["t1"], lam)
 
 
 def test_empty_typical_set_errs_everywhere_without_hiding_limits():
@@ -575,10 +614,11 @@ def relay_fed_network() -> Network:
 
 
 def test_narrowing_matches_the_full_encoding(monkeypatch):
-    # Fresh codes' matches at sampled truths, narrowed edge by edge as one
-    # block of (code, truth) trials, against reference_match on the encoding
-    # of every typical candidate under each trial's code.  The relay-fed
-    # sinks start from the whole block at once and from one trial at a time.
+    # Fresh codes' survivor counts at sampled truths, narrowed edge by edge
+    # as one block of (code, truth) trials, against reference_match's
+    # matches on the encoding of every typical candidate under each trial's
+    # code.  The relay-fed sinks start from the whole block at once and from
+    # one trial at a time.
     instances = dict(_encoder_instances())
     instances["relay_fed"] = (relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100)))
     rng = random.Random(14)
@@ -614,9 +654,9 @@ def test_narrowing_matches_the_full_encoding(monkeypatch):
                     monkeypatch.setattr(simulator, "_BLOCK_WORDS", words)
                     narrowed = simulator._narrow(space, block, np.array(truths), plans)
                     for j, want in enumerate(expected):
-                        got = {t: (int(matches[j]), int(first[j]))
-                               for t, (matches, first) in narrowed.items()}
-                        assert got == want, (name, n, codes[j].seed, truths[j])
+                        got = {t: int(survivors[j]) for t, survivors in narrowed.items()}
+                        assert got == {t: matches for t, (matches, _) in want.items()}, (
+                            name, n, codes[j].seed, truths[j])
     assert {"halved", "three"} <= multi
 
 
