@@ -175,15 +175,18 @@ def _cmd_check(args):
     return _VERDICT_EXIT[report.verdict], doc, table
 
 
+def _labels(sources) -> list:
+    """(label, mask) of every nonempty subset, in the canonical mask order."""
+    return [(subset_label(members(mask, sources), sources), mask)
+            for mask in subset_masks(len(sources))]
+
+
 def _profile_document(profile) -> dict:
-    """Per-sink and network-wide capacity functions keyed by subset label,
-    listed by size and then by sorted member names."""
-    sources = profile.sources
-    subsets = sorted(((members(mask, sources), mask) for mask in subset_masks(len(sources))),
-                     key=lambda entry: (len(entry[0]), sorted(entry[0])))
+    """Per-sink and network-wide capacity functions keyed by subset label."""
+    labels = _labels(profile.sources)
 
     def column(rho):
-        return {subset_label(S, sources): format_scalar(rho[mask]) for S, mask in subsets}
+        return {label: format_scalar(rho[mask]) for label, mask in labels}
 
     return {
         "per_sink": {t: column(profile.per_sink[t]) for t in profile.sinks},
@@ -201,9 +204,7 @@ def _profile_table(doc) -> str:
 
 def _entropy_document(ep) -> dict:
     """Joint and conditional entropy rates keyed by subset label."""
-    ground = ep.sigma.ground
-    labels = [(subset_label(members(mask, ground), ground), mask)
-              for mask in subset_masks(len(ground))]
+    labels = _labels(ep.sigma.ground)
     return {
         "joint": {label: round_float(ep.joint.values[mask]) for label, mask in labels},
         "conditional": {label: round_float(ep.sigma.values[mask]) for label, mask in labels},

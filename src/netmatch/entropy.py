@@ -40,10 +40,12 @@ class SourceModel:
 
 
 def validate_model(m: SourceModel) -> None:
-    """Check arity, symbol ranges and normalization; raise DocumentError."""
+    """Check names, arity, symbol ranges and normalization; raise DocumentError."""
     if not m.sources:
         raise DocumentError("source model needs at least one source")
     check_label_names(m.sources)
+    if len(set(m.sources)) != len(m.sources):
+        raise DocumentError("duplicate source name")
     if len(m.alphabet_sizes) != len(m.sources):
         raise DocumentError("one alphabet size per source is required")
     for size in m.alphabet_sizes:
@@ -67,11 +69,21 @@ def validate_model(m: SourceModel) -> None:
         raise DocumentError(f"pmf sums to {float(total)!r}, not 1 within {PMF_TOLERANCE}")
 
 
-def check_source_names(m: SourceModel, sources) -> None:
-    """Raise DocumentError unless the model names exactly ``sources``, as a set."""
+def aligned(m: SourceModel, sources) -> SourceModel:
+    """The model with its columns in the order of ``sources``, a network's;
+    DocumentError unless it names exactly ``sources``.  A model in another
+    order is validated, then permuted; its pmf keeps its entry order, so
+    every marginal, and so every entropy, is bit-identical."""
+    sources = tuple(sources)
+    if tuple(m.sources) == sources:
+        return m
     if set(m.sources) != set(sources):
         raise DocumentError(f"source model names {sorted(m.sources)} do not match "
                             f"network sources {sorted(sources)}")
+    validate_model(m)
+    columns = [m.sources.index(s) for s in sources]
+    return SourceModel(sources, tuple(m.alphabet_sizes[k] for k in columns),
+                       {tuple(tup[k] for k in columns): p for tup, p in m.pmf.items()})
 
 
 def parse_source_model(text: str) -> SourceModel:
@@ -95,8 +107,6 @@ def parse_source_model(text: str) -> SourceModel:
     sources = doc["sources"]
     if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
         raise DocumentError("'sources' must be a list of strings")
-    if len(set(sources)) != len(sources):
-        raise DocumentError("duplicate source name")
     alphabets = doc["alphabets"]
     if not isinstance(alphabets, list):
         raise DocumentError("'alphabets' must be a list of integers")

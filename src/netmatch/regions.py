@@ -29,14 +29,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .entropy import EntropyProfile, SourceModel, check_source_names, entropy_profile
+from .entropy import EntropyProfile, SourceModel, aligned, entropy_profile
 from .graph import Network, validate_acyclic
 from .mincut import CapacityProfile, capacity_profile
 from .scalars import check_tolerance, format_scalar, is_inf, snap_to_rational, to_float
 from .setfunc import (
     AxiomReport,
     RatePoint,
-    SetFunction,
     is_polymatroid,
     members,
     subset_label,
@@ -145,24 +144,15 @@ class Analysis:
 
 
 def prepare_profiles(net: Network, m: SourceModel) -> Analysis:
-    """Check source names, validate, and compute both profiles.
+    """Align the model to the network, validate, and compute both profiles.
 
-    The one constructor of :class:`Analysis`.  The model's source names
-    must equal the network's sources as a set; a model that lists them in
-    another order has its entropies re-keyed to the network's order.
+    The one constructor of :class:`Analysis`.  :func:`entropy.aligned`
+    puts the model's columns in the network's order (the names must match
+    as a set), so both profiles index subsets, and label them, alike.
     """
-    check_source_names(m, net.sources)
+    m = aligned(m, net.sources)
     validate_acyclic(net)
-    profile = capacity_profile(net)
-    ep = entropy_profile(m)
-    if profile.sources != tuple(m.sources):
-        gather = [0]  # gather[mask] is the network-order mask in the model's bit order
-        for s in profile.sources:
-            bit = 1 << m.sources.index(s)
-            gather += [mask | bit for mask in gather]
-        ep = EntropyProfile(*(SetFunction(profile.sources, tuple([f.values[g] for g in gather]))
-                              for f in (ep.sigma, ep.joint)))
-    return Analysis(network=net, capacity=profile, entropy=ep)
+    return Analysis(network=net, capacity=capacity_profile(net), entropy=entropy_profile(m))
 
 
 @dataclass(frozen=True)
@@ -211,10 +201,8 @@ def equivalence_check(
     }
     nonempty = all(per_sink.values())
 
-    if holds == nonempty:
-        agreement = "boundary" if abs(min_margin) <= tol else "agree"
-    else:
-        agreement = "boundary" if abs(min_margin) <= tol else "inconsistent"
+    agreement = ("boundary" if abs(min_margin) <= tol
+                 else "agree" if holds == nonempty else "inconsistent")
     return EquivalenceReport(
         sources=profile.sources,
         sinks=profile.sinks,

@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entropy import SourceModel, check_source_names, joint_entropy, validate_model
+from .entropy import SourceModel, aligned, joint_entropy, validate_model
 from .errors import LimitError
 from .graph import Network, is_normalized, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
@@ -358,13 +358,12 @@ class _CandidateSpace:
         self.lam = to_float(lam)
         if self.lam == 0:
             raise ValueError("typicality slack is positive but underflows a float")
+        m = aligned(m, net.sources)  # joint symbols follow net order
         validate_model(m)
-        check_source_names(m, net.sources)
-        check_source_count(len(net.sources))
+        check_source_count(len(m.sources))
         self.n = n
-        columns = [m.sources.index(s) for s in net.sources]  # joint symbols follow net order
-        sizes = tuple(m.alphabet_sizes[k] for k in columns)
-        self.alphabets = dict(zip(net.sources, sizes))
+        sizes = m.alphabet_sizes
+        self.alphabets = dict(zip(m.sources, sizes))
         joint = math.prod(sizes)
         # joint**n without forming a huge power: at n = bit_length(bound), joint >= 2 passes it.
         total = joint ** min(n, MAX_ENUMERATION.bit_length())
@@ -376,17 +375,18 @@ class _CandidateSpace:
         self.place = joint ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.symbols = np.unravel_index(np.arange(joint), sizes)
         self.probs = np.zeros(joint)
-        self.probs[np.ravel_multi_index([[tup[k] for tup in m.pmf] for k in columns], sizes)] = [
+        self.probs[np.ravel_multi_index(tuple(zip(*m.pmf)), sizes)] = [
             float(p) for p in m.pmf.values()]
         self.cumulative = np.cumsum(self.probs)
         self.cumulative[-1] = 1.0
 
-        self.ids = np.flatnonzero(self._typical(net.sources, m, sizes))
+        self.ids = np.flatnonzero(self._typical(m))
         self.codes = self._codes(self.ids)
 
-    def _typical(self, sources: tuple, m: SourceModel, sizes: tuple) -> np.ndarray:
+    def _typical(self, m: SourceModel) -> np.ndarray:
         """Mask of the candidates whose every nonempty subset's empirical
         rate is within lambda of its entropy."""
+        sources, sizes = m.sources, m.alphabet_sizes
         typical = np.ones(self.total, dtype=bool)
         for mask in subset_masks(len(sources)):
             kept = [k for k in range(len(sources)) if mask >> k & 1]

@@ -83,9 +83,9 @@ def check(
 ) -> TransmissibilityReport:
     """Evaluate the matching condition with per-subset diagnostics.
 
-    The network is read as given; report rows are labeled in the model's
-    source order, and listed in deterministic order (subsets by size,
-    then lexicographically by network source position).
+    The network is read as given and fixes the source order, whatever the
+    model's: rows are labeled, and ``sources`` reported, in its order, and
+    listed by subset size, then lexicographically by source position.
     """
     check_tolerance(tol)
     analysis = prepare_profiles(net, m)
@@ -106,7 +106,7 @@ def check(
         rows.append(
             SubsetRow(
                 subset=S,
-                label=subset_label(S, m.sources),
+                label=subset_label(S, profile.sources),
                 sigma=h,
                 rho=rho,
                 margin=margin,
@@ -125,7 +125,7 @@ def check(
         rows=tuple(rows),
         verdict=verdict,
         tolerance=tol,
-        sources=tuple(m.sources),
+        sources=profile.sources,
         sinks=profile.sinks,
         analysis=analysis,
     )

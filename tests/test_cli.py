@@ -633,11 +633,72 @@ _ORDER_AB_SOURCE = ["--source", str(DATA / "order_ab.source.json")]
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 def test_cli_output_bytes_are_pinned(capsys, name, argv, code, fmt, ext):
     # order_ba lists its sources as ["b", "a"], so source order and name
-    # order differ: mincut --all prints rows in name order, check and
-    # entropy in source order.  order_ab's model lists them ["a", "b"]:
-    # check labels rows in the model's order, regions in the network's.
+    # order differ: every command lists and labels subsets in source order.
+    # order_ab's model lists them ["a", "b"] against the network's ["b", "a"]:
+    # check, mincut and regions follow the network's order; entropy, which
+    # reads no network, the model's.
     assert run(["--format", fmt, *argv]) == code
     assert capsys.readouterr().out == (DATA / f"cli_{name}.stdout.{ext}").read_text()
+
+
+def _network_order_files(tmp_path):
+    """A network listing its sources c, a, b and a model listing them a, b, c;
+    the full set fails at t1, so regions prints a conflict."""
+    net = tmp_path / "cab.network.json"
+    edges = [("c", "m", "1"), ("a", "m", "1"), ("b", "m", "1"), ("m", "t1", "2"),
+             ("m", "t2", "5/2"), ("c", "t2", "1/2")]
+    net.write_text(json.dumps({
+        "nodes": ["c", "a", "b", "m", "t1", "t2"], "sources": ["c", "a", "b"],
+        "sinks": ["t1", "t2"],
+        "edges": [{"from": u, "to": v, "capacity": cap} for u, v, cap in edges]}))
+    source = tmp_path / "abc.source.json"
+    pmf = {(0, 0, 0): "1/4", (1, 1, 1): "1/4", (0, 1, 0): "1/8", (1, 0, 1): "1/8",
+           (0, 0, 1): "1/8", (1, 1, 0): "1/8"}
+    source.write_text(json.dumps({
+        "sources": ["a", "b", "c"], "alphabets": [2, 2, 2],
+        "pmf": [{"symbols": list(tup), "p": p} for tup, p in pmf.items()]}))
+    return ["--network", str(net)], ["--source", str(source)]
+
+
+def test_every_command_that_reads_a_network_lists_subsets_in_its_order(tmp_path, capsys):
+    network, source = _network_order_files(tmp_path)
+    expected = ["c", "a", "b", "c+a", "c+b", "a+b", "c+a+b"]
+
+    def output(fmt, *argv):
+        run(["--format", fmt, *argv])
+        return capsys.readouterr().out
+
+    def first_column(table):
+        lines = table.splitlines()
+        return [line.split()[0] for line in lines[2:2 + len(expected)]]
+
+    assert first_column(output("table", "mincut", "--all", *network)) == expected
+    check_doc = json.loads(output("json", "check", *network, *source))
+    assert [row["subset"] for row in check_doc["rows"]] == expected
+    assert check_doc["sources"] == ["c", "a", "b"]
+    assert first_column(output("table", "check", *network, *source)) == expected
+
+    regions_doc = json.loads(output("json", "regions", *network, *source))
+    conflict = regions_doc["per_sink"]["t1"]["conflict"]
+    labels = [regions_doc["worst_subset"]] + [row.split("R[")[1].split("]")[0]
+                                              for row in conflict]
+    assert labels[0] == "c+a+b" and set(labels) <= set(expected)
+    table = output("table", "regions", *network, *source)
+    assert "min margin -0.5 on c+a+b" in table and "t2: feasible, witness R[c]=1, R[a]=" in table
+    separation = output("table", "regions", "--separation", *network, *source)
+    assert "R[c+a+b] >= 5/2" in separation and "R[c+a+b] <= 2" in separation
+    # entropy reads no network, so it keeps the model's order.
+    entropy = output("table", "entropy", *source)
+    assert first_column(entropy) == ["a", "b", "c", "a+b", "a+c", "b+c", "a+b+c"]
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "boundary"
+    assert lines.count("2") == 2  # rho_N({s1, s2}), by mask and by names
 
 
 _TEN_4300 = "1" + "0" * 4300

@@ -11,6 +11,7 @@ import pytest
 from netmatch import fixtures
 from netmatch.entropy import (
     SourceModel,
+    aligned,
     binary_entropy,
     conditional_entropy,
     entropy_profile,
@@ -20,7 +21,10 @@ from netmatch.entropy import (
     validate_model,
 )
 from netmatch.errors import DocumentError
+from netmatch.regions import equivalence_check, separation_check
 from netmatch.setfunc import is_copolymatroid
+from netmatch.simulator import build_code, decode, estimate_error, propagate
+from netmatch.transmissibility import check
 
 from conftest import (iter_nonempty_subsets, marginal_pmf, random_source_model,
                       source_model_to_document)
@@ -117,6 +121,59 @@ def test_boolean_alphabet_sizes_and_symbols_rejected():
     doc["pmf"][1]["symbols"] = [False, 1]
     with pytest.raises(DocumentError, match="symbol False"):
         parse_source_model(json.dumps(doc))
+
+
+def _entry_points(model):
+    """Calls of check, equivalence_check, separation_check, estimate_error
+    and decode on ``model`` with the butterfly network."""
+    net = fixtures.butterfly_network()
+    code = build_code(net, {"s1": 2, "s2": 2}, 2, Fraction(1, 4), Fraction(1, 20), seed=3)
+    z = propagate(code, [(0, 1), (1, 0)])
+    return [
+        lambda: check(net, model),
+        lambda: equivalence_check(net, model),
+        lambda: separation_check(net, model),
+        lambda: estimate_error(net, model, 2, Fraction(1, 4), Fraction(1, 20), 0.5, 5, 1),
+        lambda: decode(code, model, "t1", z["t1"], 0.5),
+    ]
+
+
+def test_a_model_that_lists_a_source_twice_is_rejected_everywhere():
+    # The names match the network's as a set; estimate_error used to take
+    # such a model and report every trial as an error.
+    pmf = {(a, b, c): Fraction(1, 8) for a in range(2) for b in range(2) for c in range(2)}
+    model = SourceModel(("s1", "s1", "s2"), (2, 2, 2), pmf)
+    for call in _entry_points(model):
+        with pytest.raises(DocumentError, match="duplicate source name"):
+            call()
+    with pytest.raises(DocumentError, match="duplicate source name"):
+        validate_model(model)
+
+
+@pytest.mark.parametrize("sizes, pmf, message", [
+    ((2, 2), {(0,): Fraction(1)}, "arity"),
+    ((2, 2), {(0, 5): Fraction(1, 2), (1, 1): Fraction(1, 2)}, "outside alphabet"),
+    ((True, 2), {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}, "alphabet sizes"),
+], ids=["arity", "symbol", "bool-size"])
+def test_a_malformed_model_in_another_order_is_validated_before_it_is_aligned(
+        sizes, pmf, message):
+    # The butterfly lists s1, s2; this model lists s2, s1, so aligned()
+    # permutes it, and must validate it first: an IndexError is no verdict.
+    model = SourceModel(("s2", "s1"), sizes, pmf)
+    for call in _entry_points(model):
+        with pytest.raises(DocumentError, match=message):
+            call()
+
+
+def test_aligned_permutes_columns_and_keeps_the_pmf_entry_order():
+    m = fixtures.dsbs_source(Fraction(11, 100))
+    assert aligned(m, m.sources) is m
+    swapped = aligned(m, m.sources[::-1])
+    assert swapped.sources == m.sources[::-1]
+    assert swapped.alphabet_sizes == m.alphabet_sizes[::-1]
+    assert list(swapped.pmf.items()) == [(tup[::-1], p) for tup, p in m.pmf.items()]
+    with pytest.raises(DocumentError, match="do not match"):
+        aligned(m, ("x", "y"))
 
 
 def test_float_pmf_tolerance():

@@ -225,7 +225,7 @@ def test_check_on_raw_networks_matches_reference_normalization():
         for row, ref_row in zip(report.rows, ref.rows):
             subset = frozenset(back[s] for s in ref_row.subset)
             assert row == dataclasses.replace(ref_row, subset=subset,
-                                              label=subset_label(subset, m.sources))
+                                              label=subset_label(subset, net.sources))
             if row.binding_sink in row.subset:
                 inside += 1
                 assert is_inf(row.rho)
