@@ -43,6 +43,9 @@ def validate_model(m: SourceModel) -> None:
     """Check names, arity, symbol ranges and normalization; raise DocumentError."""
     if not m.sources:
         raise DocumentError("source model needs at least one source")
+    for name in m.sources:
+        if not isinstance(name, str):
+            raise DocumentError(f"source names must be strings, got {name!r}")
     check_label_names(m.sources)
     if len(set(m.sources)) != len(m.sources):
         raise DocumentError("duplicate source name")
@@ -57,6 +60,8 @@ def validate_model(m: SourceModel) -> None:
         for sym, size in zip(tup, m.alphabet_sizes):
             if isinstance(sym, bool) or not isinstance(sym, int) or not 0 <= sym < size:
                 raise DocumentError(f"symbol {sym!r} outside alphabet of size {size}")
+        if isinstance(p, bool) or not isinstance(p, (Fraction, int, float)):
+            raise DocumentError(f"probability {p!r} for {tup!r} is not a Fraction, int or float")
         if isinstance(p, float) and not math.isfinite(p):
             raise DocumentError(f"non-finite probability for {tup!r}")
         if p < 0:
@@ -78,8 +83,8 @@ def aligned(m: SourceModel, sources) -> SourceModel:
     if tuple(m.sources) == sources:
         return m
     if set(m.sources) != set(sources):
-        raise DocumentError(f"source model names {sorted(m.sources)} do not match "
-                            f"network sources {sorted(sources)}")
+        raise DocumentError(f"source model names {sorted(m.sources, key=str)} do not match "
+                            f"network sources {sorted(sources, key=str)}")
     validate_model(m)
     columns = [m.sources.index(s) for s in sources]
     return SourceModel(sources, tuple(m.alphabet_sizes[k] for k in columns),

@@ -161,7 +161,8 @@ class CapacityProfile:
 
     ``per_sink[t][mask]`` is rho_t of the source subset ``mask`` (bit p is
     ``sources[p]``, index 0 holds 0) and ``network_wide[mask]`` is their
-    minimum over sinks.  Values only: a minimum cut, where one is wanted,
+    minimum over sinks, attained first (in sink order) by
+    ``binding[mask]``.  Values only: a minimum cut, where one is wanted,
     comes from :func:`max_flow`.
     """
 
@@ -169,6 +170,7 @@ class CapacityProfile:
     sinks: tuple[str, ...]
     per_sink: dict  # sink -> tuple of values indexed by mask
     network_wide: tuple
+    binding: tuple  # sink names indexed by mask
 
     def rho_t_function(self, sink: str) -> SetFunction:
         return SetFunction(ground=self.sources, values=self.per_sink[sink])
@@ -177,8 +179,9 @@ class CapacityProfile:
         return SetFunction(ground=self.sources, values=self.network_wide)
 
     def binding_sink(self, mask: int) -> str:
-        """First sink (in sink order) attaining the network-wide minimum on ``mask``."""
-        return next(t for t in self.sinks if self.per_sink[t][mask] == self.network_wide[mask])
+        """First sink (in sink order) attaining the network-wide minimum on
+        ``mask``: the integer argmin that :func:`capacity_profile` took."""
+        return self.binding[mask]
 
 
 def capacity_profile(net: Network) -> CapacityProfile:
@@ -191,42 +194,67 @@ def capacity_profile(net: Network) -> CapacityProfile:
     For each sink the subset lattice is walked depth-first, S -> S+{i}
     with i after every source already in S, so each subset is visited
     once.  Enabling source i's super-source arc keeps the parent's flow
-    feasible, so a child only augments the difference, and a child of an
-    infinite subset (flow at the sentinel) is infinite without a search.
-    A sink inside S is reached by its own super-source arc, so rho_t(S)
-    is infinite; an edge into a source of S never leaves the source side.
-    Each DFS level holds one copy of the residual capacities.  Only the
-    flow values are kept; a cold :func:`max_flow` on the same subset and
-    a sink outside it gives the same value and forms its minimum cut.
+    feasible, so a child only augments the difference.  A sink inside S
+    is reached by its own super-source arc, so rho_t(S) is infinite; an
+    edge into a source of S never leaves the source side.  Each DFS level
+    holds one copy of the residual capacities.
+
+    The walk first goes down the chain {0} ⊂ {0, 1} ⊂ ... ⊂ V, so it
+    learns rho_t(V) before any other subset.  From then on a subset S
+    whose flow value equals rho_t(V) (with infinite values clamped to the
+    sentinel, so an infinite S saturates too) runs no augment for its
+    remaining children: every subset in their DFS subtrees is a superset
+    of S, and rho_t(S) <= rho_t(S') <= rho_t(V) for S ⊆ S', as rho_t is
+    monotone, so each takes the value rho_t(V).
+
+    The walk keeps scaled integers.  rho_N and its binding sink are an
+    integer min and argmin over them, the first sink in sink order on a
+    tie, and each distinct value becomes one Fraction.  Only the flow
+    values are kept; a cold :func:`max_flow` on the same subset and a sink
+    outside it gives the same value and forms its minimum cut.
     """
     k = len(net.sources)
     check_source_count(k)
     residual = _Residual(net, net.sources)
-    big, scale, source_arc = residual.big, residual.scale, residual.source_arc
+    big, source_arc = residual.big, residual.source_arc
+    full = (1 << k) - 1
     levels = [list(residual.cap) for _ in range(k)]
 
-    def grow(mask: int, cap: list, value: int, depth: int, sink: int, found: list):
+    def grow(mask: int, cap: list, value: int, depth: int):
         # Children of ``mask`` add one source after its highest member;
-        # ``levels[depth]`` holds their residual capacities in turn.
+        # ``levels[depth]`` holds their residual capacities in turn.  The
+        # walked sink, its values and its ``top`` are the loop's below.
+        nonlocal top
         for i in range(mask.bit_length(), k):
+            if value == top:
+                # The subtrees of children i.. are the masks that agree
+                # with ``mask`` below bit i and have a bit from i up.
+                found[mask + (1 << i)::1 << i] = [top] * ((1 << k - i) - 1)
+                return
             child = mask | 1 << i
             child_cap = levels[depth]
             child_cap[:] = cap
             child_cap[source_arc[i]] = big
-            child_value, reach = residual.augment(child_cap, sink, value)
-            found[child] = INF if reach is None else Fraction(child_value, scale)
-            grow(child, child_cap, child_value, depth + 1, sink, found)
+            child_value = min(residual.augment(child_cap, sink, value)[0], big)
+            found[child] = child_value
+            if child == full:
+                top = child_value
+            grow(child, child_cap, child_value, depth + 1)
 
-    per_sink: dict = {}
+    scaled = []
     for t in net.sinks:
-        found = [Fraction(0)] * (1 << k)
-        grow(0, residual.cap, 0, 0, residual.index[t], found)
-        per_sink[t] = tuple(found)
-    # The elementwise minimum over the sinks, in sink order.
-    network_wide = tuple([min(column) for column in zip(*per_sink.values())])
+        sink, found = residual.index[t], [0] * (full + 1)
+        top = -1  # this sink's scaled rho_t(V), once the first chain reaches V
+        grow(0, residual.cap, 0, 0)
+        scaled.append(found)
+    columns = list(zip(*scaled))
+    wide = [min(column) for column in columns]
+    sinks = tuple(net.sinks)
+    value_of = {v: INF if v == big else Fraction(v, residual.scale) for v in set().union(*scaled)}
     return CapacityProfile(
         sources=tuple(net.sources),
-        sinks=tuple(net.sinks),
-        per_sink=per_sink,
-        network_wide=network_wide,
+        sinks=sinks,
+        per_sink={t: tuple(map(value_of.__getitem__, row)) for t, row in zip(sinks, scaled)},
+        network_wide=tuple(map(value_of.__getitem__, wide)),
+        binding=tuple([sinks[column.index(v)] for column, v in zip(columns, wide)]),
     )

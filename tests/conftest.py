@@ -79,6 +79,23 @@ def random_raw_network(rng: random.Random) -> Network:
             return net
 
 
+def layered_network(rng: random.Random, k: int) -> Network:
+    """A layered DAG drawn as ``perfbench/gen.py`` ``layered_edges`` draws it,
+    so one seed gives the benchmark's instance: k sources, 4 relay layers of
+    6 nodes and 3 sinks.  Half of the node pairs of consecutive layers are
+    edges, with capacities in (0, 4] on denominators 1, 2 or 4."""
+    layers = ([[f"s{i}" for i in range(k)]] + [[f"r{l}_{j}" for j in range(6)] for l in range(4)]
+              + [[f"t{j}" for j in range(3)]])
+    edges = []
+    for upper, lower in zip(layers, layers[1:]):
+        pairs = [(u, v) for u in upper for v in lower]
+        for u, v in sorted(rng.sample(pairs, len(pairs) // 2), key=pairs.index):
+            den = rng.choice((1, 2, 4))
+            edges.append(Edge(u, v, Fraction(rng.randint(1, 4 * den), den)))
+    return Network(tuple(n for layer in layers for n in layer), tuple(edges),
+                   tuple(layers[0]), tuple(layers[-1]))
+
+
 def _fresh_name(base: str, taken: set) -> str:
     name = base + "'"
     while name in taken:

@@ -165,6 +165,25 @@ def test_a_malformed_model_in_another_order_is_validated_before_it_is_aligned(
             call()
 
 
+@pytest.mark.parametrize("sources, pmf, message", [
+    (("s1", 2), {(0, 0): Fraction(1)}, "source names must be strings"),
+    (("s1", "s2"), {(0, 0): "1/2", (1, 1): "1/2"}, "is not a Fraction, int or float"),
+    (("s1", "s2"), {(0, 0): Decimal("0.5"), (1, 1): Decimal("0.5")},
+     "is not a Fraction, int or float"),
+], ids=["int-name", "str-probability", "decimal-probability"])
+def test_a_library_model_of_the_wrong_types_is_a_document_error(sources, pmf, message):
+    # parse_source_model admits only these types; a model built in Python
+    # used to end in TypeError from a comparison or a sum.
+    model = SourceModel(sources, (2, 2), pmf)
+    with pytest.raises(DocumentError, match=message):
+        validate_model(model)
+    with pytest.raises(DocumentError, match=message):
+        entropy_profile(model)
+    for call in _entry_points(model):
+        with pytest.raises(DocumentError):
+            call()
+
+
 def test_aligned_permutes_columns_and_keeps_the_pmf_entry_order():
     m = fixtures.dsbs_source(Fraction(11, 100))
     assert aligned(m, m.sources) is m

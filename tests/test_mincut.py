@@ -2,17 +2,21 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from netmatch import fixtures
+from netmatch import fixtures, mincut
 from netmatch.errors import LimitError
-from netmatch.graph import Edge, Network
+from netmatch.graph import Edge, Network, parse_network
 from netmatch.mincut import capacity_profile, max_flow, rho_n, rho_t
 from netmatch.scalars import INF
 from netmatch.setfunc import is_polymatroid
 
-from conftest import cut_value, enumerate_min_cut, random_network
+from conftest import (cut_value, enumerate_min_cut, layered_network, random_network,
+                      random_raw_network)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_butterfly_per_sink_values():
@@ -220,3 +224,91 @@ def test_max_flow_infinite_value():
     value, members = max_flow(net, {"s"}, "t")
     assert value == INF
     assert cut_value(net, members) == INF
+
+
+def _count_augments(monkeypatch) -> list:
+    calls = [0]
+    augment = mincut._Residual.augment
+
+    def counted(self, *args):
+        calls[0] += 1
+        return augment(self, *args)
+
+    monkeypatch.setattr(mincut._Residual, "augment", counted)
+    return calls
+
+
+def _assert_profile_matches_cold_rho_t(net: Network, profile) -> None:
+    # Every (S, t) against a cold flow; rho_N and its binding sink against
+    # the min over sinks and the first sink, in sink order, attaining it.
+    for mask, S in enumerate(_nonempty_subsets(net.sources), start=1):
+        values = [rho_t(net, S, t) for t in net.sinks]
+        assert [profile.per_sink[t][mask] for t in net.sinks] == values
+        assert profile.network_wide[mask] == min(values)
+        assert profile.binding_sink(mask) == net.sinks[values.index(min(values))]
+
+
+def test_capacity_profile_skips_saturated_subtrees_exactly():
+    # Raw networks have sources with in-edges, sources that are also sinks
+    # (whose subtrees are infinite) and infinite edges; the normalized
+    # ones have up to five sources, and infinite edges in every other one.
+    rng = random.Random(2121)
+    nets = [random_raw_network(rng) for _ in range(150)]
+    for trial in range(40):
+        net = random_network(rng, max_nodes=10, max_sources=5, max_sinks=3)
+        nets.append(_with_infinite_edges(rng, net) if trial % 2 else net)
+    seen_inf = 0
+    for net in nets:
+        profile = capacity_profile(net)
+        _assert_profile_matches_cold_rho_t(net, profile)
+        seen_inf += any(INF in values for values in profile.per_sink.values())
+    assert seen_inf >= 100
+
+
+def _star(capacities, relay) -> Network:
+    # Sources s0.. feed a relay m, which feeds the one sink t.
+    names = tuple(f"s{i}" for i in range(len(capacities)))
+    edges = tuple(Edge(s, "m", c) for s, c in zip(names, capacities)) + (Edge("m", "t", relay),)
+    return Network(names + ("m", "t"), edges, names, ("t",))
+
+
+@pytest.mark.parametrize("capacities, relay, augments", [
+    # rho_t(V) = 0: the first chain runs, and the root fills the lattice.
+    ((Fraction(0),) * 4, Fraction(2), 4),
+    # rho_t(V) = inf: every subset holding s0 is infinite.
+    ((INF, Fraction(1, 2), Fraction(1, 2)), INF, 6),
+    # rho_t({s0}) = rho_t(V) = 2: s0's subtree past the chain is filled.
+    ((Fraction(5), Fraction(1), Fraction(1)), Fraction(2), 6),
+], ids=["zero", "infinite", "single-source"])
+def test_capacity_profile_fills_the_subtrees_of_saturated_subsets(
+        monkeypatch, capacities, relay, augments):
+    net = _star(capacities, relay)
+    calls = _count_augments(monkeypatch)
+    profile = capacity_profile(net)
+    assert calls[0] == augments
+    _assert_profile_matches_cold_rho_t(net, profile)
+
+
+@pytest.mark.parametrize("name, augments", [("check_k6_pass", 72), ("check_k6_fail", 70)])
+def test_capacity_profile_augment_count_is_pinned(monkeypatch, name, augments):
+    # A work gate that timing noise cannot move: 3 sinks x 63 subsets, one
+    # augment each, would be 189.
+    net = parse_network((DATA / f"{name}.network.json").read_text())
+    calls = _count_augments(monkeypatch)
+    capacity_profile(net)
+    assert calls[0] == augments
+
+
+def test_capacity_profile_at_k14_runs_few_augments(monkeypatch):
+    # The seed-1 layered network at k=14 has 3 x 16,383 (S, t) values; the
+    # first chain costs 3 x 14 augments, and saturation skips most others.
+    net = layered_network(random.Random(1), 14)
+    calls = _count_augments(monkeypatch)
+    profile = capacity_profile(net)
+    assert 3 * 14 <= calls[0] <= 266
+    monkeypatch.undo()
+    rng = random.Random(14)
+    for mask in [1, (1 << 14) - 1] + rng.sample(range(2, (1 << 14) - 1), 30):
+        S = {s for p, s in enumerate(net.sources) if mask >> p & 1}
+        for t in net.sinks:
+            assert profile.per_sink[t][mask] == rho_t(net, S, t)
