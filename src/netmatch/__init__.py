@@ -16,7 +16,6 @@ from .entropy import (
     entropy_profile,
     joint_entropy,
     parse_source_model,
-    validate_model,
 )
 from .errors import CycleError, DocumentError, LimitError, NetmatchError
 from .graph import (
@@ -116,6 +115,5 @@ __all__ = [
     "sw_polyhedron",
     "equivalence_check",
     "validate_acyclic",
-    "validate_model",
     "__version__",
 ]

@@ -11,9 +11,10 @@ rational snapping.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from types import MappingProxyType
 
 from .errors import DocumentError, load_json
 from .scalars import parse_probability
@@ -28,64 +29,71 @@ class SourceModel:
 
     ``pmf`` maps symbol tuples (aligned with ``sources``) to probabilities;
     omitted tuples carry probability zero.  Probabilities may be exact
-    rationals or floats; rational pmfs are validated exactly.
+    rationals or floats.  Like a Network, a model is checked when it is
+    built (DocumentError; rational pmfs must sum to 1 exactly) and is then
+    frozen: tuples, and ``pmf`` a read-only copy in the given entry order,
+    which every marginal, and so every entropy bit, follows.
     """
 
     sources: tuple[str, ...]
     alphabet_sizes: tuple[int, ...]
     pmf: Mapping[tuple, object]
 
+    def __post_init__(self):
+        if not (isinstance(self.sources, (tuple, list)) and isinstance(self.pmf, Mapping)
+                and isinstance(self.alphabet_sizes, (tuple, list))):
+            raise DocumentError("source model needs name and size tuples and a pmf mapping")
+        object.__setattr__(self, "sources", tuple(self.sources))
+        object.__setattr__(self, "alphabet_sizes", tuple(self.alphabet_sizes))
+        object.__setattr__(self, "pmf", MappingProxyType(dict(self.pmf)))
+        if not self.sources:
+            raise DocumentError("source model needs at least one source")
+        check_label_names(self.sources)
+        if len(set(self.sources)) != len(self.sources):
+            raise DocumentError("duplicate source name")
+        if len(self.alphabet_sizes) != len(self.sources):
+            raise DocumentError("one alphabet size per source is required")
+        for size in self.alphabet_sizes:
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+                raise DocumentError(f"alphabet sizes must be positive integers, got {size!r}")
+        for tup, p in self.pmf.items():
+            if not isinstance(tup, tuple) or len(tup) != len(self.sources):
+                raise DocumentError(f"symbol tuple {tup!r} has wrong arity")
+            for sym, size in zip(tup, self.alphabet_sizes):
+                if isinstance(sym, bool) or not isinstance(sym, int) or not 0 <= sym < size:
+                    raise DocumentError(f"symbol {sym!r} outside alphabet of size {size}")
+            if isinstance(p, bool) or not isinstance(p, (Fraction, int, float)):
+                raise DocumentError(
+                    f"probability {p!r} for {tup!r} is not a Fraction, int or float")
+            if isinstance(p, float) and not math.isfinite(p):
+                raise DocumentError(f"non-finite probability for {tup!r}")
+            if p < 0:
+                raise DocumentError(f"negative probability for {tup!r}")
+        total = sum(self.pmf.values(), Fraction(0))
+        if self.is_rational():
+            if total != 1:
+                raise DocumentError(f"pmf sums to {total}, not 1")
+        elif abs(float(total) - 1.0) > PMF_TOLERANCE:
+            raise DocumentError(f"pmf sums to {float(total)!r}, not 1 within {PMF_TOLERANCE}")
+
+    def __reduce__(self):  # a read-only pmf view does not pickle
+        return SourceModel, (self.sources, self.alphabet_sizes, dict(self.pmf))
+
     def is_rational(self) -> bool:
         return all(isinstance(p, (Fraction, int)) for p in self.pmf.values())
-
-
-def validate_model(m: SourceModel) -> None:
-    """Check names, arity, symbol ranges and normalization; raise DocumentError."""
-    if not m.sources:
-        raise DocumentError("source model needs at least one source")
-    for name in m.sources:
-        if not isinstance(name, str):
-            raise DocumentError(f"source names must be strings, got {name!r}")
-    check_label_names(m.sources)
-    if len(set(m.sources)) != len(m.sources):
-        raise DocumentError("duplicate source name")
-    if len(m.alphabet_sizes) != len(m.sources):
-        raise DocumentError("one alphabet size per source is required")
-    for size in m.alphabet_sizes:
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise DocumentError(f"alphabet sizes must be positive integers, got {size!r}")
-    for tup, p in m.pmf.items():
-        if len(tup) != len(m.sources):
-            raise DocumentError(f"symbol tuple {tup!r} has wrong arity")
-        for sym, size in zip(tup, m.alphabet_sizes):
-            if isinstance(sym, bool) or not isinstance(sym, int) or not 0 <= sym < size:
-                raise DocumentError(f"symbol {sym!r} outside alphabet of size {size}")
-        if isinstance(p, bool) or not isinstance(p, (Fraction, int, float)):
-            raise DocumentError(f"probability {p!r} for {tup!r} is not a Fraction, int or float")
-        if isinstance(p, float) and not math.isfinite(p):
-            raise DocumentError(f"non-finite probability for {tup!r}")
-        if p < 0:
-            raise DocumentError(f"negative probability for {tup!r}")
-    total = sum(m.pmf.values(), Fraction(0))
-    if m.is_rational():
-        if total != 1:
-            raise DocumentError(f"pmf sums to {total}, not 1")
-    elif abs(float(total) - 1.0) > PMF_TOLERANCE:
-        raise DocumentError(f"pmf sums to {float(total)!r}, not 1 within {PMF_TOLERANCE}")
 
 
 def aligned(m: SourceModel, sources) -> SourceModel:
     """The model with its columns in the order of ``sources``, a network's;
     DocumentError unless it names exactly ``sources``.  A model in another
-    order is validated, then permuted; its pmf keeps its entry order, so
+    order is permuted into a new model; its pmf keeps its entry order, so
     every marginal, and so every entropy, is bit-identical."""
     sources = tuple(sources)
-    if tuple(m.sources) == sources:
+    if m.sources == sources:
         return m
     if set(m.sources) != set(sources):
         raise DocumentError(f"source model names {sorted(m.sources, key=str)} do not match "
                             f"network sources {sorted(sources, key=str)}")
-    validate_model(m)
     columns = [m.sources.index(s) for s in sources]
     return SourceModel(sources, tuple(m.alphabet_sizes[k] for k in columns),
                        {tuple(tup[k] for k in columns): p for tup, p in m.pmf.items()})
@@ -122,11 +130,9 @@ def parse_source_model(text: str) -> SourceModel:
         if not isinstance(entry, dict) or not {"symbols", "p"} <= entry.keys():
             raise DocumentError(f"malformed pmf entry: {entry!r}")
         symbols = entry["symbols"]
-        if not isinstance(symbols, list):
-            raise DocumentError(f"pmf entry symbols must be a list: {entry!r}")
-        for sym in symbols:
-            if isinstance(sym, bool) or not isinstance(sym, int):
-                raise DocumentError(f"symbol {sym!r} in pmf entry {entry!r} is not an integer")
+        # Nested arrays and objects cannot key the pmf; the model checks the rest.
+        if not isinstance(symbols, list) or any(isinstance(s, (list, dict)) for s in symbols):
+            raise DocumentError(f"pmf entry symbols must be a list of scalars: {entry!r}")
         tup = tuple(symbols)
         if tup in pmf:
             raise DocumentError(f"duplicate pmf entry for {tup!r}")
@@ -134,13 +140,7 @@ def parse_source_model(text: str) -> SourceModel:
             pmf[tup] = parse_probability(entry["p"])
         except ValueError as exc:
             raise DocumentError(f"pmf entry {tup!r}: {exc}") from exc
-    model = SourceModel(
-        sources=tuple(sources),
-        alphabet_sizes=tuple(alphabets),
-        pmf=pmf,
-    )
-    validate_model(model)
-    return model
+    return SourceModel(sources=tuple(sources), alphabet_sizes=tuple(alphabets), pmf=pmf)
 
 
 def _shannon_bits(probabilities: Iterable) -> float:
@@ -226,11 +226,11 @@ def entropy_profile(m: SourceModel) -> EntropyProfile:
     marginal sums out one more coordinate of its parent's, removing
     coordinates in increasing order so every subset is visited once.
     Integer sums are exact and child dicts keep first-occurrence key
-    order, so every value is bit-identical to :func:`joint_entropy`.
+    order, so every value is bit-identical to :func:`joint_entropy`.  The
+    model was checked when built; only the source count is checked here.
     """
     k = len(m.sources)
     check_source_count(k)
-    validate_model(m)
     weights, den = _integer_weights(m)
     full = (1 << k) - 1
     joint = [0.0] * (full + 1)
@@ -251,11 +251,9 @@ def entropy_profile(m: SourceModel) -> EntropyProfile:
     # sigma(S) = H(all) - H(rest); conditioning can only reduce entropy, so
     # clip the float dust at zero and set-function nonnegativity holds
     # exactly.  The empty rest has joint entropy 0.0, so sigma(all) = H(all).
-    sigma = tuple([max(0.0, joint[full] - joint[full ^ mask]) for mask in range(full + 1)])
-    return EntropyProfile(
-        sigma=SetFunction(ground=tuple(m.sources), values=sigma),
-        joint=SetFunction(ground=tuple(m.sources), values=tuple(joint)),
-    )
+    sigma = [max(0.0, joint[full] - joint[full ^ mask]) for mask in range(full + 1)]
+    return EntropyProfile(sigma=SetFunction(ground=m.sources, values=sigma),
+                          joint=SetFunction(ground=m.sources, values=joint))
 
 
 def binary_entropy(p) -> float:

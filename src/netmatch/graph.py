@@ -47,6 +47,8 @@ class Network:
     _out_edges: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("nodes", "edges", "sources", "sinks"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         node_set = frozenset(self.nodes)
         if len(node_set) != len(self.nodes):
             raise DocumentError("duplicate node identifiers")
@@ -155,12 +157,7 @@ def network_from_document(doc) -> Network:
     for key in ("sources", "sinks"):
         if not isinstance(doc[key], list) or not all(isinstance(n, str) for n in doc[key]):
             raise DocumentError(f"'{key}' must be a list of strings")
-    return Network(
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        sources=tuple(doc["sources"]),
-        sinks=tuple(doc["sinks"]),
-    )
+    return Network(nodes=nodes, edges=edges, sources=doc["sources"], sinks=doc["sinks"])
 
 
 def validate_acyclic(net: Network) -> tuple[str, ...]:

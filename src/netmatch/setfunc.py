@@ -69,8 +69,10 @@ def subset_label(subset: Iterable[str], ground: Sequence[str]) -> str:
 
 
 def check_label_names(names: Iterable[str]) -> None:
-    """Reject names holding ``+`` or ``,``: two subsets could label alike."""
+    """Reject non-string names, and names holding ``+`` or ``,``: two subsets could label alike."""
     for name in names:
+        if not isinstance(name, str):
+            raise DocumentError(f"source names must be strings, got {name!r}")
         if "+" in name or "," in name:
             raise DocumentError(f"source name {name!r} contains a subset separator, '+' or ','")
 
@@ -104,11 +106,13 @@ class SetFunction:
     values: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "ground", tuple(self.ground))
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.ground:
             raise DocumentError("ground set must be nonempty")
+        check_label_names(self.ground)
         if len(set(self.ground)) != len(self.ground):
             raise DocumentError("duplicate ground element")
-        check_label_names(self.ground)
         values, required = self.values, (1 << len(self.ground)) - 1
         given = len(values) - 1 - values.count(None)  # unassigned slots hold None
         if len(values) != required + 1 or given != required:
@@ -376,4 +380,4 @@ def parse_setfunction(text: str) -> SetFunction:
                 values[mask] = parse_scalar(raw)
             except ValueError as exc:
                 raise DocumentError(f"subset {key!r}: {exc}") from exc
-    return SetFunction(ground=tuple(ground), values=tuple(values))
+    return SetFunction(ground=ground, values=values)

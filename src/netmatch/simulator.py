@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entropy import SourceModel, aligned, joint_entropy, validate_model
+from .entropy import SourceModel, aligned, joint_entropy
 from .errors import LimitError
 from .graph import Network, is_normalized, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
@@ -347,7 +347,8 @@ class _CandidateSpace:
     linear in the candidates and no n x |typical| array: a code is looked
     up in two tables, one for each half of the id's joint symbols, and
     ``groups`` sorts the codes by counting.  All of it depends only on
-    (model, n, lambda), so Monte-Carlo trials share one instance.
+    (model, n, lambda), so Monte-Carlo trials share one instance.  The
+    model was checked when built, and is only aligned here.
     """
 
     def __init__(self, net: Network, m: SourceModel, n: int, lam):
@@ -359,7 +360,6 @@ class _CandidateSpace:
         if self.lam == 0:
             raise ValueError("typicality slack is positive but underflows a float")
         m = aligned(m, net.sources)  # joint symbols follow net order
-        validate_model(m)
         check_source_count(len(m.sources))
         self.n = n
         sizes = m.alphabet_sizes
@@ -597,7 +597,7 @@ def decode(
     Returns the source block (list of symbol tuples) iff exactly one
     lambda-typical candidate propagates to the received indices ``z_t``
     (1-based, as produced by :func:`propagate`); otherwise None, declaring
-    a decoding error.
+    a decoding error.  The model must have the code's alphabets.
     """
     if sink not in code.net.sink_set:
         raise ValueError(f"{sink!r} is not a sink node")
@@ -606,6 +606,8 @@ def decode(
     if len(want) != width:
         raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
     space = _CandidateSpace(code.net, m, code.n, lam)
+    if any(code.alphabets[s] != a for s, a in space.alphabets.items()):
+        raise ValueError(f"model alphabets {space.alphabets} differ from the code's")
     mask = np.ones(len(space.ids), dtype=bool)
     for arr, z in zip(_encode(code, space.codes)[sink], want):
         mask &= arr == z

@@ -1,7 +1,9 @@
 """Source models and entropy rates, checked against a high-precision oracle."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -18,13 +20,9 @@ from netmatch.entropy import (
     _shannon_bits,
     joint_entropy,
     parse_source_model,
-    validate_model,
 )
 from netmatch.errors import DocumentError
-from netmatch.regions import equivalence_check, separation_check
 from netmatch.setfunc import is_copolymatroid
-from netmatch.simulator import build_code, decode, estimate_error, propagate
-from netmatch.transmissibility import check
 
 from conftest import (iter_nonempty_subsets, marginal_pmf, random_source_model,
                       source_model_to_document)
@@ -99,20 +97,20 @@ def test_independent_pair_conditioning_drops():
 
 def test_validate_model_errors():
     with pytest.raises(DocumentError, match="sums"):
-        validate_model(SourceModel(("a",), (2,), {(0,): Fraction(9, 10)}))
+        SourceModel(("a",), (2,), {(0,): Fraction(9, 10)})
     with pytest.raises(DocumentError, match="arity"):
-        validate_model(SourceModel(("a", "b"), (2, 2), {(0,): Fraction(1)}))
+        SourceModel(("a", "b"), (2, 2), {(0,): Fraction(1)})
     with pytest.raises(DocumentError, match="alphabet"):
-        validate_model(SourceModel(("a",), (2,), {(5,): Fraction(1)}))
+        SourceModel(("a",), (2,), {(5,): Fraction(1)})
     with pytest.raises(DocumentError, match="negative"):
-        validate_model(SourceModel(("a",), (2,), {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)}))
+        SourceModel(("a",), (2,), {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})
 
 
 def test_boolean_alphabet_sizes_and_symbols_rejected():
     with pytest.raises(DocumentError, match="alphabet sizes"):
-        validate_model(SourceModel(("a", "b"), (True, 2), {(0, 0): Fraction(1)}))
+        SourceModel(("a", "b"), (True, 2), {(0, 0): Fraction(1)})
     with pytest.raises(DocumentError, match="symbol True"):
-        validate_model(SourceModel(("a",), (2,), {(True,): Fraction(1, 2), (0,): Fraction(1, 2)}))
+        SourceModel(("a",), (2,), {(True,): Fraction(1, 2), (0,): Fraction(1, 2)})
     doc = {"sources": ["a", "b"], "alphabets": [True, 2],
            "pmf": [{"symbols": [0, 0], "p": "1/2"}, {"symbols": [0, 1], "p": "1/2"}]}
     with pytest.raises(DocumentError, match="alphabet sizes"):
@@ -123,31 +121,13 @@ def test_boolean_alphabet_sizes_and_symbols_rejected():
         parse_source_model(json.dumps(doc))
 
 
-def _entry_points(model):
-    """Calls of check, equivalence_check, separation_check, estimate_error
-    and decode on ``model`` with the butterfly network."""
-    net = fixtures.butterfly_network()
-    code = build_code(net, {"s1": 2, "s2": 2}, 2, Fraction(1, 4), Fraction(1, 20), seed=3)
-    z = propagate(code, [(0, 1), (1, 0)])
-    return [
-        lambda: check(net, model),
-        lambda: equivalence_check(net, model),
-        lambda: separation_check(net, model),
-        lambda: estimate_error(net, model, 2, Fraction(1, 4), Fraction(1, 20), 0.5, 5, 1),
-        lambda: decode(code, model, "t1", z["t1"], 0.5),
-    ]
-
-
 def test_a_model_that_lists_a_source_twice_is_rejected_everywhere():
     # The names match the network's as a set; estimate_error used to take
-    # such a model and report every trial as an error.
+    # such a model and report every trial as an error.  No entry point can
+    # be reached: the model is rejected when it is built.
     pmf = {(a, b, c): Fraction(1, 8) for a in range(2) for b in range(2) for c in range(2)}
-    model = SourceModel(("s1", "s1", "s2"), (2, 2, 2), pmf)
-    for call in _entry_points(model):
-        with pytest.raises(DocumentError, match="duplicate source name"):
-            call()
     with pytest.raises(DocumentError, match="duplicate source name"):
-        validate_model(model)
+        SourceModel(("s1", "s1", "s2"), (2, 2, 2), pmf)
 
 
 @pytest.mark.parametrize("sizes, pmf, message", [
@@ -158,11 +138,10 @@ def test_a_model_that_lists_a_source_twice_is_rejected_everywhere():
 def test_a_malformed_model_in_another_order_is_validated_before_it_is_aligned(
         sizes, pmf, message):
     # The butterfly lists s1, s2; this model lists s2, s1, so aligned()
-    # permutes it, and must validate it first: an IndexError is no verdict.
-    model = SourceModel(("s2", "s1"), sizes, pmf)
-    for call in _entry_points(model):
-        with pytest.raises(DocumentError, match=message):
-            call()
+    # would permute it: an IndexError is no verdict.  The model is
+    # rejected when it is built, before any entry point can align it.
+    with pytest.raises(DocumentError, match=message):
+        SourceModel(("s2", "s1"), sizes, pmf)
 
 
 @pytest.mark.parametrize("sources, pmf, message", [
@@ -174,14 +153,8 @@ def test_a_malformed_model_in_another_order_is_validated_before_it_is_aligned(
 def test_a_library_model_of_the_wrong_types_is_a_document_error(sources, pmf, message):
     # parse_source_model admits only these types; a model built in Python
     # used to end in TypeError from a comparison or a sum.
-    model = SourceModel(sources, (2, 2), pmf)
     with pytest.raises(DocumentError, match=message):
-        validate_model(model)
-    with pytest.raises(DocumentError, match=message):
-        entropy_profile(model)
-    for call in _entry_points(model):
-        with pytest.raises(DocumentError):
-            call()
+        SourceModel(sources, (2, 2), pmf)
 
 
 def test_aligned_permutes_columns_and_keeps_the_pmf_entry_order():
@@ -193,13 +166,35 @@ def test_aligned_permutes_columns_and_keeps_the_pmf_entry_order():
     assert list(swapped.pmf.items()) == [(tup[::-1], p) for tup, p in m.pmf.items()]
     with pytest.raises(DocumentError, match="do not match"):
         aligned(m, ("x", "y"))
+    # The constructor copies the pmf in the given entry order, not a sorted
+    # one, and so does the permuted model built through it.
+    given = {(1, 2): Fraction(1, 4), (0, 0): Fraction(1, 4), (1, 0): Fraction(1, 2)}
+    m = SourceModel(("a", "b"), (2, 3), given)
+    assert list(m.pmf.items()) == list(given.items())
+    swapped = aligned(m, ("b", "a"))
+    assert list(swapped.pmf.items()) == [((2, 1), Fraction(1, 4)), ((0, 0), Fraction(1, 4)),
+                                         ((0, 1), Fraction(1, 2))]
+    subsets = ({"a"}, {"b"}, {"a", "b"})
+    joint, swapped_joint = entropy_profile(m).joint, entropy_profile(swapped).joint
+    assert [swapped_joint(S) for S in subsets] == [joint(S) for S in subsets]
+
+
+def test_a_built_model_cannot_change():
+    given = {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+    sources, sizes = ["a"], [2]
+    m = SourceModel(sources, sizes, given)
+    with pytest.raises(TypeError):
+        m.pmf[(0,)] = Fraction(1)
+    given[(0,)], sources[0], sizes[0] = Fraction(1), "b", 3
+    assert (m.sources, m.alphabet_sizes, dict(m.pmf)) == (("a",), (2,), {
+        (0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    assert pickle.loads(pickle.dumps(m)) == copy.deepcopy(m) == m
 
 
 def test_float_pmf_tolerance():
-    good = SourceModel(("a",), (2,), {(0,): 0.5, (1,): 0.5 + 1e-13})
-    validate_model(good)
+    SourceModel(("a",), (2,), {(0,): 0.5, (1,): 0.5 + 1e-13})
     with pytest.raises(DocumentError):
-        validate_model(SourceModel(("a",), (2,), {(0,): 0.5, (1,): 0.4}))
+        SourceModel(("a",), (2,), {(0,): 0.5, (1,): 0.4})
 
 
 def test_parse_source_document_round_trip():

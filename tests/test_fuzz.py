@@ -1,13 +1,23 @@
-"""Property tests: arbitrary JSON documents and simulate flags never crash the CLI."""
+"""Property tests: arbitrary JSON documents and simulate flags never crash
+the CLI, and arbitrary source-model fields never crash the library."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from netmatch import fixtures
 from netmatch.cli import run
+from netmatch.entropy import SourceModel, entropy_profile, joint_entropy
+from netmatch.errors import DocumentError, NetmatchError
+from netmatch.regions import equivalence_check, separation_check
+from netmatch.simulator import build_code, decode, estimate_error, propagate
+from netmatch.transmissibility import check
 
 _SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -168,3 +178,64 @@ def test_paired_documents_never_crash(tmp_path, capsys, command, docs):
     assert "Traceback" not in err
     if code in (64, 65):
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+#: Library values a document never holds: Decimals, numpy scalars, NaN and
+#: infinite floats, Fractions, names with a separator, nested tuples.
+_atoms = (st.none() | st.booleans() | st.integers(-1, 3) | st.floats(allow_nan=True)
+          | st.sampled_from([Decimal("0.5"), Decimal("NaN"), Decimal("-Infinity"),
+                             np.int64(1), np.float64(0.5), np.float64("nan"), np.bool_(True),
+                             Fraction(1, 2), Fraction(-1, 2), "s1", "s2", "s1+s2", ""]))
+_values = st.recursive(_atoms, lambda inner: st.lists(inner, max_size=3).map(tuple),
+                       max_leaves=6)
+
+
+@st.composite
+def _model_fields(draw):
+    """(sources, alphabet_sizes, pmf) for SourceModel: names of the
+    butterfly's sources in either order, alphabets of 1 to 3 symbols and a
+    pmf summing to 1, each part replaced by an arbitrary value one draw in
+    four, and one pmf entry so one draw in four."""
+    def arbitrary():
+        return draw(st.integers(0, 3)) == 0
+
+    sources = draw(_values if arbitrary() else st.sampled_from([("s1", "s2"), ("s2", "s1")]))
+    if arbitrary():
+        return sources, draw(_values), draw(st.dictionaries(_values, _values, max_size=4) | _values)
+    sizes = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    tuples = list(product(*map(range, sizes)))
+    weights = [draw(st.integers(0, 3)) for _ in tuples]
+    total = sum(weights) or 1
+    rational = draw(st.booleans())
+    pmf = {t: Fraction(w, total) if rational else w / total for t, w in zip(tuples, weights)}
+    if arbitrary():
+        pmf[draw(st.sampled_from(tuples) | _values)] = draw(_atoms)
+    return sources, sizes, pmf
+
+
+_BUTTERFLY = fixtures.butterfly_network()
+_CODE = build_code(_BUTTERFLY, {"s1": 2, "s2": 2}, 2, Fraction(1, 4), Fraction(1, 20), seed=3)
+_RECEIVED = propagate(_CODE, [(0, 1), (1, 0)])["t1"]
+
+
+@_SETTINGS
+@given(fields=_model_fields())
+def test_a_library_model_is_refused_or_answered(fields):
+    try:
+        model = SourceModel(*fields)
+    except DocumentError:
+        return
+    calls = [
+        lambda: check(_BUTTERFLY, model),
+        lambda: equivalence_check(_BUTTERFLY, model),
+        lambda: separation_check(_BUTTERFLY, model),
+        lambda: entropy_profile(model),
+        lambda: joint_entropy(model, model.sources),
+        lambda: estimate_error(_BUTTERFLY, model, 2, Fraction(1, 4), Fraction(1, 20), 0.5, 3, 1),
+        lambda: decode(_CODE, model, "t1", _RECEIVED, 0.5),
+    ]
+    for call in calls:
+        try:
+            call()
+        except (NetmatchError, ValueError):
+            pass

@@ -149,6 +149,37 @@ def test_infinite_value_allowed():
     assert is_polymatroid(_floats(1, math.inf, math.inf)).holds
 
 
+#: One call per library constructor that checks source names, each naming
+#: a source by the int 1.
+_INT_NAMED = {
+    "Network": lambda: Network(nodes=(1, "t"), edges=(Edge(1, "t", Fraction(1)),),
+                               sources=(1,), sinks=("t",)),
+    "SetFunction": lambda: SetFunction(ground=(1,), values=(Fraction(0), Fraction(1))),
+    "SourceModel": lambda: SourceModel((1,), (2,), {(0,): Fraction(1)}),
+}
+
+
+@pytest.mark.parametrize("build", _INT_NAMED.values(), ids=list(_INT_NAMED))
+def test_a_source_name_that_is_not_a_string_is_a_document_error(build):
+    # It used to end in TypeError from the separator test, or not at all.
+    with pytest.raises(DocumentError, match="source names must be strings, got 1"):
+        build()
+
+
+def test_lists_given_to_a_network_or_set_function_are_copied():
+    nodes, edges, sources, sinks = ["s", "t"], [Edge("s", "t", Fraction(1))], ["s"], ["t"]
+    net = Network(nodes=nodes, edges=edges, sources=sources, sinks=sinks)
+    ground, values = ["a"], [Fraction(0), Fraction(1)]
+    f = SetFunction(ground=ground, values=values)
+    nodes.append("u")
+    edges.append(Edge("t", "s", Fraction(2)))
+    sources[0], sinks[0], ground[0], values[1] = "t", "s", "b", Fraction(5)
+    assert (net.nodes, net.edges, net.sources, net.sinks) == (
+        ("s", "t"), (Edge("s", "t", Fraction(1)),), ("s",), ("t",))
+    assert net.out_edges("t") == ()
+    assert (f.ground, f.values) == (("a",), (Fraction(0), Fraction(1)))
+
+
 def test_sandwich_on_boundary_instance():
     sigma = sf(("s1", "s2"), 1, 1, 2)
     rho = sf(("s1", "s2"), 2, 1, 2)

@@ -516,7 +516,8 @@ def test_empty_typical_set_errs_everywhere_without_hiding_limits():
 
 def test_decode_validates_the_model_on_every_call():
     # Sizes and symbols equal to valid ones under == (2.0 == 2, True == 1)
-    # are still rejected after a valid model with the same values decoded.
+    # are still rejected after a valid model with the same values decoded:
+    # such a model cannot be built, so no decode call can take it.
     net = fixtures.butterfly_network()
     m = fixtures.uniform_pair_source()
     code = build_code(net, ALPHABETS, 2, Fraction(1, 4), Fraction(1, 20), seed=21)
@@ -525,10 +526,15 @@ def test_decode_validates_the_model_on_every_call():
     decode(code, m, "t1", z["t1"], 1 / 4)
     pmf = dict(m.pmf)
     bad_symbol = {(0, True) if tup == (0, 1) else tup: p for tup, p in pmf.items()}
-    for bad in (SourceModel(m.sources, (2.0, 2), pmf),
-                SourceModel(m.sources, m.alphabet_sizes, bad_symbol)):
+    for sizes, bad_pmf in (((2.0, 2), pmf), (m.alphabet_sizes, bad_symbol)):
         with pytest.raises(DocumentError):
-            decode(code, bad, "t1", z["t1"], 1 / 4)
+            SourceModel(m.sources, sizes, bad_pmf)
+    # A valid model over other alphabets than the code's used to index past
+    # the code's input domain.
+    wider = SourceModel(m.sources, (3, 2),
+                        {(a, b): Fraction(1, 6) for a in range(3) for b in range(2)})
+    with pytest.raises(ValueError, match="alphabets"):
+        decode(code, wider, "t1", z["t1"], 1 / 4)
 
 
 def _candidate_space_family():
