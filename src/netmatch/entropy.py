@@ -135,6 +135,10 @@ def parse_source_model(text: str) -> SourceModel:
             raise DocumentError(f"pmf entry symbols must be a list of scalars: {entry!r}")
         tup = tuple(symbols)
         if tup in pmf:
+            if any(isinstance(s, bool) or not isinstance(s, int) for s in tup):
+                # (0, False) and (0, 0.0) equal (0, 0) as keys: the model
+                # rejects this entry's symbol instead.
+                SourceModel(tuple(sources), tuple(alphabets), {tup: 1})
             raise DocumentError(f"duplicate pmf entry for {tup!r}")
         try:
             pmf[tup] = parse_probability(entry["p"])

@@ -36,7 +36,10 @@ n symbols the same way in base |X_i|.
 Typicality is decided once per candidate space by enumerating every
 block, so this is strictly a desk-scale tool; the enumeration stops at
 :data:`MAX_ENUMERATION` blocks, and a node's input domain must fit int64.
-Everything is deterministic given the seed.
+A space depends only on (model, n, lambda), so :func:`_space` builds it
+once and calls share it, while a process keeps at most
+:data:`_SPACE_BYTES` of spaces.  Everything is deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ _BLOCK = 16
 #: Most (trial, candidate) pairs a block starts from at once for the
 #: sinks that hear no source.
 _BLOCK_WORDS = 1 << 16
+#: Most bytes of candidate-space arrays :func:`_space` keeps between calls.
+_SPACE_BYTES = 64 << 20
+#: The kept candidate spaces by (aligned model's sources, alphabet sizes
+#: and pmf entries, n, lambda), least recently used first.
+_spaces: dict = {}
 
 
 @functools.lru_cache(maxsize=256)
@@ -334,6 +342,13 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
+def _frozen(*arrays: np.ndarray) -> None:
+    """Make ``arrays`` read-only, so that no caller of a shared candidate
+    space can change it in place."""
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
 class _CandidateSpace:
     """Every length-n source block of one model, by candidate id.
 
@@ -347,20 +362,15 @@ class _CandidateSpace:
     linear in the candidates and no n x |typical| array: a code is looked
     up in two tables, one for each half of the id's joint symbols, and
     ``groups`` sorts the codes by counting.  All of it depends only on
-    (model, n, lambda), so Monte-Carlo trials share one instance.  The
-    model was checked when built, and is only aligned here.
+    (model, n, lambda), so calls share one instance through
+    :func:`_space`, up to its byte cap, and every array is read-only.
+    ``m`` is a checked model in the network's source order, ``n`` is
+    positive and ``lam`` a positive float.
     """
 
-    def __init__(self, net: Network, m: SourceModel, n: int, lam):
-        if n < 1:
-            raise ValueError("block length n must be positive")
-        if not lam > 0:  # NaN too
-            raise ValueError("typicality slack must be positive")
-        self.lam = to_float(lam)
-        if self.lam == 0:
-            raise ValueError("typicality slack is positive but underflows a float")
-        m = aligned(m, net.sources)  # joint symbols follow net order
+    def __init__(self, m: SourceModel, n: int, lam: float):
         check_source_count(len(m.sources))
+        self.lam = lam
         self.n = n
         sizes = m.alphabet_sizes
         self.alphabets = dict(zip(m.sources, sizes))
@@ -382,6 +392,8 @@ class _CandidateSpace:
 
         self.ids = np.flatnonzero(self._typical(m))
         self.codes = self._codes(self.ids)
+        _frozen(self.place, *self.symbols, self.probs, self.cumulative, self.ids,
+                *self.codes.values())
 
     def _typical(self, m: SourceModel) -> np.ndarray:
         """Mask of the candidates whose every nonempty subset's empirical
@@ -444,7 +456,16 @@ class _CandidateSpace:
             offsets = np.zeros(np.count_nonzero(present) + 1, dtype=np.int64)
             np.cumsum(counts[present], out=offsets[1:])
             groups[s] = (np.flatnonzero(present), inverse, _stable_order(inverse), offsets)
+            _frozen(*groups[s])
         return groups
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in ``ids``, ``codes`` and, once built, ``groups``."""
+        arrays = [self.ids, *self.codes.values()]
+        if "groups" in self.__dict__:
+            arrays += [arr for group in self.groups.values() for arr in group]
+        return sum(arr.nbytes for arr in arrays)
 
     def sequence_of(self, J: int) -> list[tuple]:
         """Decode a candidate id back into a length-n list of symbol tuples."""
@@ -457,6 +478,43 @@ class _CandidateSpace:
     def draw(self, rng: np.random.Generator) -> int:
         """The id of a block drawn i.i.d. from the model."""
         return int(np.searchsorted(self.cumulative, rng.random(self.n), side="right") @ self.place)
+
+
+def _space(net: Network, m: SourceModel, n: int, lam, *, grouped: bool = False
+           ) -> _CandidateSpace:
+    """The candidate space of ``m`` in ``net``'s source order at block
+    length ``n`` and typicality slack ``lam``, with its ``groups`` built
+    if ``grouped``.
+
+    Spaces are kept in :data:`_spaces` under the aligned model's sources,
+    alphabet sizes and pmf entries in entry order, n and float lambda.
+    Numbers compare exactly, so equal keys mean the same exact pmf in the
+    same order, and so bit-identical entropies and typical sets.  The
+    newest space is kept, and the least recently used ones are dropped
+    until the kept arrays fit in :data:`_SPACE_BYTES`; a space larger
+    than that is returned but not kept.  Invalid arguments raise before
+    anything is kept.
+    """
+    if n < 1:
+        raise ValueError("block length n must be positive")
+    if not lam > 0:  # NaN too
+        raise ValueError("typicality slack must be positive")
+    lam = to_float(lam)
+    if lam == 0:
+        raise ValueError("typicality slack is positive but underflows a float")
+    m = aligned(m, net.sources)  # joint symbols follow net order
+    key = (m.sources, m.alphabet_sizes, tuple(m.pmf.items()), n, lam)
+    space = _spaces.pop(key, None)
+    if space is None:
+        space = _CandidateSpace(m, n, lam)
+    if grouped:
+        space.groups  # built here, so that its bytes count below
+    if space.nbytes <= _SPACE_BYTES:
+        _spaces[key] = space
+        total = sum(kept.nbytes for kept in _spaces.values())
+        while total > _SPACE_BYTES:
+            total -= _spaces.pop(next(iter(_spaces))).nbytes
+    return space
 
 
 def _sink_keys(code: CodeInstance, received: dict, count: int) -> dict:
@@ -605,7 +663,7 @@ def decode(
     width = len(code.net.in_edges(sink))
     if len(want) != width:
         raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
-    space = _CandidateSpace(code.net, m, code.n, lam)
+    space = _space(code.net, m, code.n, lam)
     if any(code.alphabets[s] != a for s, a in space.alphabets.items()):
         raise ValueError(f"model alphabets {space.alphabets} differ from the code's")
     mask = np.ones(len(space.ids), dtype=bool)
@@ -694,7 +752,7 @@ def estimate_error(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    space = _CandidateSpace(net, m, n, lam)
+    space = _space(net, m, n, lam, grouped=not fixed_code)
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     if fixed_code:
         code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))

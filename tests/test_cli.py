@@ -438,6 +438,18 @@ def test_entropy_rejects_non_integer_symbols(tmp_path, capsys, symbols):
     _assert_one_line_data_error(capsys)
 
 
+@pytest.mark.parametrize("symbol", [False, True, 0.0])
+def test_entropy_names_a_symbol_equal_to_a_listed_integer(tmp_path, capsys, symbol):
+    fn = tmp_path / "source.json"
+    fn.write_text(json.dumps({"sources": ["a"], "alphabets": [2],
+                              "pmf": [{"symbols": [0], "p": "1/2"}, {"symbols": [1], "p": "1/2"},
+                                      {"symbols": [symbol], "p": "0"}]}))
+    assert run(["entropy", "--source", str(fn)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: symbol {symbol!r} outside alphabet of size 2\n"
+
+
 @pytest.mark.parametrize("name, codes", [
     ("butterfly", (2, 0)),
     ("halved", (1, 1)),

@@ -219,6 +219,21 @@ def test_parse_source_document_errors():
         parse_source_model("[oops")
 
 
+@pytest.mark.parametrize("symbol", [False, True, 0.0])
+def test_a_symbol_equal_to_a_listed_integer_is_not_a_duplicate(symbol):
+    # (0, False), (0, True) and (0, 0.0) equal (0, 0) or (0, 1) as dict
+    # keys; the parser names the bad symbol as the model does, not a
+    # duplicate entry.
+    entries = [{"symbols": [a, b], "p": "1/4"} for a in (0, 1) for b in (0, 1)]
+    doc = {"sources": ["a", "b"], "alphabets": [2, 2],
+           "pmf": entries + [{"symbols": [0, symbol], "p": "0"}]}
+    message = f"symbol {symbol!r} outside alphabet of size 2"
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        parse_source_model(json.dumps(doc))
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        SourceModel(("a", "b"), (2, 2), {(0, symbol): 1})
+
+
 def test_chain_identity():
     rng = random.Random(17)
     for _ in range(20):
