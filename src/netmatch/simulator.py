@@ -36,10 +36,7 @@ n symbols the same way in base |X_i|.
 Typicality is decided once per candidate space by enumerating every
 block, so this is strictly a desk-scale tool; the enumeration stops at
 :data:`MAX_ENUMERATION` blocks, and a node's input domain must fit int64.
-A space depends only on (model, n, lambda), so :func:`_space` builds it
-once and calls share it, while a process keeps at most
-:data:`_SPACE_BYTES` of spaces.  Everything is deterministic given the
-seed.
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -77,11 +74,6 @@ _BLOCK = 16
 #: Most (trial, candidate) pairs a block starts from at once for the
 #: sinks that hear no source.
 _BLOCK_WORDS = 1 << 16
-#: Most bytes of candidate-space arrays :func:`_space` keeps between calls.
-_SPACE_BYTES = 64 << 20
-#: The kept candidate spaces by (aligned model's sources, alphabet sizes
-#: and pmf entries, n, lambda), least recently used first.
-_spaces: dict = {}
 
 
 @functools.lru_cache(maxsize=256)
@@ -342,13 +334,6 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _frozen(*arrays: np.ndarray) -> None:
-    """Make ``arrays`` read-only, so that no caller of a shared candidate
-    space can change it in place."""
-    for arr in arrays:
-        arr.flags.writeable = False
-
-
 class _CandidateSpace:
     """Every length-n source block of one model, by candidate id.
 
@@ -360,17 +345,24 @@ class _CandidateSpace:
     and keys per sink once and fresh-code narrowing reads at its
     survivors.  Both take time
     linear in the candidates and no n x |typical| array: a code is looked
-    up in two tables, one for each half of the id's joint symbols, and
-    ``groups`` sorts the codes by counting.  All of it depends only on
-    (model, n, lambda), so calls share one instance through
-    :func:`_space`, up to its byte cap, and every array is read-only.
-    ``m`` is a checked model in the network's source order, ``n`` is
-    positive and ``lam`` a positive float.
+    up in ``halves``, one table for each half of the id's joint symbols,
+    and ``groups`` sorts the codes by counting.  Where every block is
+    typical, as with uniform sources, the codes and their groups are
+    outer sums of the halves' tables and need no lookup or sort.  All of
+    it depends only on (model, n, lambda), so Monte-Carlo trials share one
+    instance.  The model was checked when built, and is only aligned here.
     """
 
-    def __init__(self, m: SourceModel, n: int, lam: float):
+    def __init__(self, net: Network, m: SourceModel, n: int, lam):
+        if n < 1:
+            raise ValueError("block length n must be positive")
+        if not lam > 0:  # NaN too
+            raise ValueError("typicality slack must be positive")
+        self.lam = to_float(lam)
+        if self.lam == 0:
+            raise ValueError("typicality slack is positive but underflows a float")
+        m = aligned(m, net.sources)  # joint symbols follow net order
         check_source_count(len(m.sources))
-        self.lam = lam
         self.n = n
         sizes = m.alphabet_sizes
         self.alphabets = dict(zip(m.sources, sizes))
@@ -391,9 +383,16 @@ class _CandidateSpace:
         self.cumulative[-1] = 1.0
 
         self.ids = np.flatnonzero(self._typical(m))
+        # {source: its sequence code of each run of n - n//2 joint symbols,
+        # by the run's id}; a shorter run reads as one led by joint symbol
+        # 0, whose symbols are all 0.
+        self.halves = {}
+        for (s, a), symbol in zip(self.alphabets.items(), self.symbols):
+            table = np.zeros(1, dtype=np.int64)
+            for _ in range(n - n // 2):
+                table = (table[:, None] * a + symbol).ravel()
+            self.halves[s] = table
         self.codes = self._codes(self.ids)
-        _frozen(self.place, *self.symbols, self.probs, self.cumulative, self.ids,
-                *self.codes.values())
 
     def _typical(self, m: SourceModel) -> np.ndarray:
         """Mask of the candidates whose every nonempty subset's empirical
@@ -407,33 +406,45 @@ class _CandidateSpace:
             np.add.at(marginal, key, self.probs)  # in joint-symbol order
             log_marginal = np.array([math.log2(p) if p > 0.0 else -math.inf for p in marginal])
             table = log_marginal[key]
+            if (table == table[0]).all():
+                # One term for every symbol, as for a uniform marginal: every
+                # block has block 0's rate, so that block decides them all.
+                table = table[:1]
             # A block's log-probability adds its symbols' terms in time order
             # from 0.0; row-major outer sums lay the blocks out by id.
             logp = np.zeros(1)
             for _ in range(self.n):
                 logp = (logp[:, None] + table).ravel()
-            h = joint_entropy(m, [sources[k] for k in kept])
+            # |-logp / n - h| < lambda, in place.
+            np.negative(logp, out=logp)
+            logp /= self.n
+            logp -= joint_entropy(m, [sources[k] for k in kept])
             with np.errstate(invalid="ignore"):
-                typical &= np.abs(-logp / self.n - h) < self.lam
+                typical &= np.abs(logp, out=logp) < self.lam
         return typical
 
     def _codes(self, ids: np.ndarray) -> dict:
-        """{source: sequence code of each candidate in ``ids``}.
+        """{source: sequence code of each candidate in ``ids``}, which are
+        sorted and distinct.
 
         An id's first n - n//2 joint symbols and its last n//2 each index
-        one table of the codes of n - n//2 symbols, built by row-major
-        outer sums (a shorter sequence reads as one led by joint symbol 0,
-        whose symbols are all 0); the code is the first entry shifted past
-        the second.
+        the source's table in ``halves``; the code is the first entry
+        shifted past the second.  When ``ids`` are every candidate, they
+        are the row-major pairs of the two indices, and the codes one outer
+        sum of the table with its head.
         """
         low = self.n // 2
-        high, rest = np.divmod(ids, self.joint_size ** low)
+        cut = self.joint_size ** low
+        every = len(ids) == self.total
+        if not every:
+            high, rest = np.divmod(ids, cut)
         codes = {}
-        for (s, a), symbol in zip(self.alphabets.items(), self.symbols):
-            table = np.zeros(1, dtype=np.int64)
-            for _ in range(self.n - low):
-                table = (table[:, None] * a + symbol).ravel()
-            codes[s] = table[high] * a**low + table[rest]
+        for s, a in self.alphabets.items():
+            table = self.halves[s]
+            if every:
+                codes[s] = (table[:, None] * a**low + table[:cut]).ravel()
+            else:
+                codes[s] = table[high] * a**low + table[rest]
         return codes
 
     @functools.cached_property
@@ -445,27 +456,34 @@ class _CandidateSpace:
 
         A counting sort over the code range: a group is a code's rank
         among the codes present, and the listing is a stable radix sort
-        of the groups.  Built on first use, so only fresh-code narrowing
-        pays for it.
+        of the groups.  When every block is typical, each of a source's
+        a^n codes is present equally often and is its own group, and one
+        outer sum of the two halves' runs, each listed by code by a stable
+        sort of the source's ``halves`` table, gives the listing.  Built on
+        first use, so only fresh-code narrowing pays for it.
         """
         groups = {}
-        for s, codes in self.codes.items():
+        low = self.n // 2
+        cut = self.joint_size ** low
+        for (s, a), codes in zip(self.alphabets.items(), self.codes.values()):
+            if len(codes) == self.total:
+                width = a**self.n
+                table = self.halves[s]
+                high = np.argsort(table, kind="stable").reshape(a ** (self.n - low), -1)
+                rest = np.argsort(table[:cut], kind="stable").reshape(a**low, -1)
+                # Code (u, v) lists high run h in its u-th group, then low
+                # run r in its v-th group: [u, v, h, r].
+                order = (high[:, None, :, None] * cut + rest[None, :, None, :]).ravel()
+                groups[s] = (np.arange(width), codes, order,
+                             np.arange(width + 1) * (self.total // width))
+                continue
             counts = np.bincount(codes)
             present = counts > 0
             inverse = (np.cumsum(present) - 1)[codes]
             offsets = np.zeros(np.count_nonzero(present) + 1, dtype=np.int64)
             np.cumsum(counts[present], out=offsets[1:])
             groups[s] = (np.flatnonzero(present), inverse, _stable_order(inverse), offsets)
-            _frozen(*groups[s])
         return groups
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held in ``ids``, ``codes`` and, once built, ``groups``."""
-        arrays = [self.ids, *self.codes.values()]
-        if "groups" in self.__dict__:
-            arrays += [arr for group in self.groups.values() for arr in group]
-        return sum(arr.nbytes for arr in arrays)
 
     def sequence_of(self, J: int) -> list[tuple]:
         """Decode a candidate id back into a length-n list of symbol tuples."""
@@ -478,43 +496,6 @@ class _CandidateSpace:
     def draw(self, rng: np.random.Generator) -> int:
         """The id of a block drawn i.i.d. from the model."""
         return int(np.searchsorted(self.cumulative, rng.random(self.n), side="right") @ self.place)
-
-
-def _space(net: Network, m: SourceModel, n: int, lam, *, grouped: bool = False
-           ) -> _CandidateSpace:
-    """The candidate space of ``m`` in ``net``'s source order at block
-    length ``n`` and typicality slack ``lam``, with its ``groups`` built
-    if ``grouped``.
-
-    Spaces are kept in :data:`_spaces` under the aligned model's sources,
-    alphabet sizes and pmf entries in entry order, n and float lambda.
-    Numbers compare exactly, so equal keys mean the same exact pmf in the
-    same order, and so bit-identical entropies and typical sets.  The
-    newest space is kept, and the least recently used ones are dropped
-    until the kept arrays fit in :data:`_SPACE_BYTES`; a space larger
-    than that is returned but not kept.  Invalid arguments raise before
-    anything is kept.
-    """
-    if n < 1:
-        raise ValueError("block length n must be positive")
-    if not lam > 0:  # NaN too
-        raise ValueError("typicality slack must be positive")
-    lam = to_float(lam)
-    if lam == 0:
-        raise ValueError("typicality slack is positive but underflows a float")
-    m = aligned(m, net.sources)  # joint symbols follow net order
-    key = (m.sources, m.alphabet_sizes, tuple(m.pmf.items()), n, lam)
-    space = _spaces.pop(key, None)
-    if space is None:
-        space = _CandidateSpace(m, n, lam)
-    if grouped:
-        space.groups  # built here, so that its bytes count below
-    if space.nbytes <= _SPACE_BYTES:
-        _spaces[key] = space
-        total = sum(kept.nbytes for kept in _spaces.values())
-        while total > _SPACE_BYTES:
-            total -= _spaces.pop(next(iter(_spaces))).nbytes
-    return space
 
 
 def _sink_keys(code: CodeInstance, received: dict, count: int) -> dict:
@@ -663,7 +644,7 @@ def decode(
     width = len(code.net.in_edges(sink))
     if len(want) != width:
         raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
-    space = _space(code.net, m, code.n, lam)
+    space = _CandidateSpace(code.net, m, code.n, lam)
     if any(code.alphabets[s] != a for s, a in space.alphabets.items()):
         raise ValueError(f"model alphabets {space.alphabets} differ from the code's")
     mask = np.ones(len(space.ids), dtype=bool)
@@ -752,7 +733,7 @@ def estimate_error(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    space = _space(net, m, n, lam, grouped=not fixed_code)
+    space = _CandidateSpace(net, m, n, lam)
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     if fixed_code:
         code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))

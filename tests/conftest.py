@@ -12,10 +12,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import pytest
 
-from netmatch.entropy import SourceModel, aligned, joint_entropy
+from netmatch.entropy import SourceModel, joint_entropy
 from netmatch.errors import DocumentError, LimitError
 from netmatch.graph import Edge, Network, is_normalized
-from netmatch.scalars import INF, format_scalar, is_inf, to_float
+from netmatch.scalars import INF, format_scalar, is_inf
 from netmatch.setfunc import AxiomReport, SetFunction, members, subset_label, subset_masks
 from netmatch.simulator import (
     SimResult,
@@ -363,12 +363,6 @@ def reference_candidates(order, m: SourceModel, n: int, lam):
 _MASK64 = (1 << 64) - 1
 
 
-def candidate_space(net: Network, m: SourceModel, n: int, lam) -> _CandidateSpace:
-    """The candidate space of valid arguments, built afresh and not kept
-    by the simulator's cache."""
-    return _CandidateSpace(aligned(m, net.sources), n, to_float(lam))
-
-
 def reference_codes(space, ids: np.ndarray) -> dict:
     """{source: sequence code of each candidate in ``ids``} of a candidate
     space, by way of an n x len(ids) array of joint symbols, one row per
@@ -454,7 +448,7 @@ def reference_estimate_error(
     sink receives identically; a sink errs unless that is exactly the
     transmitted block.
     """
-    space = candidate_space(net, m, n, lam)
+    space = _CandidateSpace(net, m, n, lam)
     every = reference_codes(space, np.arange(space.total, dtype=np.int64))
     typical = np.zeros(space.total, dtype=bool)
     typical[space.ids] = True

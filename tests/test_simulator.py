@@ -1,7 +1,5 @@
 """Random-binning codes, propagation, typicality decoding, Monte-Carlo runs."""
 
-import dataclasses
-import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    candidate_space,
     random_source_model,
     reference_bin,
     reference_candidates,
@@ -18,11 +15,10 @@ from conftest import (
     reference_encode,
     reference_estimate_error,
     reference_match,
-    source_model_to_document,
 )
 
 from netmatch import fixtures, simulator
-from netmatch.entropy import SourceModel, parse_source_model
+from netmatch.entropy import SourceModel
 from netmatch.errors import DocumentError, LimitError
 from netmatch.graph import Edge, Network
 from netmatch.scalars import INF, is_inf
@@ -379,7 +375,7 @@ def test_estimate_error_matches_full_reencode_reference():
     for name, (net, model) in sorted(instances.items()):
         for n in range(1, 6 if name == "three" else 8):
             for lam in (0.05, Fraction(3, 32), Fraction(1, 4), Fraction(1, 2)):
-                empty += len(candidate_space(net, model, n, lam).ids) == 0
+                empty += len(_CandidateSpace(net, model, n, lam).ids) == 0
                 for fixed in (False, True):
                     args = (net, model, n, Fraction(1, 4), Fraction(1, 20), lam)
                     kwargs = dict(trials=12, seed=configs, fixed_code=fixed)
@@ -417,7 +413,7 @@ def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
     net = fixtures.butterfly_network()
     m = fixtures.dsbs_source(Fraction(11, 100))
     n, lam, trials, seed = 8, 3 / 32, 40, 3
-    space = candidate_space(net, m, n, lam)
+    space = _CandidateSpace(net, m, n, lam)
     typical = set(space.ids.tolist())
     hits = [space.draw(np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))) in typical
@@ -437,7 +433,7 @@ def test_runs_of_many_blocks_match_the_reference(monkeypatch):
     # a fixed code answers 200 trials from one set of keys.
     net, model = fixtures.butterfly_network(), fixtures.uniform_pair_source()
     args = (net, model, 2, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2))
-    space = candidate_space(net, model, 2, Fraction(1, 2))
+    space = _CandidateSpace(net, model, 2, Fraction(1, 2))
     assert len(space.ids) == space.total == 16
     trials = 200
     for fixed in (False, True):
@@ -454,7 +450,7 @@ def test_blocks_mixed_with_atypical_trials_match_the_reference(monkeypatch):
     p = Fraction(11, 100)
     net, model = fixtures.dsbs_network(p), fixtures.dsbs_source(p)
     lam, trials, seed = Fraction(1, 2), 46, 0
-    space = candidate_space(net, model, 6, lam)
+    space = _CandidateSpace(net, model, 6, lam)
     typical = set(space.ids.tolist())
     hits = [space.draw(np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))) in typical
@@ -506,7 +502,7 @@ def test_empty_typical_set_errs_everywhere_without_hiding_limits():
     net = fixtures.butterfly_network()
     m = fixtures.dsbs_source(Fraction(11, 100))
     n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), 1e-9
-    assert len(candidate_space(net, m, n, lam).ids) == 0
+    assert len(_CandidateSpace(net, m, n, lam).ids) == 0
     wide = fixtures.scaled_butterfly(15)  # u hears two 2^60.8-index edges
     for fixed in (False, True):
         with pytest.raises(LimitError, match="input domain"):
@@ -558,7 +554,7 @@ def _candidate_space_family():
         lam = rng.choice([0.05, Fraction(3, 32), Fraction(1, 4), Fraction(1, 2)])
         net = Network(nodes=(*names, "t"), edges=tuple(Edge(s, "t", Fraction(1)) for s in names),
                       sources=names, sinks=("t",))
-        yield names, model, n, lam, candidate_space(net, model, n, lam)
+        yield names, model, n, lam, _CandidateSpace(net, model, n, lam)
 
 
 def test_candidate_space_matches_reference():
@@ -592,6 +588,52 @@ def test_codes_and_groups_match_the_digit_route():
                 assert np.array_equal(have, expected)
             split += len(distinct) > 1
     assert split >= 150
+
+
+def _uniform_space_family():
+    """Candidate spaces of models whose marginals are uniform on some
+    subsets: uniform sources, whose blocks are all typical or none is, a
+    source with one symbol, and the DSBS, whose joint alone is not
+    uniform.  Yields (source names, model, n, lambda, space)."""
+    models = [
+        fixtures.uniform_pair_source(),
+        fixtures.dsbs_source(Fraction(11, 100)),
+        SourceModel(("a",), (3,), {(x,): Fraction(1, 3) for x in range(3)}),
+        SourceModel(("a", "b"), (3, 2), {(x, y): 1 / 6 for x in range(3) for y in range(2)}),
+        SourceModel(("a", "b"), (1, 2), {(0, 0): 0.5, (0, 1): 0.5}),
+    ]
+    for model in models:
+        names = model.sources
+        net = Network(nodes=(*names, "t"), edges=tuple(Edge(s, "t", Fraction(1)) for s in names),
+                      sources=names, sinks=("t",))
+        for n in range(1, 6):
+            if math.prod(model.alphabet_sizes) ** n > 1000:
+                break
+            for lam in (1e-16, 1e-15, Fraction(3, 32), Fraction(1, 2)):
+                yield names, model, n, lam, _CandidateSpace(net, model, n, lam)
+
+
+def test_uniform_marginals_and_full_typical_sets_match_the_reference():
+    # A subset whose symbols all have one term decides every block by block
+    # 0's rate, and a space whose every block is typical takes its codes and
+    # groups from outer sums: both against the per-block oracle and the
+    # digit route.
+    full = empty = 0
+    for names, model, n, lam, space in _uniform_space_family():
+        _, _, typical = reference_candidates(names, model, n, lam)
+        assert np.array_equal(space.ids, np.flatnonzero(typical))
+        want = reference_codes(space, space.ids)
+        for s in names:
+            assert np.array_equal(space.codes[s], want[s])
+            distinct, inverse = np.unique(want[s], return_inverse=True)
+            offsets = np.concatenate([[0], np.cumsum(np.bincount(inverse))])
+            for have, expected in zip(space.groups[s], (distinct, inverse, np.argsort(
+                    inverse, kind="stable"), offsets)):
+                assert have.dtype == np.int64
+                assert np.array_equal(have, expected)
+        full += len(space.ids) == space.total
+        empty += len(space.ids) == 0
+    assert full >= 40 and empty >= 10
 
 
 def test_stable_order_matches_a_comparison_sort():
@@ -636,7 +678,7 @@ def test_narrowing_matches_the_full_encoding(monkeypatch):
     for name, (net, model) in sorted(instances.items()):
         for n in (1, 2, 3, 4):
             for lam in (Fraction(3, 32), Fraction(1, 2)):
-                space = candidate_space(net, model, n, lam)
+                space = _CandidateSpace(net, model, n, lam)
                 if not len(space.ids):
                     continue
                 tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
@@ -676,7 +718,7 @@ def test_relay_fed_sinks_share_one_pass_over_the_candidates(monkeypatch):
     # are computed twice for one trial's code.
     net, model = relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100))
     n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2)
-    every = len(candidate_space(net, model, n, lam).ids)
+    every = len(_CandidateSpace(net, model, n, lam).ids)
     args = (net, model, n, tau, delta, lam)
     want = reference_estimate_error(*args, trials=30, seed=4).to_json()
     full = []
@@ -711,7 +753,7 @@ def test_encode_matches_python_int_reference(monkeypatch):
     routes = set()
     for name, (net, model) in sorted(_encoder_instances().items()):
         for n in (1, 2, 3, 4):
-            space = candidate_space(net, model, n, Fraction(1, 2))
+            space = _CandidateSpace(net, model, n, Fraction(1, 2))
             every = reference_codes(space, np.arange(space.total))
             for seed in range(3):
                 tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
@@ -818,198 +860,16 @@ def test_reference_bin_agrees_with_the_vectorised_hash():
 
 def test_candidate_cap_stops_before_enumerating(monkeypatch):
     # Two binary sources at n=13 give 4^13 = 2^26 candidate blocks, past
-    # the 2^24 cap: estimate_error and decode raise before any typicality
-    # scan, and again on a second call, since a call that raises keeps
-    # nothing.
+    # the 2^24 cap: estimate_error and decode raise before any typicality scan.
     def scan(*args):
         raise AssertionError("the candidate space was enumerated")
 
     monkeypatch.setattr(_CandidateSpace, "_typical", scan)
-    monkeypatch.setattr(simulator, "_spaces", {})
     net, model = fixtures.butterfly_network(), fixtures.uniform_pair_source()
     tau, delta, lam = Fraction(1, 4), Fraction(1, 20), Fraction(3, 32)
     message = "candidate space has 4\\^13 sequences, past the bound 16777216"
+    with pytest.raises(LimitError, match=message):
+        estimate_error(net, model, 13, tau, delta, lam, trials=1, seed=0)
     code = build_code(net, ALPHABETS, 13, tau, delta, seed=0)
-    for _ in range(2):
-        with pytest.raises(LimitError, match=message):
-            estimate_error(net, model, 13, tau, delta, lam, trials=1, seed=0)
-        with pytest.raises(LimitError, match=message):
-            decode(code, model, "t1", (1, 1), lam)
-    assert simulator._spaces == {}
-
-
-def _count_builds(monkeypatch) -> list:
-    """Empty the candidate-space cache for this test, and record (sources,
-    n, lambda) of every space built from here on."""
-    monkeypatch.setattr(simulator, "_spaces", {})
-    builds = []
-    inner = _CandidateSpace._typical
-
-    def counted(space, m):
-        builds.append((m.sources, space.n, space.lam))
-        return inner(space, m)
-
-    monkeypatch.setattr(_CandidateSpace, "_typical", counted)
-    return builds
-
-
-def test_fresh_and_fixed_calls_on_two_parsed_copies_build_one_space(monkeypatch):
-    builds = _count_builds(monkeypatch)
-    net = fixtures.butterfly_network()
-    text = json.dumps(source_model_to_document(fixtures.dsbs_source(Fraction(11, 100))))
-    first, second = parse_source_model(text), parse_source_model(text)
-    assert first is not second
-    args = (8, Fraction(1, 4), Fraction(1, 20), Fraction(3, 32))
-    fresh = estimate_error(net, first, *args, trials=20, seed=3)
-    fixed = estimate_error(net, second, *args, trials=20, seed=3, fixed_code=True)
-    assert len(builds) == 1
-    # The halved butterfly has the same sources, so it shares the space.
-    estimate_error(fixtures.scaled_butterfly(Fraction(1, 2)), first, *args, trials=20, seed=3)
-    assert len(builds) == 1
-    monkeypatch.setattr(simulator, "_spaces", {})
-    assert estimate_error(net, second, *args, trials=20, seed=3).to_json() == fresh.to_json()
-    assert (estimate_error(net, first, *args, trials=20, seed=3, fixed_code=True).to_json()
-            == fixed.to_json())
-    assert len(builds) == 2
-
-
-def test_repeated_decodes_build_one_space(monkeypatch):
-    net, m = fixtures.butterfly_network(), fixtures.dsbs_source(Fraction(11, 100))
-    n, lam = 6, Fraction(1, 2)
-    code = build_code(net, ALPHABETS, n, Fraction(1, 4), Fraction(1, 20), seed=5)
-    rng = random.Random(5)
-    calls = []
-    for j in range(10):
-        z = propagate(code, [(rng.randrange(2), rng.randrange(2)) for _ in range(n)])
-        calls.append(("t1", z["t1"]) if j % 2 else ("t2", z["t2"]))
-    builds = _count_builds(monkeypatch)
-    cold = []
-    for t, z_t in calls:
-        monkeypatch.setattr(simulator, "_spaces", {})
-        cold.append(decode(code, m, t, z_t, lam))
-    assert len(builds) == len(calls)
-    builds.clear()
-    monkeypatch.setattr(simulator, "_spaces", {})
-    assert [decode(code, m, t, z_t, lam) for t, z_t in calls] == cold
-    assert len(builds) == 1
-    assert any(cold) and not all(cold)
-
-
-def test_spaces_are_keyed_by_exact_pmf_values_and_entry_order(monkeypatch):
-    # 0.1 and 1/10 differ exactly, and a pmf in another entry order may sum
-    # its marginals, and so its entropy bits, in another order.
-    builds = _count_builds(monkeypatch)
-    net = fixtures.butterfly_network()
-    tenths = [Fraction(k, 10) for k in (1, 2, 3, 4)]
-    tuples = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    models = [SourceModel(("s1", "s2"), (2, 2), dict(zip(tuples, tenths))),
-              SourceModel(("s1", "s2"), (2, 2), dict(zip(tuples, map(float, tenths)))),
-              SourceModel(("s1", "s2"), (2, 2), dict(zip(tuples[::-1], tenths[::-1])))]
-    assert models[0].pmf == models[2].pmf != models[1].pmf
-    args = (4, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2))
-    for _ in range(2):
-        for m in models:
-            estimate_error(net, m, *args, trials=4, seed=1)
-    assert len(builds) == 3
-    # A model listing its sources in another order is aligned first, and
-    # its pmf keeps the entry order, so it shares the first model's space.
-    swapped = SourceModel(("s2", "s1"), (2, 2),
-                          {(b, a): p for (a, b), p in models[0].pmf.items()})
-    estimate_error(net, swapped, *args, trials=4, seed=1)
-    assert len(builds) == 3
-
-
-@pytest.mark.parametrize("mode", ["fresh", "fixed"])
-@pytest.mark.parametrize("n", [4, 6])
-@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
-def test_pinned_documents_are_the_same_from_a_warm_cache(monkeypatch, name, n, mode):
-    builds = _count_builds(monkeypatch)
-    make_net, make_model, lam = PINNED_INSTANCES[name]
-    pinned = (PINNED / f"{name}_n{n}_{mode}.json").read_text()
-    args = (make_net(), make_model(), n, Fraction(1, 4), Fraction(1, 20), lam)
-    # Cold, warm, and warm after a call in the other mode.
-    for fixed in (mode == "fixed", mode == "fixed", mode != "fixed", mode == "fixed"):
-        result = estimate_error(*args, trials=40, seed=7, fixed_code=fixed)
-        if fixed == (mode == "fixed"):
-            assert result.to_json() + "\n" == pinned
-    assert len(builds) == 1
-
-
-def test_invalid_arguments_raise_again_and_keep_nothing(monkeypatch):
-    builds = _count_builds(monkeypatch)
-    net, m = fixtures.butterfly_network(), fixtures.uniform_pair_source()
-    tau, delta = Fraction(1, 4), Fraction(1, 20)
-    code = build_code(net, ALPHABETS, 2, tau, delta, seed=1)
-    z = propagate(code, [(0, 0)] * 2)
-    cases = [(2, lam, "typicality slack must be positive")
-             for lam in (float("nan"), 0, -0.25, Fraction(-1, 4))]
-    cases.append((0, Fraction(1, 2), "block length n must be positive"))
-    for _ in range(2):
-        for n, lam, message in cases:
-            with pytest.raises(ValueError, match=message):
-                estimate_error(net, m, n, tau, delta, lam, trials=2, seed=1)
-            with pytest.raises(ValueError, match=message):
-                decode(dataclasses.replace(code, n=n), m, "t1", z["t1"], lam)
-    assert simulator._spaces == {} and builds == []
-
-
-def test_kept_arrays_are_read_only(monkeypatch):
-    monkeypatch.setattr(simulator, "_spaces", {})
-    net, m = fixtures.butterfly_network(), fixtures.dsbs_source(Fraction(11, 100))
-    estimate_error(net, m, 4, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2), trials=4, seed=1)
-    (space,) = simulator._spaces.values()
-    arrays = [space.ids, *space.codes.values(), space.cumulative, space.probs,
-              *(arr for group in space.groups.values() for arr in group)]
-    for arr in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
-    with pytest.raises(ValueError, match="read-only"):
-        space.codes["s1"] += 1
-
-
-def test_the_cache_holds_at_most_its_byte_budget(monkeypatch):
-    monkeypatch.setattr(simulator, "_spaces", {})
-    net, m = fixtures.butterfly_network(), fixtures.uniform_pair_source()
-    lam = Fraction(1, 2)
-    # Uniform bits make every block typical: 4^n candidates.
-    plain = {n: candidate_space(net, m, n, lam).nbytes for n in range(1, 7)}
-    grouped = {}
-    for n in plain:
-        space = candidate_space(net, m, n, lam)
-        space.groups
-        grouped[n] = space.nbytes
-    budget = grouped[5] + plain[4]
-    assert plain[6] > budget
-    monkeypatch.setattr(simulator, "_SPACE_BYTES", budget)
-    before, revisits, dropped = [], 0, 0
-    for n in (1, 2, 1, 3, 2, 4, 5, 3, 6, 4, 2, 5, 1, 6, 3):
-        for with_groups in (False, True):
-            space = simulator._space(net, m, n, lam, grouped=with_groups)
-            built = "groups" in space.__dict__
-            assert built or not with_groups
-            assert space.nbytes == (grouped if built else plain)[n]
-            # A kept space is taken from the cache, not rebuilt.
-            assert all(space is kept_space for kept_space in before if kept_space.n == n)
-            revisits += not with_groups and space in before
-            kept = list(simulator._spaces.values())
-            assert sum(kept_space.nbytes for kept_space in kept) <= budget
-            # The newest space is kept unless it alone passes the budget,
-            # and the least recently used ones were dropped first.
-            if space.nbytes <= budget:
-                assert kept[-1] is space
-            else:
-                assert space not in kept
-            older = [kept_space for kept_space in before if kept_space is not space]
-            rest = [kept_space for kept_space in kept if kept_space is not space]
-            assert rest == older[len(older) - len(rest):]
-            dropped += len(older) - len(rest)
-            before = kept
-    assert revisits >= 2 and dropped >= 4
-    # A kept space whose groups pass the budget is dropped once they are built.
-    monkeypatch.setattr(simulator, "_SPACE_BYTES", grouped[5] - 1)
-    monkeypatch.setattr(simulator, "_spaces", {})
-    estimate_error(net, m, 5, Fraction(1, 4), Fraction(1, 20), lam, trials=2, seed=1,
-                   fixed_code=True)
-    assert [space.n for space in simulator._spaces.values()] == [5]
-    estimate_error(net, m, 5, Fraction(1, 4), Fraction(1, 20), lam, trials=2, seed=1)
-    assert simulator._spaces == {}
+    with pytest.raises(LimitError, match=message):
+        decode(code, model, "t1", (1, 1), lam)
