@@ -25,8 +25,8 @@ from .graph import parse_network
 from .mincut import capacity_profile, rho_n, rho_t
 from .regions import DEFAULT_TOLERANCE, equivalence_check, separation_check
 from .scalars import check_tolerance, format_scalar, parse_scalar, round_float
-from .setfunc import (is_copolymatroid, is_polymatroid, members, parse_setfunction,
-                      subset_label, subset_masks)
+from .setfunc import (is_copolymatroid, is_polymatroid, parse_setfunction, subset_label,
+                      subset_labels, subset_masks)
 from .simulator import estimate_error, exhaustive_xor_check
 from .transmissibility import check as transmissibility_check
 from .transmissibility import diagnose
@@ -177,8 +177,8 @@ def _cmd_check(args):
 
 def _labels(sources) -> list:
     """(label, mask) of every nonempty subset, in the canonical mask order."""
-    return [(subset_label(members(mask, sources), sources), mask)
-            for mask in subset_masks(len(sources))]
+    labels = subset_labels(sources)
+    return [(labels[mask], mask) for mask in subset_masks(len(sources))]
 
 
 def _profile_document(profile) -> dict:

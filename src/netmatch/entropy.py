@@ -6,6 +6,16 @@ rate is a single-letter Shannon entropy in bits per symbol.  Entropies of
 rational pmfs are generally irrational, hence computed in floating point;
 downstream comparisons against exact capacities go through tolerances or
 rational snapping.
+
+Every marginal is summed exactly, on the pmf scaled to integer weights
+over one denominator, and every entropy is the same sequence of float
+operations on the marginal's weights in the order their keys first occur
+in the pmf.  :func:`entropy_profile` takes one of two routes to all 2^k
+marginals: a walk over the subset lattice on dicts, and a numpy engine
+that sums every marginal of a dense tensor in one batched pass.  Both
+follow that rule, so their floats are bit-identical to each other and to
+:func:`joint_entropy`; the engine runs where it is faster and its integer
+tensors cannot overflow.
 """
 
 from __future__ import annotations
@@ -15,6 +25,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import DocumentError, load_json
 from .scalars import parse_probability
@@ -171,8 +183,9 @@ def _integer_weights(m: SourceModel) -> tuple[dict, int]:
 def _entropy_bits(weights: Iterable[int], den: int) -> float:
     # int / int is correctly rounded, exactly like float(Fraction(w, den)),
     # so rational pmfs give the same bits as _shannon_bits on the exact
-    # marginal probabilities.
-    return _shannon_bits([w / den for w in weights])
+    # marginal probabilities.  A float pmf may sum to a hair over 1, which
+    # can leave float dust below zero; clip it, as sigma is clipped.
+    return max(0.0, _shannon_bits([w / den for w in weights]))
 
 
 def joint_entropy(m: SourceModel, subset: Iterable[str]) -> float:
@@ -222,20 +235,26 @@ class EntropyProfile:
     joint: SetFunction
 
 
-def entropy_profile(m: SourceModel) -> EntropyProfile:
-    """Joint and conditional entropies of every nonempty source subset.
+#: Cells the engine's dense tensors may hold, counting a "summed out" slot
+#: per axis; it allocates about 48 bytes per cell at its peak.
+_TENSOR_CELLS = 1 << 21
+#: Fewer sources than this take the dict walk, which is as fast or faster
+#: on small lattices than the engine's fixed numpy costs.
+_TENSOR_MIN_SOURCES = 6
+#: The dict walk touches at most 2^k keys per pmf entry; a tensor with this
+#: many times more cells (a sparse pmf over large alphabets) takes the walk.
+#: The two routes break even near this ratio.
+_TENSOR_SPARSITY = 8
 
-    Marginals come from a lattice walk on exact integer weights (see
-    :func:`_integer_weights`): starting from the full pmf, each child
-    marginal sums out one more coordinate of its parent's, removing
-    coordinates in increasing order so every subset is visited once.
-    Integer sums are exact and child dicts keep first-occurrence key
-    order, so every value is bit-identical to :func:`joint_entropy`.  The
-    model was checked when built; only the source count is checked here.
+
+def _joint_by_dict(weights: dict, den: int, k: int) -> list:
+    """Every joint entropy by a lattice walk over marginal dicts.
+
+    Starting from the full pmf, each child marginal sums out one more
+    coordinate of its parent's, removing coordinates in increasing order so
+    every subset is visited once.  A child dict keeps its keys in the order
+    they first occur in the pmf.
     """
-    k = len(m.sources)
-    check_source_count(k)
-    weights, den = _integer_weights(m)
     full = (1 << k) - 1
     joint = [0.0] * (full + 1)
 
@@ -252,6 +271,103 @@ def entropy_profile(m: SourceModel) -> EntropyProfile:
             shrink(mask & ~(1 << j), kept[:at] + kept[at + 1:], child, j + 1)
 
     shrink(full, list(range(k)), weights, 0)
+    return joint
+
+
+def _marginal_cells(weights: dict, sizes: tuple):
+    """The positive cells of every marginal at once: each cell's subset
+    mask, first pmf entry and integer weight, as three flat arrays.
+
+    A dense int64 tensor ``W`` over (|X_1|+1, ..., |X_k|+1) holds the
+    weights, with index |X_i| on axis i meaning "summed out", and ``F``
+    holds each cell's first pmf entry, zero weights included, as they hold
+    a key in the dict walk.  One sum (and min) per axis fills every
+    marginal; a cell's subset is the set of axes it does not sum out.
+    """
+    n = len(weights)
+    shape = tuple(a + 1 for a in sizes)
+    W = np.zeros(shape, np.int64)
+    F = np.full(shape, n, np.int64)
+    at = tuple(np.array(list(weights), np.intp).T)
+    W[at] = list(weights.values())
+    F[at] = np.arange(n)
+    for i, a in enumerate(sizes):
+        head = (slice(None),) * i
+        W[head + (a,)] = W[head + (slice(a),)].sum(axis=i)
+        F[head + (a,)] = F[head + (slice(a),)].min(axis=i)
+    cells = np.flatnonzero(W)
+    bits = [np.where(np.arange(a + 1) < a, 1 << i, 0).astype(np.int32)
+            for i, a in enumerate(sizes)]
+    return sum(np.ix_(*bits)).ravel()[cells], F.ravel()[cells], W.ravel()[cells]
+
+
+def _joint_by_tensor(weights: dict, den: int, sizes: tuple) -> list:
+    """Every joint entropy in one batched numpy pass over
+    :func:`_marginal_cells`, bit-identical to :func:`_joint_by_dict`; needs
+    ``den`` and the weight total below 2^63.
+
+    Ordering a subset's cells by first pmf entry is the dict walk's key
+    order, and each term p log2 p is the same Python float, so a
+    left-to-right ``np.subtract.accumulate`` from 0.0 repeats the dict
+    walk's sum operation for operation.
+    """
+    k, n = len(sizes), len(weights)
+    masks, first, weight = _marginal_cells(weights, sizes)
+    counts = np.bincount(masks, minlength=1 << k)
+    # Rows are bucketed by the bit length of their cell count, so the
+    # zero-padded sums hold at most twice the bucket's cells.
+    bucket = np.frexp(counts)[1]
+    rows = np.argsort(bucket, kind="stable")
+    rank = np.empty_like(rows)
+    rank[rows] = np.arange(1 << k)
+    weight = weight[np.argsort(rank[masks] * n + first)]
+    del masks, first  # each array here is as long as the cells; hold few at once
+    distinct, weight = np.unique(weight, return_inverse=True)
+    terms = np.array([p * math.log2(p) for p in (w / den for w in distinct.tolist())])[weight]
+    del weight
+    joint = np.zeros(1 << k)
+    lo = 0
+    for group in np.split(rows, np.flatnonzero(np.diff(bucket[rows])) + 1):
+        width = counts[group]
+        hi = lo + int(width.sum())
+        padded = np.zeros((len(group), int(width.max()) + 1))
+        padded[:, 1:][np.arange(padded.shape[1] - 1) < width[:, None]] = terms[lo:hi]
+        joint[group] = np.subtract.accumulate(padded, axis=1)[:, -1]
+        lo = hi
+    joint[0] = 0.0  # the empty set; its one cell holds the weight total
+    return [max(0.0, h) for h in joint.tolist()]
+
+
+def entropy_profile(m: SourceModel) -> EntropyProfile:
+    """Joint and conditional entropies of every nonempty source subset.
+
+    Marginals are summed exactly on integer weights (see
+    :func:`_integer_weights`) by one of two routes with bit-identical
+    results.  The numpy engine, :func:`_joint_by_tensor`, sums every
+    marginal in one batched pass.  The dict walk, :func:`_joint_by_dict`,
+    walks the subset lattice one marginal at a time.  The choice reads the
+    model alone: the walk runs at fewer than ``_TENSOR_MIN_SOURCES``
+    sources, where numpy's fixed costs do not pay; past ``_TENSOR_CELLS``
+    tensor cells, or ``_TENSOR_SPARSITY`` times more cells than the walk's
+    2^k keys per pmf entry (a sparse pmf over large alphabets); and when
+    den or the weight total reaches 2^63, past int64.  Both list a marginal's
+    weights in first-occurrence order of the pmf's entries, turn each into
+    p log2 p with the same Python float operations and subtract them from
+    0.0 left to right, so every value is bit-identical to
+    :func:`joint_entropy`.  The model was checked when built; only the
+    source count is checked here.
+    """
+    k = len(m.sources)
+    check_source_count(k)
+    weights, den = _integer_weights(m)
+    cells = math.prod(a + 1 for a in m.alphabet_sizes)
+    if (k >= _TENSOR_MIN_SOURCES
+            and cells <= min(_TENSOR_CELLS, _TENSOR_SPARSITY * len(weights) << k)
+            and max(den, sum(weights.values())) < 1 << 63):
+        joint = _joint_by_tensor(weights, den, m.alphabet_sizes)
+    else:
+        joint = _joint_by_dict(weights, den, k)
+    full = (1 << k) - 1
     # sigma(S) = H(all) - H(rest); conditioning can only reduce entropy, so
     # clip the float dust at zero and set-function nonnegativity holds
     # exactly.  The empty rest has joint entropy 0.0, so sigma(all) = H(all).

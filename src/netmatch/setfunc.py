@@ -68,6 +68,15 @@ def subset_label(subset: Iterable[str], ground: Sequence[str]) -> str:
     return "+".join(sorted(subset, key=list(ground).index))
 
 
+def subset_labels(ground: Sequence[str]) -> list[str]:
+    """:func:`subset_label` of every subset, indexed by mask (the empty set's
+    is ""): each label extends that of its mask without the top bit."""
+    labels = [""]
+    for g in ground:
+        labels += [f"{label}+{g}" if label else g for label in labels]
+    return labels
+
+
 def check_label_names(names: Iterable[str]) -> None:
     """Reject non-string names, and names holding ``+`` or ``,``: two subsets could label alike."""
     for name in names:

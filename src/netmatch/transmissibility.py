@@ -24,7 +24,7 @@ from .graph import Edge, Network
 from .mincut import max_flow
 from .regions import DEFAULT_TOLERANCE, Analysis, prepare_profiles
 from .scalars import check_tolerance, format_scalar, to_float
-from .setfunc import members, subset_label, subset_masks
+from .setfunc import members, subset_labels, subset_masks
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,7 @@ def check(
     check_tolerance(tol)
     analysis = prepare_profiles(net, m)
     profile, sigma = analysis.capacity, analysis.entropy.sigma.values
+    labels = subset_labels(profile.sources)
 
     rows = []
     for mask in subset_masks(len(profile.sources)):
@@ -102,11 +103,10 @@ def check(
             status = "tight"
         else:
             status = "pass"
-        S = members(mask, profile.sources)
         rows.append(
             SubsetRow(
-                subset=S,
-                label=subset_label(S, profile.sources),
+                subset=members(mask, profile.sources),
+                label=labels[mask],
                 sigma=h,
                 rho=rho,
                 margin=margin,

@@ -438,6 +438,22 @@ def test_entropy_rejects_non_integer_symbols(tmp_path, capsys, symbols):
     _assert_one_line_data_error(capsys)
 
 
+def test_float_dust_in_a_valid_model_ends_in_a_verdict(tmp_path, paths, capsys):
+    # The pmf sums to 1 + 2^-52, within PMF_TOLERANCE, so the model is
+    # built; H(s1) of the point mass on s1 = 0 is -3.2e-16 before clipping.
+    fn = tmp_path / "dust.json"
+    fn.write_text(json.dumps({"sources": ["s1", "s2"], "alphabets": [2, 2],
+                              "pmf": [{"symbols": [0, 0], "p": 0.5},
+                                      {"symbols": [0, 1], "p": 0.5000000000000002}]}))
+    assert run(["entropy", "--source", str(fn), "--subset", "s1"]) == 0
+    assert "H(s1) = 0\n" in capsys.readouterr().out
+    assert run(["entropy", "--source", str(fn)]) == 0
+    for command, code in [("check", 0), ("regions", 2)]:
+        capsys.readouterr()
+        assert run([command, "--network", paths["network"], "--source", str(fn)]) == code
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("symbol", [False, True, 0.0])
 def test_entropy_names_a_symbol_equal_to_a_listed_integer(tmp_path, capsys, symbol):
     fn = tmp_path / "source.json"

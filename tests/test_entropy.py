@@ -1,6 +1,7 @@
 """Source models and entropy rates, checked against a high-precision oracle."""
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -10,22 +11,26 @@ from fractions import Fraction
 
 import pytest
 
-from netmatch import fixtures
+from netmatch import entropy, fixtures
 from netmatch.entropy import (
     SourceModel,
     aligned,
     binary_entropy,
     conditional_entropy,
     entropy_profile,
+    _integer_weights,
+    _joint_by_dict,
+    _joint_by_tensor,
     _shannon_bits,
     joint_entropy,
     parse_source_model,
 )
 from netmatch.errors import DocumentError
 from netmatch.setfunc import is_copolymatroid
+from netmatch.transmissibility import check
 
-from conftest import (iter_nonempty_subsets, marginal_pmf, random_source_model,
-                      source_model_to_document)
+from conftest import (iter_nonempty_subsets, layered_network, marginal_pmf,
+                      random_source_model, source_model_to_document)
 
 
 def oracle_binary_entropy(p: float) -> float:
@@ -295,16 +300,149 @@ def test_profile_matches_joint_entropy_bitwise(rational):
     # The lattice walk and the single-subset marginal share the integer
     # weights, so they agree to the last bit for float pmfs as well; on
     # rational pmfs both equal the direct Fraction marginal formula.
+    # Twenty models of 1-4 sources, then one each of 5-8 sources over bits,
+    # so both routes of the profile run while the marginals stay cheap.
     rng = random.Random(31 if rational else 32)
-    for _ in range(20):
-        sources = [f"s{k}" for k in range(rng.randint(1, 4))]
-        m = random_source_model(rng, sources, max_alphabet=4, rational=rational)
+    for i in range(24):
+        k = rng.randint(1, 4) if i < 20 else i - 15
+        sources = [f"s{j}" for j in range(k)]
+        m = random_source_model(rng, sources, max_alphabet=4 if k <= 4 else 2,
+                                rational=rational)
         ep = entropy_profile(m)
         for S in iter_nonempty_subsets(m.sources):
             assert ep.joint(S).hex() == joint_entropy(m, S).hex()
             if rational:
                 direct = _shannon_bits(marginal_pmf(m, S).values())
                 assert ep.joint(S).hex() == direct.hex()
+
+
+def _lattice_model(rng: random.Random, k: int, kind: str, max_alphabet: int) -> SourceModel:
+    """A seeded model that varies what the entropy routes must reproduce:
+    alphabets of 1 to ``max_alphabet`` symbols, dense or sparse support,
+    explicit zero-probability entries and shuffled entry order.  ``kind``
+    is "rational", "float" (den below 2^63 unless some probability's last
+    bit is) or "tiny" (a float pmf with an entry of 2^-80, so den reaches
+    2^63)."""
+    tiny = kind == "tiny"
+    sizes = tuple(rng.randint(1 + (tiny and i == 0), max_alphabet) for i in range(k))
+    tuples = list(itertools.product(*(range(a) for a in sizes)))
+    if rng.random() < 0.4:
+        tuples = rng.sample(tuples, max(1 + tiny, len(tuples) // rng.randint(2, 6)))
+    rng.shuffle(tuples)
+    weights = [rng.randint(0 if rng.random() < 0.5 else 1, 8) for _ in tuples]
+    weights[0] *= not tiny  # the first entry holds the tiny mass
+    if not any(weights):
+        weights[-1] = 1
+    total = sum(weights)
+    if kind == "rational":
+        pmf = {t: Fraction(w, total) for t, w in zip(tuples, weights)}
+    else:
+        pmf = {t: w / total for t, w in zip(tuples, weights)}
+        if tiny:
+            pmf[tuples[0]] = 2.0 ** -80
+    return SourceModel(tuple(f"s{i}" for i in range(k)), sizes, pmf)
+
+
+def _fits_int64(m: SourceModel) -> bool:
+    weights, den = _integer_weights(m)
+    return max(den, sum(weights.values())) < 2**63
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_engine_matches_the_dict_walk_bitwise(k):
+    # The engine is run at every k, dispatched or not; entropy_profile,
+    # whichever route it takes, must give the same bits too.
+    rng = random.Random(400 + k)
+    max_alphabet = 4 if k <= 5 else 3 if k <= 7 else 2
+    engine_runs = {"rational": 0, "float": 0}
+    for kind in ("rational", "float", "tiny") * (6 if k <= 7 else 4):
+        m = _lattice_model(rng, k, kind, max_alphabet)
+        weights, den = _integer_weights(m)
+        expected = [h.hex() for h in _joint_by_dict(weights, den, k)]
+        assert [h.hex() for h in entropy_profile(m).joint.values] == expected
+        if _fits_int64(m):
+            got = _joint_by_tensor(weights, den, m.alphabet_sizes)
+            assert [h.hex() for h in got] == expected
+            engine_runs[kind] += 1
+    assert engine_runs["rational"] >= 2 and engine_runs["float"] >= 1
+
+
+def test_engine_matches_the_dict_walk_at_k12():
+    m = random_source_model(random.Random(12), [f"s{i}" for i in range(12)], max_alphabet=2)
+    weights, den = _integer_weights(m)
+    expected = _joint_by_dict(weights, den, 12)
+    got = _joint_by_tensor(weights, den, m.alphabet_sizes)
+    assert [h.hex() for h in got] == [h.hex() for h in expected]
+
+
+def _count_routes(monkeypatch) -> dict:
+    calls = {"_joint_by_dict": 0, "_joint_by_tensor": 0}
+    for name in calls:
+        def counted(*args, _route=getattr(entropy, name), _name=name):
+            calls[_name] += 1
+            return _route(*args)
+        monkeypatch.setattr(entropy, name, counted)
+    return calls
+
+
+def test_check_at_k8_never_enters_the_dict_walk(monkeypatch):
+    # A work gate that timing noise cannot move: the benchmark's k=8 family
+    # takes the engine, so the identity tests above run the code check runs.
+    rng = random.Random(1)
+    net = layered_network(rng, 8)
+    m = random_source_model(rng, net.sources, max_alphabet=2)
+    calls = _count_routes(monkeypatch)
+    check(net, m)
+    assert calls == {"_joint_by_dict": 0, "_joint_by_tensor": 1}
+
+
+@pytest.mark.parametrize("name", ["den-2^63", "k4", "k5", "sparse", "cells"])
+def test_entropy_profile_takes_the_dict_walk_where_the_engine_would_not_pay(monkeypatch, name):
+    # Each model breaks exactly one of the engine's conditions.
+    rng = random.Random(7)
+    k = {"k4": 4, "k5": 5, "cells": 7}.get(name, 8)
+    sources = [f"s{i}" for i in range(k)]
+    if name == "den-2^63":
+        while True:
+            m = _lattice_model(rng, k, "tiny", 2)
+            if all(a == 2 for a in m.alphabet_sizes):
+                break
+    elif name == "sparse":  # 5^8 cells for at most 40 entries
+        keys = {tuple(rng.randrange(4) for _ in sources) for _ in range(40)}
+        m = SourceModel(sources, (4,) * k, {t: Fraction(1, len(keys)) for t in keys})
+    elif name == "cells":  # 8^6 * 9 cells, past the budget
+        keys = {tuple(rng.randrange(a) for a in (7,) * 6 + (8,)) for _ in range(2500)}
+        m = SourceModel(sources, (7,) * 6 + (8,), {t: Fraction(1, len(keys)) for t in keys})
+    else:
+        m = random_source_model(rng, sources, max_alphabet=2)
+    cells = math.prod(a + 1 for a in m.alphabet_sizes)
+    broken = {"den-2^63": not _fits_int64(m),
+              "sources": k < entropy._TENSOR_MIN_SOURCES,
+              "sparse": cells > entropy._TENSOR_SPARSITY * len(m.pmf) << k,
+              "cells": cells > entropy._TENSOR_CELLS}
+    assert [reason for reason, fails in broken.items() if fails] == [
+        "sources" if name in ("k4", "k5") else name]
+    calls = _count_routes(monkeypatch)
+    entropy_profile(m)
+    assert calls == {"_joint_by_dict": 1, "_joint_by_tensor": 0}
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_float_dust_below_zero_is_clipped_on_both_routes(k):
+    # The pmf sums to 1 + 2^-52 within PMF_TOLERANCE, so a point-mass
+    # marginal has p > 1 and a float entropy of about -3.2e-16.
+    sources = tuple(f"s{i}" for i in range(k))
+    m = SourceModel(sources, (1, 2) + (1,) * (k - 2),
+                    {(0,) * k: 0.5, (0, 1) + (0,) * (k - 2): 0.5000000000000002})
+    weights, den = _integer_weights(m)
+    assert _shannon_bits([sum(weights.values()) / den]) < 0
+    joint = entropy_profile(m).joint.values
+    assert joint == tuple(_joint_by_dict(weights, den, k))
+    assert joint == tuple(_joint_by_tensor(weights, den, m.alphabet_sizes))
+    for mask in range(1, 1 << k):
+        h = joint_entropy(m, [s for p, s in enumerate(sources) if mask >> p & 1])
+        assert joint[mask] == h
+        assert h == 0.0 if mask & 2 == 0 else h > 0.99
 
 
 def test_nan_probability_rejected():

@@ -21,6 +21,7 @@ from netmatch.setfunc import (
     parse_setfunction,
     sandwich_feasible,
     subset_label,
+    subset_labels,
     subset_masks,
 )
 from netmatch import simplex
@@ -39,6 +40,14 @@ def test_subset_order_is_size_then_position():
     ground = ("a", "b", "c")
     labels = [subset_label(members(mask, ground), ground) for mask in subset_masks(3)]
     assert labels == ["a", "b", "c", "a+b", "a+c", "b+c", "a+b+c"]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_subset_labels_by_mask_match_subset_label(k):
+    ground = tuple(f"g{p}" for p in reversed(range(k)))  # labels follow ground order
+    labels = subset_labels(ground)
+    assert labels == [""] + [subset_label(members(mask, ground), ground)
+                             for mask in range(1, 1 << k)]
 
 
 @pytest.mark.parametrize("k", range(11))
