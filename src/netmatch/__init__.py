@@ -21,7 +21,6 @@ from .errors import CycleError, DocumentError, LimitError, NetmatchError
 from .graph import (
     Edge,
     Network,
-    is_normalized,
     parse_network,
     validate_acyclic,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "estimate_error",
     "feasible",
     "is_copolymatroid",
-    "is_normalized",
     "is_polymatroid",
     "joint_entropy",
     "max_flow",

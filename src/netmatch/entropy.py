@@ -307,33 +307,21 @@ def _joint_by_tensor(weights: dict, den: int, sizes: tuple) -> list:
     ``den`` and the weight total below 2^63.
 
     Ordering a subset's cells by first pmf entry is the dict walk's key
-    order, and each term p log2 p is the same Python float, so a
-    left-to-right ``np.subtract.accumulate`` from 0.0 repeats the dict
-    walk's sum operation for operation.
+    order, and each term p log2 p is the same Python float.  The subsets'
+    terms are laid end to end, each run led by a 0.0, and one
+    ``np.subtract.reduceat`` sums the runs; subtract's reduce runs left
+    to right, so it repeats the dict walk's sum operation for operation.
     """
     k, n = len(sizes), len(weights)
     masks, first, weight = _marginal_cells(weights, sizes)
     counts = np.bincount(masks, minlength=1 << k)
-    # Rows are bucketed by the bit length of their cell count, so the
-    # zero-padded sums hold at most twice the bucket's cells.
-    bucket = np.frexp(counts)[1]
-    rows = np.argsort(bucket, kind="stable")
-    rank = np.empty_like(rows)
-    rank[rows] = np.arange(1 << k)
-    weight = weight[np.argsort(rank[masks] * n + first)]
+    weight = weight[np.argsort(masks * np.int64(n) + first)]
     del masks, first  # each array here is as long as the cells; hold few at once
     distinct, weight = np.unique(weight, return_inverse=True)
     terms = np.array([p * math.log2(p) for p in (w / den for w in distinct.tolist())])[weight]
     del weight
-    joint = np.zeros(1 << k)
-    lo = 0
-    for group in np.split(rows, np.flatnonzero(np.diff(bucket[rows])) + 1):
-        width = counts[group]
-        hi = lo + int(width.sum())
-        padded = np.zeros((len(group), int(width.max()) + 1))
-        padded[:, 1:][np.arange(padded.shape[1] - 1) < width[:, None]] = terms[lo:hi]
-        joint[group] = np.subtract.accumulate(padded, axis=1)[:, -1]
-        lo = hi
+    offsets = np.cumsum(counts) - counts
+    joint = np.subtract.reduceat(np.insert(terms, offsets, 0.0), offsets + np.arange(1 << k))
     joint[0] = 0.0  # the empty set; its one cell holds the weight total
     return [max(0.0, h) for h in joint.tolist()]
 

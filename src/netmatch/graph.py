@@ -5,9 +5,8 @@ A network is a finite digraph without self-loops, a nonnegative capacity
 nodes.  A source may have incoming edges and may also be a sink: the cut
 computations read such a network as given (an edge into a source never
 leaves a source side, and a sink inside the source set has no cut, so
-its capacity is infinite).  A *normalized* network has disjoint
-source/sink sets and no edge entering a source; only the simulator
-requires that form.
+its capacity is infinite), and so does the simulator (a source's own
+sequence code is one more digit of its input).
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ class Network:
 
     Parallel edges are allowed and kept distinct; their capacities add up
     in every cut.  Construction validates local shape only (endpoints,
-    self-loops, capacity signs); acyclicity and :func:`is_normalized` are
-    separate checks, and only the simulator asks for the latter.  The
+    self-loops, capacity signs); acyclicity is a separate check.  The
     in- and out-edge index lists of every node are built once, here.
     """
 
@@ -205,10 +203,3 @@ def validate_acyclic(net: Network) -> tuple[str, ...]:
     cycle = seen[seen.index(node):]
     raise CycleError(cycle)
 
-
-def is_normalized(net: Network) -> bool:
-    """True iff sources and sinks are disjoint and no edge enters a source."""
-    src = net.source_set
-    if src & net.sink_set:
-        return False
-    return all(e.head not in src for e in net.edges)

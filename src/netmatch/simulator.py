@@ -6,8 +6,10 @@ node i's inputs to that index set.  A bin map is a keyed 64-bit hash, one
 key per edge, evaluated only at the inputs an encoding queries, so no
 table over an input domain is ever materialized.  One evaluator,
 ``_inputs``, chains the bin maps in topological order over arrays of
-source blocks.  The joint-typicality decoder outputs the unique typical
-preimage of a sink's reception.
+source blocks; a source's own sequence code enters its input as if on
+one more infinite-capacity in-edge after all of the network's.  The
+joint-typicality decoder outputs the unique typical preimage of a sink's
+reception.
 
 :func:`decode` encodes the typical candidates (``_encode``) and compares
 the reception with that encoding.  :func:`estimate_error` decides the
@@ -19,11 +21,12 @@ candidates once and sorts each sink's keys of their receptions
 With fresh codes, ``_narrow`` keeps, edge by edge, the (trial,
 candidate) pairs that agree with their trial's transmitted block at each
 sink, under that trial's keys.  It starts from the groups of candidates
-that share the truth's bin on a source edge and computes node inputs at
-the survivors only, so one pass of numpy calls serves the whole block.  A
-trial whose transmitted block is not typical is an error at every sink
-without any encoding.  The empirical per-sink error rate is estimated
-over many trials with a fresh random code per trial by default.
+that share the truth's bin on a source edge (or own code, at a source)
+and computes node inputs at the survivors only, so one pass of numpy
+calls serves the whole block.  A trial whose transmitted block is not
+typical is an error at every sink without any encoding.  The empirical
+per-sink error rate is estimated over many trials with a fresh random
+code per trial by default.
 
 Candidate ids.  With the sources in network order and alphabet sizes
 |X_1|, ..., |X_k|, a joint symbol is a number below |X| = |X_1| ... |X_k|
@@ -54,7 +57,7 @@ import numpy as np
 
 from .entropy import SourceModel, aligned, joint_entropy
 from .errors import LimitError
-from .graph import Network, is_normalized, validate_acyclic
+from .graph import Network, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
 from .setfunc import check_source_count, subset_masks
 
@@ -115,12 +118,11 @@ class CodeInstance:
     Holds, per node with out-edges, the size of its input domain; per
     edge, the index-set size; and per finite edge, a 64-bit hash key that
     stands for the edge's uniformly random bin map (see :func:`_bin`).  No
-    bin table is stored.  Source-node inputs are length-n sequences over
-    that source's alphabet; interior-node inputs are the tuples of indices
-    arriving on its in-edges (in edge order), read as one mixed-radix
-    number.  Edges of infinite capacity have no key and forward their
-    input unchanged.  Fully determined by (network, alphabets, n, tau,
-    delta, seed).
+    bin table is stored.  A node's input is its :func:`_digits` read as
+    one mixed-radix number: the indices arriving on its in-edges, in edge
+    order, then at a source its own sequence code.  Edges of infinite
+    capacity have no key and forward their input unchanged.  Fully
+    determined by (network, alphabets, n, tau, delta, seed).
     """
 
     net: Network
@@ -138,10 +140,10 @@ class CodeInstance:
 def build_code(net: Network, alphabets, n: int, tau, delta, seed) -> CodeInstance:
     """Draw one random code for the network at rate budget c + tau.
 
-    ``alphabets`` maps each source node to its alphabet size.  Requires a
-    normalized acyclic network and 0 < delta < tau.  Deterministic given
-    ``seed`` (an int or a numpy SeedSequence): edge k's key is entry k of
-    one ``generate_state(len(net.edges), np.uint64)`` call on it.
+    ``alphabets`` maps each source node to its alphabet size.  Requires an
+    acyclic network and 0 < delta < tau.  Deterministic given ``seed`` (an
+    int or a numpy SeedSequence): edge k's key is entry k of one
+    ``generate_state(len(net.edges), np.uint64)`` call on it.
 
     A key selects edge k's bin map x -> SplitMix64(x * golden + key) mod
     size.  The finaliser is a bijection of 64-bit words, and reducing a
@@ -164,9 +166,6 @@ def _code_layout(net: Network, alphabets, n: int, tau, delta) -> CodeInstance:
         raise ValueError("need 0 < delta < tau")
     if n < 1:
         raise ValueError("block length n must be positive")
-    if not is_normalized(net):
-        raise ValueError("network must be normalized (no source is a sink, "
-                         "no edge enters a source)")
     topo = validate_acyclic(net)
     for s in net.sources:
         if s not in alphabets or int(alphabets[s]) < 1:
@@ -179,10 +178,9 @@ def _code_layout(net: Network, alphabets, n: int, tau, delta) -> CodeInstance:
     for node in topo:
         if not net.out_edges(node):
             continue
+        domain = math.prod(index_sizes[k] for k in net.in_edges(node))
         if node in net.source_set:  # a^64 passes int64 for every a >= 2
-            domain = int(alphabets[node]) ** min(n, 64)
-        else:
-            domain = math.prod(index_sizes[k] for k in net.in_edges(node))
+            domain *= int(alphabets[node]) ** min(n, 64)
         if domain > _INT64_MAX:
             raise LimitError(f"input domain of node {node!r} has more than "
                              f"2^63 - 1 entries, past int64")
@@ -271,24 +269,43 @@ def _sequence_code(seq: Sequence[int], alphabet: int) -> int:
     return code
 
 
-def _inputs(code: CodeInstance, values: dict, nodes, trials=None) -> None:
+def _bare(net: Network, node: str) -> bool:
+    """True iff ``node`` is a source with no in-edges, whose input is its
+    own sequence code."""
+    return node in net.source_set and not net.in_edges(node)
+
+
+def _digits(code: CodeInstance, node: str, values: dict, codes: dict, trials=None) -> list:
+    """The digits of ``node``'s input or reception, as (radix, int64
+    array) pairs: each in-edge's index-set size and indices, read from
+    ``values`` (as in :func:`_inputs`), then at a source s |X_s|^n and its
+    own sequence codes ``codes[s]``, forwarded unhashed."""
+    net = code.net
+    digits = [(code.index_sizes[k], _bin(code, k, values[net.edges[k].tail], trials))
+              for k in net.in_edges(node)]
+    if node in net.source_set:
+        digits.append((code.alphabets[node] ** code.n, codes[node]))
+    return digits
+
+
+def _inputs(code: CodeInstance, values: dict, codes: dict, nodes, trials=None) -> None:
     """Add to ``values`` the input of each of ``nodes`` that it lacks.
 
-    ``values`` maps nodes to equally long int64 arrays and holds every
-    source's sequence codes; ``nodes`` are non-source nodes in topological
-    order, each after the nodes its input needs.  A node's input is its
-    in-edges' indices read as one mixed-radix number, in edge order.
-    ``trials`` is as in :func:`_bin`.
+    ``values`` maps nodes to equally long int64 arrays, and ``codes`` maps
+    each source whose input it lacks to its sequence codes at the same
+    entries; ``nodes`` are in topological order, each after the nodes its
+    input needs.  A node's input is its :func:`_digits` read as one
+    mixed-radix number.  ``trials`` is as in :func:`_bin`, and sets the
+    length when given.
     """
-    net = code.net
-    length = len(next(iter(values.values())))
+    length = len(trials) if trials is not None else len(next(iter(codes.values())))
     for node in nodes:
         if node in values:
             continue
         composite = np.zeros(length, dtype=np.int64)
-        for k in net.in_edges(node):
-            composite *= code.index_sizes[k]
-            composite += _bin(code, k, values[net.edges[k].tail], trials)
+        for size, digit in _digits(code, node, values, codes, trials):
+            composite *= size
+            composite += digit
         values[node] = composite
 
 
@@ -296,16 +313,12 @@ def _encode(code: CodeInstance, source_codes: dict) -> dict:
     """Chain the edges' bin maps on arrays of per-source sequence codes.
 
     ``source_codes`` maps every source to an equally long int64 array.
-    Returns {sink: list of 0-based received-index arrays, one per in-edge
-    in edge order}.
+    Returns {sink: its :func:`_digits`, the indices 0-based}.
     """
     net = code.net
-    values = dict(source_codes)
-    _inputs(code, values, [node for node in code.topo_order if net.out_edges(node)])
-    return {
-        t: [_bin(code, k, values[net.edges[k].tail]) for k in net.in_edges(t)]
-        for t in net.sinks
-    }
+    values = {s: c for s, c in source_codes.items() if _bare(net, s)}
+    _inputs(code, values, source_codes, [node for node in code.topo_order if net.out_edges(node)])
+    return {t: _digits(code, t, values, source_codes) for t in net.sinks}
 
 
 def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
@@ -313,16 +326,15 @@ def propagate(code: CodeInstance, x: Sequence[Sequence[int]]) -> dict:
 
     ``x`` is a length-n sequence of symbol tuples, one coordinate per
     source in network source order.  Returns {sink: tuple of received
-    edge indices}, 1-based, ordered like the sink's in-edges.
+    edge indices}, 1-based, ordered like the sink's in-edges and followed
+    by the sink's own sequence code if it is a source.
     """
-    if len(x) != code.n:
-        raise ValueError(f"input block has length {len(x)}, expected n={code.n}")
-    source_codes = {}
-    for pos, s in enumerate(code.net.sources):
-        seq = [step[pos] for step in x]
-        source_codes[s] = np.array([_sequence_code(seq, code.alphabets[s])], dtype=np.int64)
+    if len(x) != code.n or any(len(step) != len(code.net.sources) for step in x):
+        raise ValueError(f"input block must be n={code.n} tuples of one symbol per source")
+    source_codes = {s: np.array([_sequence_code(seq, code.alphabets[s])], dtype=np.int64)
+                    for s, seq in zip(code.net.sources, zip(*x))}
     received = _encode(code, source_codes)
-    return {t: tuple(int(z[0]) + 1 for z in arrays) for t, arrays in received.items()}
+    return {t: tuple(int(z[0]) + 1 for _, z in digits) for t, digits in received.items()}
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -498,18 +510,17 @@ class _CandidateSpace:
         return int(np.searchsorted(self.cumulative, rng.random(self.n), side="right") @ self.place)
 
 
-def _sink_keys(code: CodeInstance, received: dict, count: int) -> dict:
+def _sink_keys(received: dict, count: int) -> dict:
     """{sink: an int64 key per candidate} of ``received``, ``_encode`` of
-    ``count`` candidates: its indices as one mixed-radix number in the
-    in-edges' index-set sizes, so keys are equal iff receptions are.  Where
+    ``count`` candidates: its digits as one mixed-radix number, so keys
+    are equal iff receptions are.  Where
     that would pass int64, the key so far and the next indices are first
     ranked among their distinct values; ranks are below ``count`` <= 2^24,
     so their product is below 2^48."""
     keys = {}
-    for t, arrays in received.items():
+    for t, digits in received.items():
         key, span = np.zeros(count, dtype=np.int64), 1
-        for k, arr in zip(code.net.in_edges(t), arrays):
-            size = code.index_sizes[k]
+        for size, arr in digits:
             if span * size > _INT64_MAX:
                 distinct, key = np.unique(key, return_inverse=True)
                 ranks, arr = np.unique(arr, return_inverse=True)
@@ -522,27 +533,26 @@ def _sink_keys(code: CodeInstance, received: dict, count: int) -> dict:
 
 
 def _upstream(net: Network, topo: tuple, node: str) -> tuple:
-    """The non-source nodes whose inputs ``node``'s input needs, itself
-    included, in topological order."""
+    """The nodes whose inputs ``node``'s input needs, itself included, in
+    topological order, but for the sources with no in-edges."""
     needed = {node}
     for v in reversed(topo):
         if v in needed:
             needed.update(net.edges[k].tail for k in net.in_edges(v))
-    return tuple(v for v in topo if v in needed and v not in net.source_set)
+    return tuple(v for v in topo if v in needed and not _bare(net, v))
 
 
 def _plans(layout: CodeInstance) -> dict:
     """{sink: ((in-edge, the nodes :func:`_inputs` computes for its tail),
     ...)} in the order :func:`_narrow` tests them.
 
-    Edges from a source come first, then the rest, each in edge order.
-    Any order gives the same matches.
+    Edges from a source with no in-edges come first, then the rest, each
+    in edge order.  Any order gives the same matches.
     """
     net = layout.net
     return {
         t: tuple((k, _upstream(net, layout.topo_order, net.edges[k].tail))
-                 for k in sorted(net.in_edges(t),
-                                 key=lambda k: net.edges[k].tail not in net.source_set))
+                 for k in sorted(net.in_edges(t), key=lambda k: not _bare(net, net.edges[k].tail)))
         for t in net.sinks
     }
 
@@ -567,10 +577,12 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
     ``plans`` is :func:`_plans` of the codes' layout.  A survivor is a
     (trial, position) pair; each sink keeps the survivors that agree with
     their trial's truth, one in-edge at a time, computing node inputs at
-    the survivors only.  A sink that hears a source starts on that edge:
-    the source's distinct sequence codes are hashed under every trial's
-    key at once, and the groups in the truth's bin (``space.groups``)
-    become survivors.  The other sinks start from every candidate of up to
+    the survivors only.  A sink that is a source starts from the group of
+    the truth's own sequence code (``space.groups``), which it receives
+    unhashed.  A sink that hears a source with no in-edges starts on that
+    edge: the source's distinct sequence codes are hashed under every
+    trial's key at once, and the groups in the truth's bin become
+    survivors.  The other sinks start from every candidate of up to
     :data:`_BLOCK_WORDS` // |candidates| trials at a time and share the
     node inputs over those, so no edge's bins over the whole candidate set
     are computed twice for one code.  Returns {sink: survivors per trial},
@@ -579,13 +591,15 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
     net = block.net
     count = len(truths)
     survivors = {t: np.zeros(count, dtype=np.int64) for t in plans}
+    fed = [s for s in net.sources if not _bare(net, s)]
 
     def survive(t, plan, trials, positions, values):
         truth = positions == truths[trials]
+        codes = {s: space.codes[s][positions] for s in fed}
         for j, (k, upstream) in enumerate(plan):
             if truth.all():  # only the truths are left
                 break
-            _inputs(block, values, upstream, trials)
+            _inputs(block, values, codes, upstream, trials)
             carried = _bin(block, k, values[net.edges[k].tail], trials)
             want = np.empty(count, dtype=np.int64)
             want[trials[truth]] = carried[truth]
@@ -594,30 +608,36 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
             trials, truth = trials[keep], truth[keep]
             if j + 1 < len(plan):
                 values = {v: arr[keep] for v, arr in values.items()}
+                codes = {s: arr[keep] for s, arr in codes.items()}
         survivors[t] += np.bincount(trials, minlength=count)
 
     relay_fed = []
     for t, plan in plans.items():
-        if not plan or net.edges[plan[0][0]].tail not in net.source_set:
+        if t in net.source_set:
+            distinct, inverse, order, offsets = space.groups[t]
+            trials, kept = np.arange(count), inverse[truths]
+        elif plan and _bare(net, net.edges[plan[0][0]].tail):
+            (k, _), *plan = plan
+            distinct, inverse, order, offsets = space.groups[net.edges[k].tail]
+            bins = _bin(block, k, np.tile(distinct, count),
+                        np.repeat(np.arange(count), len(distinct))).reshape(count, -1)
+            trials, kept = np.nonzero(bins == bins[np.arange(count), inverse[truths]][:, None])
+        else:
             relay_fed.append(t)
             continue
-        (k, _), *plan = plan
-        distinct, inverse, order, offsets = space.groups[net.edges[k].tail]
-        bins = _bin(block, k, np.tile(distinct, count),
-                    np.repeat(np.arange(count), len(distinct))).reshape(count, -1)
-        trials, kept = np.nonzero(bins == bins[np.arange(count), inverse[truths]][:, None])
         sizes = offsets[kept + 1] - offsets[kept]
         trials = np.repeat(trials, sizes)
         # Each kept group's positions, laid end to end.
         starts = np.repeat(offsets[kept] - np.cumsum(sizes) + sizes, sizes)
         positions = order[starts + np.arange(len(trials))]
-        survive(t, plan, trials, positions, {s: c[positions] for s, c in space.codes.items()})
+        survive(t, plan, trials, positions,
+                {s: c[positions] for s, c in space.codes.items() if _bare(net, s)})
     if relay_fed:
         every = len(space.ids)
         step = max(1, _BLOCK_WORDS // every)
         for start in range(0, count, step):
             part = np.arange(start, min(start + step, count))
-            full = {s: np.tile(c, len(part)) for s, c in space.codes.items()}
+            full = {s: np.tile(c, len(part)) for s, c in space.codes.items() if _bare(net, s)}
             trials, positions = np.repeat(part, every), np.tile(np.arange(every), len(part))
             for t in relay_fed:
                 survive(t, plans[t], trials, positions, full)
@@ -635,20 +655,23 @@ def decode(
 
     Returns the source block (list of symbol tuples) iff exactly one
     lambda-typical candidate propagates to the received indices ``z_t``
-    (1-based, as produced by :func:`propagate`); otherwise None, declaring
-    a decoding error.  The model must have the code's alphabets.
+    (1-based, as produced by :func:`propagate`, each within its index
+    set); otherwise None, declaring a decoding error.  The model must have
+    the code's alphabets.
     """
     if sink not in code.net.sink_set:
         raise ValueError(f"{sink!r} is not a sink node")
     want = tuple(int(z) - 1 for z in z_t)
-    width = len(code.net.in_edges(sink))
-    if len(want) != width:
-        raise ValueError(f"sink {sink!r} receives {width} indices, got {len(want)}")
     space = _CandidateSpace(code.net, m, code.n, lam)
     if any(code.alphabets[s] != a for s, a in space.alphabets.items()):
         raise ValueError(f"model alphabets {space.alphabets} differ from the code's")
+    received = _encode(code, space.codes)[sink]
+    if len(want) != len(received):
+        raise ValueError(f"sink {sink!r} receives {len(received)} indices, got {len(want)}")
     mask = np.ones(len(space.ids), dtype=bool)
-    for arr, z in zip(_encode(code, space.codes)[sink], want):
+    for (size, arr), z in zip(received, want):
+        if not 0 <= z < size:
+            raise ValueError(f"received index {z + 1} outside 1..{size}")
         mask &= arr == z
     found = space.ids[mask]
     return space.sequence_of(int(found[0])) if len(found) == 1 else None
@@ -737,7 +760,7 @@ def estimate_error(
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     if fixed_code:
         code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
-        keys = _sink_keys(code, _encode(code, space.codes), len(space.ids))
+        keys = _sink_keys(_encode(code, space.codes), len(space.ids))
         ranked = {t: np.sort(key) for t, key in keys.items()}
     else:
         plans = _plans(layout)

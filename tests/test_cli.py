@@ -640,6 +640,10 @@ _ORDER = ["--network", str(DATA / "order_ba.network.json")]
 _ORDER_SOURCE = ["--source", str(DATA / "order_ba.source.json")]
 # The same model with its sources listed ["a", "b"], against the network's ["b", "a"].
 _ORDER_AB_SOURCE = ["--source", str(DATA / "order_ab.source.json")]
+# Source a has an in-edge from source b: simulate reads the network as given.
+_RENAMED_SIMULATE = ["simulate", "--network", str(DATA / "check_renamed_fail.network.json"),
+                     "--source", str(DATA / "check_renamed_fail.source.json"),
+                     "--n", "4", "--trials", "200", "--seed", "1"]
 
 
 @pytest.mark.parametrize("name, argv, code", [
@@ -657,6 +661,8 @@ _ORDER_AB_SOURCE = ["--source", str(DATA / "order_ab.source.json")]
     ("entropy_order_ab", ["entropy", *_ORDER_AB_SOURCE], 0),
     ("regions_order_ab", ["regions", *_ORDER, *_ORDER_AB_SOURCE], 1),
     ("regions_separation_order_ab", ["regions", "--separation", *_ORDER, *_ORDER_AB_SOURCE], 1),
+    ("simulate_renamed_fail", _RENAMED_SIMULATE, 0),
+    ("simulate_renamed_fail_fixed", [*_RENAMED_SIMULATE, "--fixed-code"], 0),
 ])
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 def test_cli_output_bytes_are_pinned(capsys, name, argv, code, fmt, ext):

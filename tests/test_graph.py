@@ -8,7 +8,7 @@ import pytest
 
 from netmatch import fixtures
 from netmatch.errors import CycleError, DocumentError
-from netmatch.graph import Edge, Network, is_normalized, parse_network, validate_acyclic
+from netmatch.graph import Edge, Network, parse_network, validate_acyclic
 from netmatch.mincut import capacity_profile
 from netmatch.scalars import INF
 
@@ -139,16 +139,6 @@ def test_normalize_preserves_capacity_functions():
                 else:
                     assert value == enumerate_min_cut(net, S, t)[0]
     assert seen_inside > 10
-
-
-def test_is_normalized():
-    assert is_normalized(fixtures.butterfly_network())
-    source_is_sink = Network(("k", "t"), (Edge("k", "t", Fraction(2)),), ("k",), ("k", "t"))
-    assert not is_normalized(source_is_sink)
-    edge_into_source = Network(("a", "s", "t"),
-                               (Edge("a", "s", Fraction(1)), Edge("s", "t", Fraction(1))),
-                               ("s",), ("t",))
-    assert not is_normalized(edge_into_source)
 
 
 @pytest.mark.parametrize("first", ["huge", "inf"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     random_source_model,
+    raw_instances,
     reference_bin,
     reference_candidates,
     reference_codes,
@@ -102,14 +103,6 @@ def test_build_code_validates_parameters():
         build_code(net, ALPHABETS, 4, Fraction(1, 20), Fraction(1, 10), seed=0)
     with pytest.raises(ValueError, match="block length"):
         build_code(net, ALPHABETS, 0, Fraction(1, 4), Fraction(1, 20), seed=0)
-    unnormalized = Network(
-        nodes=("a", "s", "t"),
-        edges=(Edge("a", "s", Fraction(1)), Edge("s", "t", Fraction(1))),
-        sources=("s",),
-        sinks=("t",),
-    )
-    with pytest.raises(ValueError, match="normalized"):
-        build_code(unnormalized, {"s": 2}, 2, Fraction(1, 4), Fraction(1, 20), seed=0)
 
 
 def test_build_code_table_size_guard():
@@ -226,6 +219,44 @@ def test_decode_fails_when_all_indices_collapse():
     code = build_code(net, {"s": 2}, 2, tau, tau / 2, seed=1)
     z = propagate(code, [(0,), (1,)])
     assert decode(code, m, "t", z["t"], lam=0.5) is None
+
+
+def _butterfly_code_at_n2():
+    return build_code(fixtures.butterfly_network(), ALPHABETS, 2,
+                      Fraction(1, 4), Fraction(1, 20), seed=21)
+
+
+@pytest.mark.parametrize("x", [[(0, 1, 1), (1, 0, 0)], [(0,), (1,)]], ids=["three", "one"])
+def test_propagate_rejects_a_symbol_tuple_of_the_wrong_arity(x):
+    # On two sources, three coordinates used to be cut to two and one
+    # raised IndexError.
+    with pytest.raises(ValueError, match="one symbol per source"):
+        propagate(_butterfly_code_at_n2(), x)
+
+
+def test_decode_rejects_an_index_outside_its_index_set():
+    # Index 0 is outside 1..size; it used to read as a decoding error.
+    code = _butterfly_code_at_n2()
+    m = fixtures.uniform_pair_source()
+    size = code.index_sizes[code.net.in_edges("t1")[1]]
+    for z in ((0, 1), (1, size + 1)):
+        with pytest.raises(ValueError, match="outside"):
+            decode(code, m, "t1", z, 3 / 32)
+
+
+def test_a_sink_that_is_a_source_receives_its_own_sequence_code():
+    # k's reception ends in its own sequence code, 1-based, whose index
+    # set has |X_k|^n entries; that digit alone decodes k's block.
+    net = Network(("k", "t"), (Edge("k", "t", Fraction(1)),), ("k",), ("k", "t"))
+    m = SourceModel(("k",), (3,), {(a,): Fraction(1, 3) for a in range(3)})
+    code = build_code(net, {"k": 3}, 2, Fraction(1, 4), Fraction(1, 20), seed=3)
+    x = [(2,), (1,)]
+    z = propagate(code, x)
+    assert z["k"] == (2 * 3 + 1 + 1,)
+    assert decode(code, m, "k", z["k"], 1 / 4) == x
+    assert decode(code, m, "k", (9,), 1 / 4) == [(2,), (2,)]
+    with pytest.raises(ValueError, match="outside 1..9"):
+        decode(code, m, "k", (10,), 1 / 4)
 
 
 def test_decoder_failures_are_genuine_collisions():
@@ -687,8 +718,8 @@ def test_narrowing_matches_the_full_encoding(monkeypatch):
                     code = build_code(net, space.alphabets, n, tau, tau / 5, seed=seed)
                     received = simulator._encode(code, space.codes)
                     for pos in rng.sample(range(len(space.ids)), min(5, len(space.ids))):
-                        targets = {t: tuple(int(arr[pos]) for arr in arrays)
-                                   for t, arrays in received.items()}
+                        targets = {t: tuple(int(arr[pos]) for _, arr in digits)
+                                   for t, digits in received.items()}
                         codes.append(code)
                         truths.append(pos)
                         expected.append(reference_match(space, received, targets))
@@ -736,6 +767,41 @@ def test_relay_fed_sinks_share_one_pass_over_the_candidates(monkeypatch):
     assert not encodes
 
 
+def test_raw_networks_simulate_as_their_reference_normalization():
+    # Sources with in-edges and sources that are sinks, read as given,
+    # against the same pair after the reference split.  The split appends
+    # one infinite edge (k', k) per split source after the given edges, so
+    # k's own sequence code is its input's last digit either way, and the
+    # added edges draw no key and move none: documents, receptions and
+    # decodings are identical.
+    tau, delta, lam = Fraction(1, 4), Fraction(1, 20), Fraction(1, 2)
+    rng = random.Random(25)
+    into_source = source_sink = partial = decoded = 0
+    for net, m, ref, m_ref, renaming in raw_instances(48, seed=2525):
+        into_source += any(e.head in net.source_set for e in net.edges)
+        source_sink += bool(net.source_set & net.sink_set)
+        for n in (2, 3, 4):
+            for fixed in (False, True):
+                got = estimate_error(net, m, n, tau, delta, lam, 24, seed=5, fixed_code=fixed)
+                want = estimate_error(ref, m_ref, n, tau, delta, lam, 24, seed=5, fixed_code=fixed)
+                assert got.to_json() == want.to_json(), (net, n, fixed)
+                partial += any(0 < s.errors < 24 for s in got.per_sink.values())
+            alphabets = _CandidateSpace(net, m, n, lam).alphabets
+            code = build_code(net, alphabets, n, tau, delta, seed=n)
+            twin = build_code(ref, {renaming[s]: a for s, a in alphabets.items()},
+                              n, tau, delta, seed=n)
+            for _ in range(2):
+                x = [tuple(rng.randrange(alphabets[s]) for s in net.sources) for _ in range(n)]
+                z = propagate(code, x)
+                assert z == propagate(twin, x), (net, n, x)
+                for t in net.sinks:
+                    out = decode(code, m, t, z[t], lam)
+                    assert out == decode(twin, m_ref, t, z[t], lam), (net, n, x, t)
+                    decoded += out == x
+    assert into_source > 30 and source_sink > 30
+    assert partial > 50 and decoded > 50
+
+
 def test_encode_matches_python_int_reference(monkeypatch):
     # Every block at once, a few blocks, and one block through propagate:
     # the domains of sources and of relays (u, v1, r) fall on both sides of
@@ -768,8 +834,8 @@ def test_encode_matches_python_int_reference(monkeypatch):
                         routes.add((tail in net.source_set, code.domains[tail] <= len(ids)))
                     for j, J in enumerate(ids):
                         want = reference_encode(code, {s: int(c[J]) for s, c in every.items()})
-                        got = {t: tuple(int(arr[j]) for arr in arrays)
-                               for t, arrays in received.items()}
+                        got = {t: tuple(int(arr[j]) for _, arr in digits)
+                               for t, digits in received.items()}
                         assert got == want, (name, n, seed, J)
                 J = picks[-1]
                 want = reference_encode(code, {s: int(c[J]) for s, c in every.items()})
