@@ -6,21 +6,23 @@ Exit codes: 0 success / condition passes, 1 condition fails, 2 boundary
 Each subcommand builds one document; ``--format json`` prints it (sorted
 keys, stable bytes for fixed inputs and seed) and the default table is
 rendered from it, so both show the same values: rationals as exact
-fractions, floats rounded to 9 significant digits.
+fractions, floats rounded to 9 significant digits.  The JSON writer,
+errors.dump_json, prints the bytes of json.dumps(doc, indent=2,
+sort_keys=True) with the C encoder, and check builds its rows straight
+from the report's mask-indexed values.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures
 from .entropy import conditional_entropy, entropy_profile, joint_entropy, parse_source_model
-from .errors import NetmatchError
+from .errors import NetmatchError, dump_json
 from .graph import parse_network
 from .mincut import capacity_profile, rho_n, rho_t
 from .regions import DEFAULT_TOLERANCE, equivalence_check, separation_check
@@ -149,6 +151,12 @@ def _cmd_check(args):
     net = parse_network(_read(args.network))
     model = parse_source_model(_read(args.source))
     report = transmissibility_check(net, model, args.tol)
+    profile, sigma = report.analysis.capacity, report.analysis.entropy.sigma.values
+    labels = subset_labels(report.sources)
+    # capacity_profile makes one object per distinct value (a Fraction
+    # hashes slowly), so each is formatted once, looked up by identity.
+    distinct = {id(value): value for value in profile.network_wide}
+    rho_text = {key: format_scalar(value) for key, value in distinct.items()}
     doc = {
         "verdict": report.verdict,
         "tolerance": report.tolerance,
@@ -156,14 +164,15 @@ def _cmd_check(args):
         "sinks": list(report.sinks),
         "rows": [
             {  # in the table's column order
-                "subset": row.label,
-                "sigma": round_float(row.sigma),
-                "rho": format_scalar(row.rho),
-                "margin": round_float(row.margin),
-                "status": row.status,
-                "binding_sink": row.binding_sink,
+                "subset": labels[mask],
+                "sigma": round_float(sigma[mask]),
+                "rho": rho_text[id(profile.network_wide[mask])],
+                "margin": round_float(margin),
+                "status": status,
+                "binding_sink": profile.binding[mask],
             }
-            for row in report.rows
+            for mask, margin, status in zip(subset_masks(len(report.sources)), report.margins,
+                                            report.statuses)
         ],
     }
 
@@ -420,7 +429,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         code, doc, table = _DISPATCH[args.command](args)
         if not args.quiet:
-            print(table() if args.format == "table" else json.dumps(doc, indent=2, sort_keys=True))
+            print(table() if args.format == "table" else dump_json(doc))
         return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

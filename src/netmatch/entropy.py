@@ -16,13 +16,21 @@ that sums every marginal of a dense tensor in one batched pass.  Both
 follow that rule, so their floats are bit-identical to each other and to
 :func:`joint_entropy`; the engine runs where it is faster and its integer
 tensors cannot overflow.
+
+A model computes its integer weights once, when it is built, and keeps
+them as ``integer_weights``; both routes and :func:`joint_entropy` read
+them.  A rational pmf is checked, and its weights summed, in bulk; any
+other pmf, and any that fails a bulk check, is checked entry by entry,
+so every message names the first bad entry as before.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -33,6 +41,10 @@ from .scalars import parse_probability
 from .setfunc import SetFunction, check_label_names, check_source_count
 
 PMF_TOLERANCE = 1e-12
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
+_SYMBOLS = operator.itemgetter("symbols")
+_P = operator.itemgetter("p")
 
 
 @dataclass(frozen=True)
@@ -45,11 +57,13 @@ class SourceModel:
     built (DocumentError; rational pmfs must sum to 1 exactly) and is then
     frozen: tuples, and ``pmf`` a read-only copy in the given entry order,
     which every marginal, and so every entropy bit, follows.
+    ``integer_weights`` is :func:`_integer_weights` of the pmf.
     """
 
     sources: tuple[str, ...]
     alphabet_sizes: tuple[int, ...]
     pmf: Mapping[tuple, object]
+    integer_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.sources, (tuple, list)) and isinstance(self.pmf, Mapping)
@@ -68,6 +82,41 @@ class SourceModel:
         for size in self.alphabet_sizes:
             if isinstance(size, bool) or not isinstance(size, int) or size < 1:
                 raise DocumentError(f"alphabet sizes must be positive integers, got {size!r}")
+        weights = self._rational_weights()
+        if weights is None:
+            self._check_entries()
+            weights = _integer_weights(self)
+        object.__setattr__(self, "integer_weights", weights)
+
+    def _rational_weights(self):
+        """:func:`_integer_weights` of a rational pmf, checked in bulk: int
+        symbols of the right arity inside the alphabets, Fraction or int
+        probabilities, none negative, and integer weights that sum to their
+        denominator.  None if any check fails; :meth:`_check_entries`
+        then names the first failure, or passes a float pmf."""
+        keys, values = self.pmf.keys(), self.pmf.values()
+        if (set(map(type, keys)) != {tuple} or set(map(len, keys)) != {len(self.sources)}
+                or set(map(type, itertools.chain.from_iterable(keys))) != {int}
+                or not set(map(type, values)) <= {Fraction, int}):
+            return None
+        for column, size in zip(zip(*keys), self.alphabet_sizes):
+            if min(column) < 0 or max(column) >= size:
+                return None
+        numerators = list(map(_NUMERATOR, values))
+        denominators = list(map(_DENOMINATOR, values))
+        if min(numerators) < 0:
+            return None
+        distinct = set(denominators)
+        den = math.lcm(*distinct)
+        scale = {d: den // d for d in distinct}
+        weights = list(map(operator.mul, numerators, map(scale.__getitem__, denominators)))
+        if sum(weights) != den:
+            return None
+        return dict(zip(keys, weights)), den
+
+    def _check_entries(self):
+        """Each entry's symbols and probability, then the sum, one at a
+        time, raising DocumentError on the first failure."""
         for tup, p in self.pmf.items():
             if not isinstance(tup, tuple) or len(tup) != len(self.sources):
                 raise DocumentError(f"symbol tuple {tup!r} has wrong arity")
@@ -135,10 +184,44 @@ def parse_source_model(text: str) -> SourceModel:
     alphabets = doc["alphabets"]
     if not isinstance(alphabets, list):
         raise DocumentError("'alphabets' must be a list of integers")
-    pmf = {}
     if not isinstance(doc["pmf"], list):
         raise DocumentError("'pmf' must be a list of {symbols, p} entries")
-    for entry in doc["pmf"]:
+    pmf = _plain_pmf(doc["pmf"])
+    if pmf is None:
+        pmf = _checked_pmf(doc["pmf"], sources, alphabets)
+    return SourceModel(sources=tuple(sources), alphabet_sizes=tuple(alphabets), pmf=pmf)
+
+
+def _plain_pmf(entries: list):
+    """The pmf of entries that are all plain: objects holding ``symbols``,
+    a list of ints, and ``p``, a valid probability, with no symbol list
+    repeated.  Read in bulk; None if any entry is not plain, and
+    :func:`_checked_pmf` then reads them one by one."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        symbols = list(map(_SYMBOLS, entries))
+        given = list(map(_P, entries))
+        if set(map(type, given)) <= {str}:
+            # A pmf repeats few probability strings; each is parsed once.
+            parsed = {text: parse_probability(text) for text in set(given)}
+            probabilities = list(map(parsed.__getitem__, given))
+        else:
+            probabilities = list(map(parse_probability, given))
+    except (KeyError, ValueError):
+        return None
+    if (not set(map(type, symbols)) <= {list}
+            or not set(map(type, itertools.chain.from_iterable(symbols))) <= {int}):
+        return None
+    pmf = dict(zip(map(tuple, symbols), probabilities))
+    return pmf if len(pmf) == len(entries) else None
+
+
+def _checked_pmf(entries: list, sources, alphabets) -> dict:
+    """The pmf of ``entries``, each checked in turn; DocumentError names the
+    first bad one."""
+    pmf = {}
+    for entry in entries:
         if not isinstance(entry, dict) or not {"symbols", "p"} <= entry.keys():
             raise DocumentError(f"malformed pmf entry: {entry!r}")
         symbols = entry["symbols"]
@@ -156,7 +239,7 @@ def parse_source_model(text: str) -> SourceModel:
             pmf[tup] = parse_probability(entry["p"])
         except ValueError as exc:
             raise DocumentError(f"pmf entry {tup!r}: {exc}") from exc
-    return SourceModel(sources=tuple(sources), alphabet_sizes=tuple(alphabets), pmf=pmf)
+    return pmf
 
 
 def _shannon_bits(probabilities: Iterable) -> float:
@@ -201,7 +284,7 @@ def joint_entropy(m: SourceModel, subset: Iterable[str]) -> float:
     if not S <= set(m.sources):
         raise ValueError(f"unknown sources {sorted(S - set(m.sources))}")
     positions = [k for k, s in enumerate(m.sources) if s in S]
-    weights, den = _integer_weights(m)
+    weights, den = m.integer_weights
     marginal: dict = {}
     for tup, w in weights.items():
         key = tuple(tup[k] for k in positions)
@@ -347,7 +430,7 @@ def entropy_profile(m: SourceModel) -> EntropyProfile:
     """
     k = len(m.sources)
     check_source_count(k)
-    weights, den = _integer_weights(m)
+    weights, den = m.integer_weights
     cells = math.prod(a + 1 for a in m.alphabet_sizes)
     if (k >= _TENSOR_MIN_SOURCES
             and cells <= min(_TENSOR_CELLS, _TENSOR_SPARSITY * len(weights) << k)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the JSON reader that
-turns a malformed document into a :class:`DocumentError`."""
+"""Exception types shared across the package, the JSON reader that turns
+a malformed document into a :class:`DocumentError`, and the JSON writer
+that prints every output document."""
 
+import functools
+import itertools
 import json
 
 
@@ -41,14 +44,68 @@ def load_json(text: str, kind: str):
     :class:`DocumentError`.
     """
     def unique_keys(pairs: list) -> dict:
-        doc = {}
-        for key, value in pairs:
-            if key in doc:
-                raise DocumentError(f"{kind} document repeats the key {key!r}")
-            doc[key] = value
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise DocumentError(f"{kind} document repeats the key {key!r}")
+                seen.add(key)
         return doc
 
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{kind} document is not valid JSON: {exc}") from exc
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def dump_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    objects with string keys, lists, tuples and JSON scalars.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder.  Here every
+    object or list whose children are all scalars, and every list of such
+    objects (a document's rows), is encoded by the C encoder in one call,
+    with the line break and indent of its level as the item separator, and
+    laid into the indent template; the rest recurses.  The C encoder
+    escapes every control character inside strings, so a line break in its
+    output is always a separator.
+    """
+    return _dump(value, "\n")
+
+
+@functools.cache
+def _encoder(separator: str):
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+
+
+def _dump(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("dump_json writes objects with string keys only")
+        if set(map(type, value.values())) <= _SCALARS:
+            return "{" + inner + _encoder("," + inner)(value)[1:-1] + newline + "}"
+        items = (json.dumps(key) + ": " + _dump(value[key], inner) for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))
+        if kinds <= _SCALARS:
+            return "[" + inner + _encoder("," + inner)(value)[1:-1] + newline + "]"
+        if (kinds == {dict} and all(value)
+                and set(map(type, itertools.chain.from_iterable(value))) == {str}
+                and set(map(type, itertools.chain.from_iterable(map(dict.values, value))))
+                <= _SCALARS):
+            # Objects of scalars: one call indents their items a level
+            # deeper, and each "},<sep>{" between two objects, which
+            # nothing inside an object can spell, is redrawn a level up.
+            field = inner + "  "
+            body = _encoder("," + field)(value)[2:-2]
+            body = body.replace("}," + field + "{", inner + "}," + inner + "{" + field)
+            return "[" + inner + "{" + field + body + inner + "}" + newline + "]"
+        items = (_dump(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)  # a scalar, "{}" or "[]"

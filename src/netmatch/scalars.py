@@ -24,6 +24,9 @@ SNAP_DENOMINATOR = 10**12
 #: ``Fraction`` computes 10**exponent, so "1e10000000" alone takes seconds.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
+#: The rationals documents write almost always: ASCII digits, and an
+#: optional ASCII-digit denominator.
+_STRICT_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def is_inf(x) -> bool:
@@ -42,12 +45,11 @@ def parse_scalar(value, *, allow_inf: bool = True):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if text.lower() in ("inf", "infinity"):
+        if value.strip().lower() in ("inf", "infinity"):
             if not allow_inf:
                 raise ValueError("infinite value not allowed here")
             return INF
-        return _rational(value, text)
+        return _rational(value)
     if isinstance(value, float):
         raise ValueError(
             f"float {value!r} is not exact; write it as a rational string like \"1/4\""
@@ -75,18 +77,32 @@ def parse_probability(value):
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        return _rational(value, value.strip())
+        return _rational(value)
     raise ValueError(f"not a probability: {value!r}")
 
 
-def _rational(value, text: str) -> Fraction:
-    """``Fraction(text)``, refusing decimal exponents past MAX_EXPONENT."""
-    match = _EXPONENT.search(text)
-    if match:
-        digits = match.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
+def _rational(value: str) -> Fraction:
+    """``Fraction(value)``, refusing decimal exponents past MAX_EXPONENT.
+
+    A strict ``digits[/digits]`` string, the form documents almost always
+    use, is read as ``Fraction(int(a), int(b))`` without ``Fraction``'s
+    general parser; any other text (signs, spaces, ``_``, decimals,
+    exponents, non-ASCII digits) goes through it.  Both give the same value,
+    and on a zero denominator or a digit string past Python's int limit
+    the same message.
+    """
+    strict = _STRICT_RATIONAL.fullmatch(value)
+    if strict is None:
+        text = value.strip()
+        match = _EXPONENT.search(text)
+        if match:
+            digits = match.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
+        if strict is not None:
+            numerator, denominator = strict.groups()
+            return Fraction(int(numerator), int(denominator or 1))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational value: {value!r}") from exc

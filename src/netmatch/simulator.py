@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from dataclasses import dataclass
 from decimal import Context
@@ -56,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .entropy import SourceModel, aligned, joint_entropy
-from .errors import LimitError
+from .errors import LimitError, dump_json
 from .graph import Network, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
 from .setfunc import check_source_count, subset_masks
@@ -149,8 +148,10 @@ def build_code(net: Network, alphabets, n: int, tau, delta, seed) -> CodeInstanc
     size.  The finaliser is a bijection of 64-bit words, and reducing a
     uniform 64-bit word mod size moves each bin's probability from 1/size
     by less than 2^-64, so the bins are uniform up to a total-variation
-    bias of at most size/2^64.  Inputs are numbered in int64, so a node
-    whose input domain passes 2^63 - 1 raises :class:`LimitError`.
+    bias of at most size/2^64.  Inputs are numbered in int64, and so are
+    a source's sequence codes, so a node with out-edges whose input domain
+    passes 2^63 - 1, or any source with more than 2^63 - 1 sequences,
+    raises :class:`LimitError`.
     """
     return _draw_code(_code_layout(net, alphabets, n, tau, delta), seed)
 
@@ -176,14 +177,18 @@ def _code_layout(net: Network, alphabets, n: int, tau, delta) -> CodeInstance:
     keys: dict[int, None] = {}
     domains: dict[str, int] = {}
     for node in topo:
-        if not net.out_edges(node):
-            continue
-        domain = math.prod(index_sizes[k] for k in net.in_edges(node))
+        # A source's sequence codes are int64 arrays, out-edges or not; the
+        # indices reaching a node without out-edges stay separate digits.
+        domain = 1
         if node in net.source_set:  # a^64 passes int64 for every a >= 2
-            domain *= int(alphabets[node]) ** min(n, 64)
+            domain = int(alphabets[node]) ** min(n, 64)
+        if net.out_edges(node):
+            domain *= math.prod(index_sizes[k] for k in net.in_edges(node))
         if domain > _INT64_MAX:
             raise LimitError(f"input domain of node {node!r} has more than "
                              f"2^63 - 1 entries, past int64")
+        if not net.out_edges(node):
+            continue
         domains[node] = domain
         for k in net.out_edges(node):
             cap = net.edges[k].capacity
@@ -352,10 +357,11 @@ class _CandidateSpace:
     The joint-symbol codec, ``symbols`` (per-source symbol arrays indexed
     by joint symbol) and ``probs`` (each joint symbol's probability),
     serves the typicality test, block sampling and :meth:`sequence_of`.
-    Only the typical candidates are kept: ``ids``, their sorted ids, and
-    ``codes``, their per-source sequence codes, which a fixed code encodes
-    and keys per sink once and fresh-code narrowing reads at its
-    survivors.  Both take time
+    Only the typical candidates are kept: ``count`` of them, ``ids``, their
+    sorted ids (None when every candidate is typical, where a candidate's
+    position is its id), and ``codes``, their per-source sequence codes,
+    which a fixed code encodes and keys per sink once and fresh-code
+    narrowing reads at its survivors.  Both take time
     linear in the candidates and no n x |typical| array: a code is looked
     up in ``halves``, one table for each half of the id's joint symbols,
     and ``groups`` sorts the codes by counting.  Where every block is
@@ -394,7 +400,10 @@ class _CandidateSpace:
         self.cumulative = np.cumsum(self.probs)
         self.cumulative[-1] = 1.0
 
-        self.ids = np.flatnonzero(self._typical(m))
+        typical = self._typical(m)
+        self.count = int(np.count_nonzero(typical))
+        self.ids = None if self.count == total else np.flatnonzero(typical)
+        del typical
         # {source: its sequence code of each run of n - n//2 joint symbols,
         # by the run's id}; a shorter run reads as one led by joint symbol
         # 0, whose symbols are all 0.
@@ -435,9 +444,9 @@ class _CandidateSpace:
                 typical &= np.abs(logp, out=logp) < self.lam
         return typical
 
-    def _codes(self, ids: np.ndarray) -> dict:
+    def _codes(self, ids) -> dict:
         """{source: sequence code of each candidate in ``ids``}, which are
-        sorted and distinct.
+        sorted and distinct, or None for every candidate.
 
         An id's first n - n//2 joint symbols and its last n//2 each index
         the source's table in ``halves``; the code is the first entry
@@ -447,7 +456,7 @@ class _CandidateSpace:
         """
         low = self.n // 2
         cut = self.joint_size ** low
-        every = len(ids) == self.total
+        every = ids is None or len(ids) == self.total
         if not every:
             high, rest = np.divmod(ids, cut)
         codes = {}
@@ -496,6 +505,14 @@ class _CandidateSpace:
             np.cumsum(counts[present], out=offsets[1:])
             groups[s] = (np.flatnonzero(present), inverse, _stable_order(inverse), offsets)
         return groups
+
+    def position(self, J: int) -> Optional[int]:
+        """Candidate ``J``'s position among the typical candidates, or None
+        if it is not typical."""
+        if self.ids is None:
+            return J
+        pos = int(np.searchsorted(self.ids, J))
+        return pos if pos < self.count and self.ids[pos] == J else None
 
     def sequence_of(self, J: int) -> list[tuple]:
         """Decode a candidate id back into a length-n list of symbol tuples."""
@@ -573,11 +590,11 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
     candidate.
 
     ``block`` is :func:`_stack` of the trials' codes, ``truths`` holds the
-    transmitted blocks' positions in ``space.ids``, one per trial, and
-    ``plans`` is :func:`_plans` of the codes' layout.  A survivor is a
-    (trial, position) pair; each sink keeps the survivors that agree with
-    their trial's truth, one in-edge at a time, computing node inputs at
-    the survivors only.  A sink that is a source starts from the group of
+    transmitted blocks' positions among the typical candidates, one per
+    trial, and ``plans`` is :func:`_plans` of the codes' layout.  A
+    survivor is a (trial, position) pair; each sink keeps the survivors
+    that agree with their trial's truth, one in-edge at a time, computing
+    node inputs at the survivors only.  A sink that is a source starts from the group of
     the truth's own sequence code (``space.groups``), which it receives
     unhashed.  A sink that hears a source with no in-edges starts on that
     edge: the source's distinct sequence codes are hashed under every
@@ -633,7 +650,7 @@ def _narrow(space: _CandidateSpace, block: CodeInstance, truths: np.ndarray,
         survive(t, plan, trials, positions,
                 {s: c[positions] for s, c in space.codes.items() if _bare(net, s)})
     if relay_fed:
-        every = len(space.ids)
+        every = space.count
         step = max(1, _BLOCK_WORDS // every)
         for start in range(0, count, step):
             part = np.arange(start, min(start + step, count))
@@ -668,13 +685,15 @@ def decode(
     received = _encode(code, space.codes)[sink]
     if len(want) != len(received):
         raise ValueError(f"sink {sink!r} receives {len(received)} indices, got {len(want)}")
-    mask = np.ones(len(space.ids), dtype=bool)
+    mask = np.ones(space.count, dtype=bool)
     for (size, arr), z in zip(received, want):
         if not 0 <= z < size:
             raise ValueError(f"received index {z + 1} outside 1..{size}")
         mask &= arr == z
-    found = space.ids[mask]
-    return space.sequence_of(int(found[0])) if len(found) == 1 else None
+    found = np.flatnonzero(mask)
+    if len(found) != 1:
+        return None
+    return space.sequence_of(int(found[0] if space.ids is None else space.ids[found[0]]))
 
 
 @dataclass(frozen=True)
@@ -725,7 +744,7 @@ class SimResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2, sort_keys=True)
+        return dump_json(self.to_document())
 
 
 def estimate_error(
@@ -760,7 +779,7 @@ def estimate_error(
     layout = _code_layout(net, space.alphabets, n, tau, delta)
     if fixed_code:
         code = _draw_code(layout, np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
-        keys = _sink_keys(_encode(code, space.codes), len(space.ids))
+        keys = _sink_keys(_encode(code, space.codes), space.count)
         ranked = {t: np.sort(key) for t, key in keys.items()}
     else:
         plans = _plans(layout)
@@ -770,8 +789,8 @@ def estimate_error(
         truth = space.draw(np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1))
         ))
-        pos = int(np.searchsorted(space.ids, truth))
-        if pos < len(space.ids) and space.ids[pos] == truth:
+        pos = space.position(truth)
+        if pos is not None:
             block.append((trial, pos))
         else:
             for t in errors:

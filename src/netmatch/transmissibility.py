@@ -17,6 +17,7 @@ differ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .entropy import SourceModel
@@ -48,20 +49,40 @@ class SubsetRow:
 
 @dataclass(frozen=True)
 class TransmissibilityReport:
-    rows: tuple[SubsetRow, ...]
+    """The verdict, and every subset's margin and status.
+
+    ``margins`` and ``statuses`` are in row order: the subsets of
+    ``setfunc.subset_masks``, over ``sources``.  ``rows`` gives the same
+    values, with each subset's entropy, capacity and binding sink, as
+    :class:`SubsetRow` objects, built on first read.
+    """
+
     verdict: str  # "transmissible" | "not-transmissible" | "boundary"
     tolerance: float
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
+    margins: tuple[float, ...]
+    statuses: tuple[str, ...]
     analysis: Analysis = field(repr=False, compare=False)  # the profiles behind the verdict
+
+    @functools.cached_property
+    def rows(self) -> tuple[SubsetRow, ...]:
+        profile, sigma = self.analysis.capacity, self.analysis.entropy.sigma.values
+        labels = subset_labels(self.sources)
+        return tuple(
+            SubsetRow(subset=members(mask, self.sources), label=labels[mask], sigma=sigma[mask],
+                      rho=profile.network_wide[mask], margin=margin, status=status,
+                      binding_sink=profile.binding[mask])
+            for mask, margin, status in zip(subset_masks(len(self.sources)), self.margins,
+                                            self.statuses))
 
     @property
     def min_margin(self) -> float:
-        return min(row.margin for row in self.rows)
+        return min(self.margins)
 
     @property
     def worst_row(self) -> SubsetRow:
-        return min(self.rows, key=lambda row: row.margin)
+        return self.rows[self.margins.index(min(self.margins))]
 
     @property
     def transmissible(self) -> bool:
@@ -86,47 +107,30 @@ def check(
     The network is read as given and fixes the source order, whatever the
     model's: rows are labeled, and ``sources`` reported, in its order, and
     listed by subset size, then lexicographically by source position.
+    Margins and statuses are read off the profiles' mask-indexed values;
+    no row object is built here.
     """
     check_tolerance(tol)
     analysis = prepare_profiles(net, m)
     profile, sigma = analysis.capacity, analysis.entropy.sigma.values
-    labels = subset_labels(profile.sources)
-
-    rows = []
-    for mask in subset_masks(len(profile.sources)):
-        rho = profile.network_wide[mask]
-        h = sigma[mask]
-        margin = to_float(rho) - h
-        if margin < -tol:
-            status = "fail"
-        elif margin <= tol:
-            status = "tight"
-        else:
-            status = "pass"
-        rows.append(
-            SubsetRow(
-                subset=members(mask, profile.sources),
-                label=labels[mask],
-                sigma=h,
-                rho=rho,
-                margin=margin,
-                status=status,
-                binding_sink=profile.binding_sink(mask),
-            )
-        )
-
-    if any(row.status == "fail" for row in rows):
+    rho = profile.network_wide
+    margins = tuple([to_float(rho[mask]) - sigma[mask]
+                     for mask in subset_masks(len(profile.sources))])
+    statuses = tuple(["fail" if margin < -tol else "tight" if margin <= tol else "pass"
+                      for margin in margins])
+    if "fail" in statuses:
         verdict = "not-transmissible"
-    elif all(row.status == "tight" for row in rows):
+    elif "pass" not in statuses:
         verdict = "boundary"
     else:
         verdict = "transmissible"
     return TransmissibilityReport(
-        rows=tuple(rows),
         verdict=verdict,
         tolerance=tol,
         sources=profile.sources,
         sinks=profile.sinks,
+        margins=margins,
+        statuses=statuses,
         analysis=analysis,
     )
 

@@ -410,6 +410,11 @@ def reference_encode(code, block: dict) -> dict:
     return {t: tuple(carried(k) for k in net.in_edges(t)) for t in net.sinks}
 
 
+def typical_ids(space) -> np.ndarray:
+    """The sorted ids of ``space``'s typical candidates."""
+    return np.arange(space.total) if space.ids is None else space.ids
+
+
 def reference_match(space, received: dict, targets: dict) -> dict:
     """Find the typical candidates each sink receives as its target.
 
@@ -419,10 +424,10 @@ def reference_match(space, received: dict, targets: dict) -> dict:
     """
     result = {}
     for t, want in targets.items():
-        mask = np.ones(len(space.ids), dtype=bool)
+        mask = np.ones(space.count, dtype=bool)
         for (_, arr), z in zip(received[t], want):
             mask &= arr == z
-        found = space.ids[mask]
+        found = typical_ids(space)[mask]
         result[t] = (len(found), int(found[0]) if len(found) else -1)
     return result
 
@@ -451,7 +456,7 @@ def reference_estimate_error(
     space = _CandidateSpace(net, m, n, lam)
     every = reference_codes(space, np.arange(space.total, dtype=np.int64))
     typical = np.zeros(space.total, dtype=bool)
-    typical[space.ids] = True
+    typical[typical_ids(space)] = True
     errors = {t: 0 for t in net.sinks}
     for trial in range(trials):
         if trial == 0 or not fixed_code:

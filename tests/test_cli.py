@@ -824,6 +824,17 @@ def test_simulate_flags_end_in_an_exit_code(capsys, argv, code):
     assert err.count("\n") == (0 if code == 0 else 1)
 
 
+def test_simulate_past_int64_at_a_source_without_out_edges_exits_65(tmp_path, capsys):
+    net, source = tmp_path / "net.json", tmp_path / "source.json"
+    net.write_text(json.dumps({"nodes": ["s", "k"], "sources": ["s", "k"], "sinks": ["k"],
+                               "edges": [{"from": "s", "to": "k", "capacity": "0"}]}))
+    source.write_text(json.dumps({"sources": ["s", "k"], "alphabets": [1, 2], "pmf": [
+        {"symbols": [0, 0], "p": "1/2"}, {"symbols": [0, 1], "p": "1/2"}]}))
+    assert run(["simulate", "--network", str(net), "--source", str(source), "--n", "70"]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--tau", "1e-4300"], "typicality slack is positive but underflows a float"),
     (["--lambda", "0"], "typicality slack must be positive"),

@@ -450,3 +450,52 @@ def test_nan_probability_rejected():
            '{"symbols": [0, 0], "p": NaN}, {"symbols": [1, 1], "p": 1}]}')
     with pytest.raises(DocumentError, match="non-finite"):
         parse_source_model(doc)
+
+
+_ENTRIES = [[a, b, c] for a in range(2) for b in range(2) for c in range(2)]
+
+#: One entry of a valid three-source document made bad, and the message
+#: the entry-by-entry checks give; ``{t}`` is the entry's symbol tuple.
+_BAD_ENTRIES = {
+    "range": (lambda e: e.update(symbols=[2] + e["symbols"][1:]),
+              "symbol 2 outside alphabet of size 2"),
+    "bool-symbol": (lambda e: e.update(symbols=e["symbols"][:2] + [e["symbols"][2] == 1]),
+                    "symbol {last} outside alphabet of size 2"),
+    "float-symbol": (lambda e: e.update(symbols=[0.0] + e["symbols"][1:]),
+                     "symbol 0.0 outside alphabet of size 2"),
+    "arity": (lambda e: e.update(symbols=e["symbols"][1:]), "symbol tuple {short} has wrong arity"),
+    "nested": (lambda e: e.update(symbols=[[0]] + e["symbols"][1:]),
+               "pmf entry symbols must be a list of scalars: {entry}"),
+    "missing-p": (lambda e: e.pop("p"), "malformed pmf entry: {entry}"),
+    "negative": (lambda e: e.update(p="-1/8"), "negative probability for {t}"),
+    "zero-denominator": (lambda e: e.update(p="1/0"), "pmf entry {t}: not a rational value: '1/0'"),
+    "bool-p": (lambda e: e.update(p=True), "pmf entry {t}: not a probability: True"),
+    "float-p": (lambda e: e.update(p=0.5), "pmf sums to 1.375, not 1 within 1e-12"),
+    "sum": (lambda e: e.update(p="1/4"), "pmf sums to 9/8, not 1"),
+}
+
+
+@pytest.mark.parametrize("position", [0, 3, 7])
+@pytest.mark.parametrize("name", sorted(_BAD_ENTRIES))
+def test_one_bad_entry_keeps_its_message_wherever_it_sits(name, position):
+    # The parser and the model first read a document in bulk; one bad entry
+    # sends both back to the entry-by-entry checks and their message.
+    corrupt, message = _BAD_ENTRIES[name]
+    entries = [{"symbols": list(t), "p": "1/8"} for t in _ENTRIES]
+    corrupt(entries[position])
+    entry = entries[position]
+    message = message.format(t=tuple(_ENTRIES[position]), entry=entry,
+                             short=tuple(entry["symbols"]), last=entry["symbols"][-1])
+    doc = {"sources": ["a", "b", "c"], "alphabets": [2, 2, 2], "pmf": entries}
+    with pytest.raises(DocumentError) as caught:
+        parse_source_model(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+def test_a_float_pmf_keeps_its_values_and_weights():
+    floats = {tuple(t): 0.125 for t in _ENTRIES}
+    m = SourceModel(("a", "b", "c"), (2, 2, 2), floats)
+    assert not m.is_rational() and dict(m.pmf) == floats
+    assert m.integer_weights == ({t: 1 for t in floats}, 8)
+    with pytest.raises(DocumentError, match=r"^pmf sums to 1\.125, not 1 within 1e-12$"):
+        SourceModel(("a", "b", "c"), (2, 2, 2), {**floats, (0, 0, 0): 0.25})

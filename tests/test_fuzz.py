@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netmatch import fixtures
 from netmatch.cli import run
-from netmatch.entropy import SourceModel, entropy_profile, joint_entropy
-from netmatch.errors import DocumentError, NetmatchError
+from netmatch.entropy import SourceModel, _integer_weights, entropy_profile, joint_entropy
+from netmatch.errors import DocumentError, NetmatchError, dump_json
 from netmatch.regions import equivalence_check, separation_check
+from netmatch.scalars import MAX_EXPONENT, parse_probability, parse_scalar, round_float
 from netmatch.simulator import build_code, decode, estimate_error, propagate
 from netmatch.transmissibility import check
 
@@ -225,6 +226,10 @@ def test_a_library_model_is_refused_or_answered(fields):
         model = SourceModel(*fields)
     except DocumentError:
         return
+    # What the bulk checks accept, the entry-by-entry checks accept too,
+    # with the same weights.
+    model._check_entries()
+    assert model.integer_weights == _integer_weights(model)
     calls = [
         lambda: check(_BUTTERFLY, model),
         lambda: equivalence_check(_BUTTERFLY, model),
@@ -239,3 +244,55 @@ def test_a_library_model_is_refused_or_answered(fields):
             call()
         except (NetmatchError, ValueError):
             pass
+
+
+#: JSON values as documents hold them, and the values that print oddly:
+#: -0.0, infinities (a 1e4300 capacity's margin), NaN, ints past 2^63,
+#: 9-digit rounded floats, and strings and keys that need escapes.
+_texts = st.text(max_size=6) | st.sampled_from(["", "\u00e9", "\U0001f600", "a\"b", "\\", "\n\t",
+                                                  "\x00\x1f", "},\n    {", "\u2028"])
+_leaves = (st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**80)
+           | st.floats(allow_nan=True) | st.floats().map(round_float)
+           | st.sampled_from([-0.0, float("inf"), -float("inf")]) | _texts)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4)
+                   | st.lists(st.dictionaries(_texts, _leaves, max_size=4), max_size=4)),
+    max_leaves=30)
+
+
+@_SETTINGS
+@given(doc=_documents)
+def test_the_json_writer_prints_what_json_dumps_prints(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _reference_rational(text: str):
+    """What every rational string gave before the strict path: ``Fraction``
+    of the stripped text, or the one message."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return f"not a rational value: {text!r}"
+
+
+def _with_examples(test):
+    for text in ["1/0", " 3/4 ", "+1/2", "1_0/3", "\u0663/\u0664", "1e3", "0.25", "007/014",
+                 "0/00", "3 / 4", "1/", "/2", "", "1" * 4301, "1/" + "1" * 4301, "1e99999"]:
+        test = example(text=text)(test)
+    return test
+
+
+@_SETTINGS
+@_with_examples
+@given(text=st.text(alphabet="0123456789/ +-_.eE\u0663\u0664\t", max_size=7))
+def test_the_strict_rational_path_gives_fractions_value_or_message(text):
+    for parse in (parse_probability, lambda v: parse_scalar(v, allow_inf=False)):
+        try:
+            got = parse(text)
+        except ValueError as exc:
+            got = str(exc)
+        if got == f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude":
+            continue  # checked before either path
+        want = _reference_rational(text)
+        assert got == want and type(got) is type(want), text

@@ -16,6 +16,7 @@ from conftest import (
     reference_encode,
     reference_estimate_error,
     reference_match,
+    typical_ids,
 )
 
 from netmatch import fixtures, simulator
@@ -120,6 +121,16 @@ def test_build_code_table_size_guard():
     with pytest.raises(LimitError, match="domain"):
         build_code(fixtures.butterfly_network(), ALPHABETS, 20000,
                    Fraction(1, 4), Fraction(1, 20), seed=0)
+
+
+def test_a_source_without_out_edges_has_its_sequence_codes_checked():
+    # Sink k is a source with no out-edges: 2^70 sequence codes pass int64
+    # although k feeds no edge, and build_code, not propagate, says so.
+    net = Network(("s", "k"), (Edge("s", "k", Fraction(0)),), ("s", "k"), ("k",))
+    with pytest.raises(LimitError, match="input domain of node 'k'"):
+        build_code(net, {"s": 1, "k": 2}, 70, Fraction(1, 4), Fraction(1, 20), seed=0)
+    code = build_code(net, {"s": 1, "k": 2}, 62, Fraction(1, 4), Fraction(1, 20), seed=0)
+    assert propagate(code, [(0, 1)] * 62)["k"][-1] == 2**62  # k's code 2^62 - 1, 1-based
 
 
 def _bins_over_domains(code) -> dict:
@@ -406,7 +417,7 @@ def test_estimate_error_matches_full_reencode_reference():
     for name, (net, model) in sorted(instances.items()):
         for n in range(1, 6 if name == "three" else 8):
             for lam in (0.05, Fraction(3, 32), Fraction(1, 4), Fraction(1, 2)):
-                empty += len(_CandidateSpace(net, model, n, lam).ids) == 0
+                empty += _CandidateSpace(net, model, n, lam).count == 0
                 for fixed in (False, True):
                     args = (net, model, n, Fraction(1, 4), Fraction(1, 20), lam)
                     kwargs = dict(trials=12, seed=configs, fixed_code=fixed)
@@ -445,7 +456,7 @@ def test_fresh_code_is_built_only_for_typical_blocks(monkeypatch):
     m = fixtures.dsbs_source(Fraction(11, 100))
     n, lam, trials, seed = 8, 3 / 32, 40, 3
     space = _CandidateSpace(net, m, n, lam)
-    typical = set(space.ids.tolist())
+    typical = set(typical_ids(space).tolist())
     hits = [space.draw(np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))) in typical
         for trial in range(trials)]
@@ -465,7 +476,7 @@ def test_runs_of_many_blocks_match_the_reference(monkeypatch):
     net, model = fixtures.butterfly_network(), fixtures.uniform_pair_source()
     args = (net, model, 2, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2))
     space = _CandidateSpace(net, model, 2, Fraction(1, 2))
-    assert len(space.ids) == space.total == 16
+    assert space.ids is None and space.count == space.total == 16
     trials = 200
     for fixed in (False, True):
         want = reference_estimate_error(*args, trials=trials, seed=5, fixed_code=fixed).to_json()
@@ -482,7 +493,7 @@ def test_blocks_mixed_with_atypical_trials_match_the_reference(monkeypatch):
     net, model = fixtures.dsbs_network(p), fixtures.dsbs_source(p)
     lam, trials, seed = Fraction(1, 2), 46, 0
     space = _CandidateSpace(net, model, 6, lam)
-    typical = set(space.ids.tolist())
+    typical = set(typical_ids(space).tolist())
     hits = [space.draw(np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))) in typical
         for trial in range(trials)]
@@ -533,7 +544,7 @@ def test_empty_typical_set_errs_everywhere_without_hiding_limits():
     net = fixtures.butterfly_network()
     m = fixtures.dsbs_source(Fraction(11, 100))
     n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), 1e-9
-    assert len(_CandidateSpace(net, m, n, lam).ids) == 0
+    assert _CandidateSpace(net, m, n, lam).count == 0
     wide = fixtures.scaled_butterfly(15)  # u hears two 2^60.8-index edges
     for fixed in (False, True):
         with pytest.raises(LimitError, match="input domain"):
@@ -597,7 +608,7 @@ def test_candidate_space_matches_reference():
         for s in names:
             assert np.array_equal(every[s], codes[s])
             assert np.array_equal(space.codes[s], np.array(codes[s], dtype=np.int64)[typical])
-        assert np.array_equal(space.ids, np.flatnonzero(typical))
+        assert np.array_equal(typical_ids(space), np.flatnonzero(typical))
         mixed += 0 < sum(typical) < len(typical)
     assert mixed >= 60
 
@@ -607,7 +618,7 @@ def test_codes_and_groups_match_the_digit_route():
     # digit array, np.unique and a stable comparison sort.
     split = 0
     for names, _, _, _, space in _candidate_space_family():
-        want = reference_codes(space, space.ids)
+        want = reference_codes(space, typical_ids(space))
         for s in names:
             assert space.codes[s].dtype == np.int64
             assert np.array_equal(space.codes[s], want[s])
@@ -652,8 +663,9 @@ def test_uniform_marginals_and_full_typical_sets_match_the_reference():
     full = empty = 0
     for names, model, n, lam, space in _uniform_space_family():
         _, _, typical = reference_candidates(names, model, n, lam)
-        assert np.array_equal(space.ids, np.flatnonzero(typical))
-        want = reference_codes(space, space.ids)
+        assert np.array_equal(typical_ids(space), np.flatnonzero(typical))
+        assert (space.ids is None) == all(typical)
+        want = reference_codes(space, typical_ids(space))
         for s in names:
             assert np.array_equal(space.codes[s], want[s])
             distinct, inverse = np.unique(want[s], return_inverse=True)
@@ -662,8 +674,8 @@ def test_uniform_marginals_and_full_typical_sets_match_the_reference():
                     inverse, kind="stable"), offsets)):
                 assert have.dtype == np.int64
                 assert np.array_equal(have, expected)
-        full += len(space.ids) == space.total
-        empty += len(space.ids) == 0
+        full += space.count == space.total
+        empty += space.count == 0
     assert full >= 40 and empty >= 10
 
 
@@ -710,14 +722,14 @@ def test_narrowing_matches_the_full_encoding(monkeypatch):
         for n in (1, 2, 3, 4):
             for lam in (Fraction(3, 32), Fraction(1, 2)):
                 space = _CandidateSpace(net, model, n, lam)
-                if not len(space.ids):
+                if not space.count:
                     continue
                 tau = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(3, 4)))
                 codes, truths, expected = [], [], []
                 for seed in range(3):
                     code = build_code(net, space.alphabets, n, tau, tau / 5, seed=seed)
                     received = simulator._encode(code, space.codes)
-                    for pos in rng.sample(range(len(space.ids)), min(5, len(space.ids))):
+                    for pos in rng.sample(range(space.count), min(5, space.count)):
                         targets = {t: tuple(int(arr[pos]) for _, arr in digits)
                                    for t, digits in received.items()}
                         codes.append(code)
@@ -749,7 +761,7 @@ def test_relay_fed_sinks_share_one_pass_over_the_candidates(monkeypatch):
     # are computed twice for one trial's code.
     net, model = relay_fed_network(), fixtures.dsbs_source(Fraction(11, 100))
     n, tau, delta, lam = 4, Fraction(1, 4), Fraction(1, 20), Fraction(1, 2)
-    every = len(_CandidateSpace(net, model, n, lam).ids)
+    every = _CandidateSpace(net, model, n, lam).count
     args = (net, model, n, tau, delta, lam)
     want = reference_estimate_error(*args, trials=30, seed=4).to_json()
     full = []
