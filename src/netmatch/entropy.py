@@ -43,8 +43,8 @@ from .setfunc import SetFunction, check_label_names, check_source_count
 PMF_TOLERANCE = 1e-12
 _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
-_SYMBOLS = operator.itemgetter("symbols")
-_P = operator.itemgetter("p")
+_ENTRY_KEYS = frozenset(("symbols", "p"))
+_NESTED = frozenset((list, dict))  # json.loads makes exact types
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,10 @@ class SourceModel:
         for column, size in zip(zip(*keys), self.alphabet_sizes):
             if min(column) < 0 or max(column) >= size:
                 return None
-        numerators = list(map(_NUMERATOR, values))
-        denominators = list(map(_DENOMINATOR, values))
-        if min(numerators) < 0:
+        if min(map(_NUMERATOR, values)) < 0:
             return None
-        distinct = set(denominators)
-        den = math.lcm(*distinct)
-        scale = {d: den // d for d in distinct}
-        weights = list(map(operator.mul, numerators, map(scale.__getitem__, denominators)))
-        if sum(weights) != den:
-            return None
-        return dict(zip(keys, weights)), den
+        weights, den = _integer_weights(self)
+        return (weights, den) if sum(weights.values()) == den else None
 
     def _check_entries(self):
         """Each entry's symbols and probability, then the sum, one at a
@@ -186,35 +179,8 @@ def parse_source_model(text: str) -> SourceModel:
         raise DocumentError("'alphabets' must be a list of integers")
     if not isinstance(doc["pmf"], list):
         raise DocumentError("'pmf' must be a list of {symbols, p} entries")
-    pmf = _plain_pmf(doc["pmf"])
-    if pmf is None:
-        pmf = _checked_pmf(doc["pmf"], sources, alphabets)
+    pmf = _checked_pmf(doc["pmf"], sources, alphabets)
     return SourceModel(sources=tuple(sources), alphabet_sizes=tuple(alphabets), pmf=pmf)
-
-
-def _plain_pmf(entries: list):
-    """The pmf of entries that are all plain: objects holding ``symbols``,
-    a list of ints, and ``p``, a valid probability, with no symbol list
-    repeated.  Read in bulk; None if any entry is not plain, and
-    :func:`_checked_pmf` then reads them one by one."""
-    if not set(map(type, entries)) <= {dict}:
-        return None
-    try:
-        symbols = list(map(_SYMBOLS, entries))
-        given = list(map(_P, entries))
-        if set(map(type, given)) <= {str}:
-            # A pmf repeats few probability strings; each is parsed once.
-            parsed = {text: parse_probability(text) for text in set(given)}
-            probabilities = list(map(parsed.__getitem__, given))
-        else:
-            probabilities = list(map(parse_probability, given))
-    except (KeyError, ValueError):
-        return None
-    if (not set(map(type, symbols)) <= {list}
-            or not set(map(type, itertools.chain.from_iterable(symbols))) <= {int}):
-        return None
-    pmf = dict(zip(map(tuple, symbols), probabilities))
-    return pmf if len(pmf) == len(entries) else None
 
 
 def _checked_pmf(entries: list, sources, alphabets) -> dict:
@@ -222,11 +188,11 @@ def _checked_pmf(entries: list, sources, alphabets) -> dict:
     first bad one."""
     pmf = {}
     for entry in entries:
-        if not isinstance(entry, dict) or not {"symbols", "p"} <= entry.keys():
+        if not isinstance(entry, dict) or not entry.keys() >= _ENTRY_KEYS:
             raise DocumentError(f"malformed pmf entry: {entry!r}")
         symbols = entry["symbols"]
         # Nested arrays and objects cannot key the pmf; the model checks the rest.
-        if not isinstance(symbols, list) or any(isinstance(s, (list, dict)) for s in symbols):
+        if not isinstance(symbols, list) or not _NESTED.isdisjoint(map(type, symbols)):
             raise DocumentError(f"pmf entry symbols must be a list of scalars: {entry!r}")
         tup = tuple(symbols)
         if tup in pmf:
@@ -254,13 +220,19 @@ def _shannon_bits(probabilities: Iterable) -> float:
 def _integer_weights(m: SourceModel) -> tuple[dict, int]:
     """The pmf as exact integer weights over one common denominator.
 
-    Float entries convert exactly through ``Fraction(p)``.  Returns
+    Float entries convert exactly through ``Fraction(p)`` first.  Returns
     ``(weights, den)`` with ``pmf[tup] == weights[tup] / den`` exactly and
     the pmf's key order.
     """
-    exact = {tup: Fraction(p) for tup, p in m.pmf.items()}
-    den = math.lcm(*(p.denominator for p in exact.values()))
-    return {tup: p.numerator * (den // p.denominator) for tup, p in exact.items()}, den
+    values = m.pmf.values()
+    if not set(map(type, values)) <= {Fraction, int}:
+        values = list(map(Fraction, values))
+    denominators = list(map(_DENOMINATOR, values))
+    distinct = set(denominators)
+    den = math.lcm(*distinct)
+    scale = {d: den // d for d in distinct}
+    weights = map(operator.mul, map(_NUMERATOR, values), map(scale.__getitem__, denominators))
+    return dict(zip(m.pmf, weights)), den
 
 
 def _entropy_bits(weights: Iterable[int], den: int) -> float:

@@ -70,14 +70,14 @@ def check_tolerance(tol):
 
 def parse_probability(value):
     """Parse a pmf entry: JSON number, or exact rational string."""
+    if isinstance(value, str):
+        return _rational(value)
     if isinstance(value, bool):
         raise ValueError(f"not a probability: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         return value
-    if isinstance(value, str):
-        return _rational(value)
     raise ValueError(f"not a probability: {value!r}")
 
 

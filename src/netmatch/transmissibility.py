@@ -54,7 +54,8 @@ class TransmissibilityReport:
     ``margins`` and ``statuses`` are in row order: the subsets of
     ``setfunc.subset_masks``, over ``sources``.  ``rows`` gives the same
     values, with each subset's entropy, capacity and binding sink, as
-    :class:`SubsetRow` objects, built on first read.
+    :class:`SubsetRow` objects, built on first read; :meth:`rows_at`
+    builds only the rows asked for.
     """
 
     verdict: str  # "transmissible" | "not-transmissible" | "boundary"
@@ -67,14 +68,17 @@ class TransmissibilityReport:
 
     @functools.cached_property
     def rows(self) -> tuple[SubsetRow, ...]:
+        return tuple(self.rows_at(range(len(self.margins))))
+
+    def rows_at(self, indices) -> list[SubsetRow]:
+        """The rows at ``indices``, positions in row order."""
         profile, sigma = self.analysis.capacity, self.analysis.entropy.sigma.values
-        labels = subset_labels(self.sources)
-        return tuple(
-            SubsetRow(subset=members(mask, self.sources), label=labels[mask], sigma=sigma[mask],
-                      rho=profile.network_wide[mask], margin=margin, status=status,
-                      binding_sink=profile.binding[mask])
-            for mask, margin, status in zip(subset_masks(len(self.sources)), self.margins,
-                                            self.statuses))
+        labels, masks = subset_labels(self.sources), subset_masks(len(self.sources))
+        return [SubsetRow(subset=members(masks[i], self.sources), label=labels[masks[i]],
+                          sigma=sigma[masks[i]], rho=profile.network_wide[masks[i]],
+                          margin=self.margins[i], status=self.statuses[i],
+                          binding_sink=profile.binding[masks[i]])
+                for i in indices]
 
     @property
     def min_margin(self) -> float:
@@ -82,7 +86,7 @@ class TransmissibilityReport:
 
     @property
     def worst_row(self) -> SubsetRow:
-        return self.rows[self.margins.index(min(self.margins))]
+        return self.rows_at([self.margins.index(self.min_margin)])[0]
 
     @property
     def transmissible(self) -> bool:
@@ -140,14 +144,12 @@ def diagnose(report: TransmissibilityReport) -> str:
     smallest total capacity increase that could restore a failing check,
     across the worst subset's minimum cut (the one max-flow run here)."""
     lines = [f"verdict: {report.verdict} (tolerance {report.tolerance:g})"]
-    tight = [row for row in report.rows if row.status == "tight"]
-    failing = [row for row in report.rows if row.status == "fail"]
-
+    failing = report.statuses.count("fail")
     worst = report.worst_row
     if failing:
         delta = -worst.margin
         lines.append(
-            f"violated on {len(failing)} subset(s); worst is {{{worst.label}}} "
+            f"violated on {failing} subset(s); worst is {{{worst.label}}} "
             f"with margin {worst.margin:.9g} at sink {worst.binding_sink}"
         )
         edges = ", ".join(f"({e.tail}->{e.head}, {format_scalar(e.capacity)})"
@@ -161,6 +163,7 @@ def diagnose(report: TransmissibilityReport) -> str:
             f"transmissible with minimum margin {worst.margin:.9g} "
             f"on subset {{{worst.label}}}"
         )
-    for row in tight:
+    tight = [i for i, status in enumerate(report.statuses) if status == "tight"]
+    for row in report.rows_at(tight):
         lines.append(f"tight subset {{{row.label}}}: binding sink {row.binding_sink}")
     return "\n".join(lines)
