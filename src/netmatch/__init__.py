@@ -34,10 +34,12 @@ from .mincut import (
 from .regions import (
     ConstraintSet,
     FeasibilityResult,
+    SandwichResult,
     SeparationReport,
     EquivalenceReport,
     cutset_polyhedron,
     feasible,
+    sandwich_feasible,
     separation_check,
     sw_polyhedron,
     equivalence_check,
@@ -45,12 +47,10 @@ from .regions import (
 from .setfunc import (
     AxiomReport,
     RatePoint,
-    SandwichResult,
     SetFunction,
     is_copolymatroid,
     is_polymatroid,
     parse_setfunction,
-    sandwich_feasible,
 )
 from .simulator import (
     CodeInstance,

@@ -39,9 +39,9 @@ class LimitError(NetmatchError):
 def load_json(text: str, kind: str):
     """Parse a ``kind`` document (network, source, set-function) from JSON.
 
-    Invalid JSON, and an object that repeats a key (which ``json.loads``
-    would settle silently by keeping the last value), raise
-    :class:`DocumentError`.
+    Invalid JSON, an integer past ``sys.get_int_max_str_digits()``, and an
+    object that repeats a key (which ``json.loads`` would settle silently
+    by keeping the last value) raise :class:`DocumentError`.
     """
     def unique_keys(pairs: list) -> dict:
         doc = dict(pairs)
@@ -57,6 +57,8 @@ def load_json(text: str, kind: str):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{kind} document is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # the int-string limit, which JSONDecodeError does not cover
+        raise DocumentError(f"{kind} document holds an integer too long to read: {exc}") from exc
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})

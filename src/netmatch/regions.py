@@ -4,12 +4,13 @@ For each sink t the cut-set polyhedron bounds subset rate sums above by
 rho_t; the Slepian-Wolf polyhedron bounds them below by conditional
 entropies.  The transmissibility condition is equivalent to every per-sink
 intersection being nonempty, and the separation condition asks for one
-rate point inside all of them at once.  Feasibility runs on the exact
-compact dictionary simplex of :mod:`netmatch.simplex`, after float entropy
-bounds are snapped to rationals at 1e-12: one solve gives a rate point or
-a Farkas certificate, and an infeasible system is explained by the
-deletion filter's irreducible subsystem, for which only rows in the
-support of the current certificate cost a further solve.
+rate point inside all of them at once; :func:`sandwich_feasible` asks it
+of any co-polymatroid and polymatroid.  One builder makes every row set,
+bounds snapped to rationals at 1e-12, and :func:`feasible` solves each on
+the exact compact dictionary simplex of :mod:`netmatch.simplex`: one solve
+gives a rate point or a Farkas certificate, and an infeasible system is
+explained by the deletion filter's irreducible subsystem, for which only
+rows in the support of the current certificate cost a further solve.
 
 Every check reads one :class:`Analysis`, built by :func:`prepare_profiles`.
 :func:`equivalence_check` compares exactly: its pointwise margins are
@@ -25,7 +26,6 @@ and the verdict is boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
@@ -36,6 +36,9 @@ from .scalars import check_tolerance, format_scalar, is_inf, snap_to_rational, t
 from .setfunc import (
     AxiomReport,
     RatePoint,
+    SetFunction,
+    default_tolerance,
+    is_copolymatroid,
     is_polymatroid,
     members,
     subset_label,
@@ -50,8 +53,7 @@ class ConstraintSet:
     """Subset-sum constraints over a fixed variable order, plus R >= 0.
 
     Each constraint reads sum_{i in S} R_i <sense> bound with an exact
-    rational bound; infinite upper bounds are omitted as vacuous when the
-    set is built from a capacity profile.
+    rational bound.
     """
 
     name: str
@@ -59,23 +61,28 @@ class ConstraintSet:
     constraints: tuple  # of (frozenset, "<=" | ">=", Fraction)
 
 
+def _polyhedron(name: str, ground: Sequence[str], sense: str, values) -> ConstraintSet:
+    """One row sum_{i in S} R_i <sense> values[S] per nonempty subset S, in
+    canonical order, bound snapped at 1e-12 (exact values pass unchanged).
+    An infinite upper bound gives no row; an infinite lower bound raises
+    ValueError."""
+    rows = tuple((members(mask, ground), sense, snap_to_rational(values[mask]))
+                 for mask in subset_masks(len(ground))
+                 if sense == ">=" or not is_inf(values[mask]))
+    return ConstraintSet(name=name, variables=tuple(ground), constraints=rows)
+
+
 def cutset_polyhedron(net: Network, sink: str, profile: CapacityProfile) -> ConstraintSet:
     """Upper-bound constraints sum_{i in S} R_i <= rho_t(S) for one sink."""
     if sink not in net.sink_set:
         raise ValueError(f"{sink!r} is not a sink node")
-    rho = profile.per_sink[sink]
-    rows = [(members(mask, profile.sources), "<=", Fraction(rho[mask]))
-            for mask in subset_masks(len(profile.sources)) if not is_inf(rho[mask])]
-    return ConstraintSet(name=f"cut[{sink}]", variables=profile.sources, constraints=tuple(rows))
+    return _polyhedron(f"cut[{sink}]", profile.sources, "<=", profile.per_sink[sink])
 
 
 def sw_polyhedron(ep: EntropyProfile) -> ConstraintSet:
     """Lower-bound constraints sum_{i in S} R_i >= H(X_S | X_rest), snapped at
     1e-12, one per nonempty subset in canonical order."""
-    ground, sigma = ep.sigma.ground, ep.sigma.values
-    rows = [(members(mask, ground), ">=", snap_to_rational(sigma[mask]))
-            for mask in subset_masks(len(ground))]
-    return ConstraintSet(name="slepian-wolf", variables=ground, constraints=tuple(rows))
+    return _polyhedron("slepian-wolf", ep.sigma.ground, ">=", ep.sigma.values)
 
 
 @dataclass(frozen=True)
@@ -254,3 +261,53 @@ def separation_check(net: Network, m: SourceModel) -> SeparationReport:
         sources=profile.sources,
         sinks=profile.sinks,
     )
+
+
+@dataclass(frozen=True)
+class SandwichResult:
+    """Result of the sandwich feasibility test.
+
+    ``point`` is a rate vector with sigma(S) <= sum_{i in S} R_i <= rho(S)
+    for every nonempty S, or None; in the latter case
+    ``violating_subset`` names the first subset where sigma exceeds rho.
+    """
+
+    point: Optional[RatePoint]
+    violating_subset: Optional[frozenset] = None
+
+    def __bool__(self) -> bool:
+        return self.point is not None
+
+
+def sandwich_feasible(sigma: SetFunction, rho: SetFunction, tol=None) -> SandwichResult:
+    """Decide whether nonnegative rates fit between sigma and rho.
+
+    Requires sigma to be a co-polymatroid and rho a polymatroid (verified;
+    raises ValueError otherwise, in which case :func:`feasible` on general
+    rows applies).  For such a pair a sandwiched rate point exists exactly
+    when sigma(S) <= rho(S) for every subset, so the verdict is the
+    pointwise comparison, within sigma's axiom tolerance.  The point comes
+    from :func:`feasible` on snapped bounds: rho(S) above, and below the
+    lesser of snapped sigma(S) and rho(S).  Tolerated ties can still make
+    those rows conflict; then ValueError names the conflicting rows.
+    """
+    if sigma.ground != rho.ground:
+        raise ValueError("sigma and rho must share the same ground set")
+    for name, f, kind, axioms in (("sigma", sigma, "co-polymatroid", is_copolymatroid),
+                                  ("rho", rho, "polymatroid", is_polymatroid)):
+        report = axioms(f, tol)
+        if not report:
+            raise ValueError(f"{name} is not a {kind} ({report.axiom} fails on "
+                             f"{[sorted(w) for w in report.witness]})")
+    ground, sig_tol = sigma.ground, default_tolerance(sigma, tol)
+    for mask in subset_masks(len(ground)):
+        if sigma.values[mask] > rho.values[mask] + sig_tol:
+            return SandwichResult(None, members(mask, ground))
+    lower = [min(snap_to_rational(s), r if is_inf(r) else snap_to_rational(r))
+             for s, r in zip(sigma.values, rho.values)]
+    result = feasible([_polyhedron("sigma", ground, ">=", lower),
+                       _polyhedron("rho", ground, "<=", rho.values)])
+    if not result:
+        raise ValueError("sigma <= rho holds pointwise within the tolerance, but the snapped "
+                         "rows conflict: " + "; ".join(result.witness.describe(ground)))
+    return SandwichResult(result.point)

@@ -3,10 +3,8 @@
 A capacity-style function is a *polymatroid* (normalized, monotone,
 submodular); a conditional-entropy-style function is a *co-polymatroid*
 (normalized, monotone, supermodular).  Axiom checks return a violation
-witness that re-evaluates to a genuine violation, and
-:func:`sandwich_feasible` decides whether some nonnegative rate vector
-fits between a co-polymatroid and a polymatroid, which holds exactly when
-the two compare pointwise.
+witness that re-evaluates to a genuine violation.  The sandwich test of
+:mod:`netmatch.regions` builds on them, and this module solves no LP.
 
 A set function over a ground set of k names is one tuple of 2^k values
 indexed by subset bitmask: bit p stands for ``ground[p]``, and index 0,
@@ -38,8 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DocumentError, LimitError, load_json
-from .scalars import check_tolerance, is_inf, parse_scalar, snap_to_rational
-from . import simplex
+from .scalars import check_tolerance, is_inf, parse_scalar
 
 #: The most sources whose 2^k subsets get enumerated.
 MAX_SOURCES = 16
@@ -159,7 +156,8 @@ class AxiomReport:
         return self.holds
 
 
-def _default_tol(f: SetFunction, tol):
+def default_tolerance(f: SetFunction, tol):
+    """``tol`` checked, or by default 0 for a rational ``f`` and 1e-9 otherwise."""
     if tol is not None:
         return check_tolerance(tol)
     return 0 if f.is_rational() else 1e-9
@@ -278,76 +276,12 @@ def is_polymatroid(f: SetFunction, tol=None) -> AxiomReport:
     every subset pair decides.  The witness of a violation is the first
     violating pair in canonical order either way.
     """
-    return _check_axioms(f, _default_tol(f, tol), submodular=True)
+    return _check_axioms(f, default_tolerance(f, tol), submodular=True)
 
 
 def is_copolymatroid(f: SetFunction, tol=None) -> AxiomReport:
     """Mirror of :func:`is_polymatroid` with the supermodular inequality."""
-    return _check_axioms(f, _default_tol(f, tol), submodular=False)
-
-
-@dataclass(frozen=True)
-class SandwichResult:
-    """Result of the sandwich feasibility test.
-
-    ``point`` is a rate vector with sigma(S) <= sum_{i in S} R_i <= rho(S)
-    for every nonempty S, or None; in the latter case
-    ``violating_subset`` names the first subset where sigma exceeds rho.
-    """
-
-    point: Optional[RatePoint]
-    violating_subset: Optional[frozenset] = None
-
-    def __bool__(self) -> bool:
-        return self.point is not None
-
-
-def sandwich_feasible(sigma: SetFunction, rho: SetFunction, tol=None) -> SandwichResult:
-    """Decide whether nonnegative rates fit between sigma and rho.
-
-    Requires sigma to be a co-polymatroid and rho a polymatroid (verified;
-    raises ValueError otherwise, in which case the general LP path of the
-    regions module applies).  For such a pair a sandwiched rate point
-    exists exactly when sigma(S) <= rho(S) for every subset, so the
-    verdict is the pointwise comparison; the witness itself is produced by
-    the LP engine on 1e-12-snapped bounds.
-    """
-    if sigma.ground != rho.ground:
-        raise ValueError("sigma and rho must share the same ground set")
-    sig_tol = _default_tol(sigma, tol)
-    report = is_copolymatroid(sigma, tol)
-    if not report:
-        raise ValueError(
-            f"sigma is not a co-polymatroid ({report.axiom} fails on "
-            f"{[sorted(w) for w in report.witness]})"
-        )
-    report = is_polymatroid(rho, tol)
-    if not report:
-        raise ValueError(
-            f"rho is not a polymatroid ({report.axiom} fails on "
-            f"{[sorted(w) for w in report.witness]})"
-        )
-
-    constraints = []
-    for mask in subset_masks(len(sigma.ground)):
-        S = members(mask, sigma.ground)
-        if sigma.values[mask] > rho.values[mask] + sig_tol:
-            return SandwichResult(None, S)
-        lo = snap_to_rational(sigma.values[mask])
-        hi = rho.values[mask]
-        if not is_inf(hi):
-            hi = snap_to_rational(hi)
-            if lo > hi:  # tolerated pointwise tie snapped the wrong way
-                lo = hi
-            constraints.append((S, "<=", hi))
-        constraints.append((S, ">=", lo))
-    point = simplex.point_or_iis(sigma.ground, constraints)[0]
-    if point is None:
-        raise AssertionError(
-            "sandwich LP infeasible although sigma <= rho pointwise; "
-            "snapped bounds broke an axiom at rounding scale"
-        )
-    return SandwichResult(RatePoint(point))
+    return _check_axioms(f, default_tolerance(f, tol), submodular=False)
 
 
 def parse_setfunction(text: str) -> SetFunction:

@@ -15,13 +15,8 @@ from netmatch import fixtures
 from netmatch.entropy import binary_entropy, entropy_profile
 from netmatch.graph import Edge, Network
 from netmatch.mincut import capacity_profile, max_flow
-from netmatch.regions import separation_check, equivalence_check
-from netmatch.setfunc import (
-    SetFunction,
-    is_copolymatroid,
-    is_polymatroid,
-    sandwich_feasible,
-)
+from netmatch.regions import equivalence_check, sandwich_feasible, separation_check
+from netmatch.setfunc import SetFunction, is_copolymatroid, is_polymatroid
 from netmatch import simplex
 from netmatch.simulator import butterfly_xor, estimate_error
 from netmatch.transmissibility import check

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import netmatch
-from netmatch import cli, fixtures, mincut, regions, scalars, setfunc, transmissibility
+from netmatch import cli, fixtures, mincut, regions, scalars, transmissibility
 from netmatch.cli import run
 from netmatch.scalars import parse_probability, parse_scalar
 
@@ -278,7 +278,7 @@ def test_check_builds_no_slepian_wolf_rows(monkeypatch, capsys, name):
             return original(*args, **kwargs)
         return wrapper
 
-    for module in (regions, setfunc, scalars):
+    for module in (regions, scalars):
         monkeypatch.setattr(module, "snap_to_rational", counting(scalars.snap_to_rational))
     monkeypatch.setattr(regions, "sw_polyhedron", counting(regions.sw_polyhedron))
     network = DATA / ("order_ba" if name == "order_ab" else name)
@@ -618,6 +618,30 @@ def test_huge_exponent_in_flag_is_usage_error(paths, capsys):
                 "--n", "2", "--tau", _HUGE]) == 64
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["network", "source", "set-function"])
+def test_integer_past_the_int_string_limit_is_data_error(tmp_path, capsys, kind):
+    # json.loads raises a plain ValueError, not JSONDecodeError, on such a literal.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter has no int-string limit")
+    fn = str(tmp_path / "doc.json")
+    if kind == "network":
+        doc = network_to_document(fixtures.butterfly_network())
+        doc["edges"][0]["capacity"] = "BIG"
+        argv = ["check", "--network", fn, "--source", str(DATA / "order_ab.source.json")]
+    elif kind == "source":
+        doc = {"sources": ["a"], "alphabets": [1], "pmf": [{"symbols": [0], "p": "BIG"}]}
+        argv = ["entropy", "--source", fn]
+    else:
+        doc = {"ground": ["a"], "values": {"a": "BIG"}}
+        argv = ["setfunc", "verify", "--kind", "poly", "--input", fn]
+    Path(fn).write_text(json.dumps(doc).replace('"BIG"', "1" * (limit + 1)))
+    assert run(argv) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} document holds an integer too long to read: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, value", [

@@ -53,8 +53,8 @@ def _run_document(tmp_path, capsys, doc, argv):
     path.write_text(json.dumps(doc))
     code = run([*argv, str(path)])
     err = capsys.readouterr().err
-    assert code in (0, 1, 64, 65)
-    if code in (64, 65):
+    assert code in (0, 1, 65)
+    if code == 65:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
@@ -175,9 +175,9 @@ def test_paired_documents_never_crash(tmp_path, capsys, command, docs):
     code = run([*_PAIRED_COMMANDS[command], "--network", str(paths["network"]),
                 "--source", str(paths["source"])])
     err = capsys.readouterr().err
-    assert code in (0, 1, 2, 64, 65)
+    assert code in (0, 1, 2, 65)
     assert "Traceback" not in err
-    if code in (64, 65):
+    if code == 65:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 

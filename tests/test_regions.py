@@ -1,10 +1,13 @@
 """Rate-region polyhedra, LP feasibility, and the two equivalence checks."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import netmatch
 from netmatch import fixtures
 from netmatch.entropy import SourceModel, entropy_profile
 from netmatch.graph import Edge, Network
@@ -21,6 +24,24 @@ from netmatch.regions import (
 from netmatch.scalars import snap_to_rational
 
 from conftest import random_network, random_source_model, raw_instances
+
+
+def _imported_names(path: Path) -> set:
+    """Every module and name a source file imports, by its last component."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names |= {(node.module or "").rsplit(".", 1)[-1]} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+    return names
+
+
+def test_regions_is_the_one_lp_entry():
+    # Every LP is built by regions and solved through regions.feasible.
+    src = Path(netmatch.__file__).parent
+    assert {p.stem for p in src.glob("*.py") if "simplex" in _imported_names(p)} == {"regions"}
+    assert not {"simplex", "snap_to_rational"} & _imported_names(src / "setfunc.py")
 
 
 def constraint_map(cs: ConstraintSet) -> dict:

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netmatch import fixtures
 from netmatch.entropy import SourceModel, entropy_profile
@@ -19,13 +20,13 @@ from netmatch.setfunc import (
     is_polymatroid,
     members,
     parse_setfunction,
-    sandwich_feasible,
     subset_label,
     subset_labels,
     subset_masks,
 )
 from netmatch import simplex
-from netmatch.scalars import INF
+from netmatch.regions import sandwich_feasible
+from netmatch.scalars import INF, snap_to_rational
 
 from conftest import (iter_nonempty_subsets, random_network, random_source_model,
                       reference_axioms, set_function, setfunction_to_document, subset_values)
@@ -270,6 +271,67 @@ def test_sandwich_matches_pointwise_and_lp_on_random_pairs():
         if result.point is not None:
             for S in subsets:
                 assert sigma(S) <= result.point.total(S) <= rho(S)
+
+
+def test_sandwich_rows_that_snap_into_conflict_are_named():
+    # sigma(a) + sigma(b) passes supermodularity and sigma <= rho within
+    # 1e-9, but the snapped rows ask R(a) + R(b) > 1 = rho(a+b).
+    sigma = SetFunction(("a", "b"), (0.0, 0.5 + 4e-10, 0.5 + 4e-10, 1.0))
+    rho = sf(("a", "b"), 1, 1, 1)
+    with pytest.raises(ValueError, match="snapped rows conflict") as caught:
+        sandwich_feasible(sigma, rho)
+    assert str(caught.value).endswith(
+        "sigma: R[a] >= 1250000001/2500000000; sigma: R[b] >= 1250000001/2500000000; "
+        "rho: R[a+b] <= 1")
+
+
+def test_sandwich_clamps_a_tolerated_tie_to_rho():
+    sigma = SetFunction(("a",), (0.0, 1 + 5e-10))
+    result = sandwich_feasible(sigma, sf(("a",), 1))
+    assert result.point.rates == {"a": Fraction(1)}
+
+
+def test_sandwich_rejects_an_infinite_sigma_value():
+    sigma = SetFunction(("a", "b"), (0.0, 1.0, INF, INF))
+    rho = SetFunction(("a", "b"), (Fraction(0), Fraction(1), INF, INF))
+    with pytest.raises(ValueError, match="infinity"):
+        sandwich_feasible(sigma, rho)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), data=st.data())
+def test_sandwich_near_ties_give_a_point_within_the_snapped_bounds(k, data):
+    # sigma: a rational co-polymatroid (weights plus a bump on the full set)
+    # moved by up to 4e-10 per subset; rho: a truncated modular polymatroid
+    # near it.  A point must meet min(snap sigma, snap rho) <= R(S) <=
+    # snap rho on every S; an AssertionError is never an answer.
+    halves = st.integers(0, 4).map(lambda n: Fraction(n, 2))
+    w = data.draw(st.lists(halves, min_size=k, max_size=k))
+    slack = data.draw(st.lists(st.sampled_from((0, Fraction(1, 2))), min_size=k, max_size=k))
+    bump, cut = data.draw(halves), data.draw(st.sampled_from((0, 0, Fraction(1, 2))))
+    masks = range(1 << k)
+    weight = [sum((w[p] for p in range(k) if m >> p & 1), Fraction(0)) for m in masks]
+    weight[-1] += bump
+    cap = max(Fraction(0), weight[-1] - cut)
+    rho = SetFunction(tuple(f"g{p}" for p in range(k)), [
+        min(cap, sum((w[p] + slack[p] for p in range(k) if m >> p & 1), Fraction(0)))
+        for m in masks])
+    moves = data.draw(st.lists(st.floats(-4e-10, 4e-10), min_size=len(masks) - 1,
+                               max_size=len(masks) - 1))
+    sigma = SetFunction(rho.ground, [0.0] + [max(0.0, float(v) + d)
+                                             for v, d in zip(weight[1:], moves)])
+    try:
+        result = sandwich_feasible(sigma, rho)
+    except ValueError:
+        return
+    if result.point is None:
+        S = result.violating_subset
+        assert sigma(S) > rho(S) + 1e-9
+        return
+    for mask in subset_masks(k):
+        S = members(mask, rho.ground)
+        assert (min(snap_to_rational(sigma.values[mask]), rho.values[mask])
+                <= result.point.total(S) <= rho.values[mask])
 
 
 def test_parse_setfunction_round_trip():
