@@ -300,13 +300,15 @@ def sandwich_feasible(sigma: SetFunction, rho: SetFunction, tol=None) -> Sandwic
             raise ValueError(f"{name} is not a {kind} ({report.axiom} fails on "
                              f"{[sorted(w) for w in report.witness]})")
     ground, sig_tol = sigma.ground, default_tolerance(sigma, tol)
-    for mask in subset_masks(len(ground)):
-        if sigma.values[mask] > rho.values[mask] + sig_tol:
+    lower = [0] * len(sigma.values)
+    for mask in subset_masks(len(ground)):  # an infinite sigma raises at its own subset
+        s, r = sigma.values[mask], rho.values[mask]
+        if s > r + sig_tol:
             return SandwichResult(None, members(mask, ground))
-    lower = [min(snap_to_rational(s), r if is_inf(r) else snap_to_rational(r))
-             for s, r in zip(sigma.values, rho.values)]
-    result = feasible([_polyhedron("sigma", ground, ">=", lower),
-                       _polyhedron("rho", ground, "<=", rho.values)])
+        lower[mask] = min(snap_to_rational(s), r if is_inf(r) else snap_to_rational(r))
+    # The vertex found depends on row order: rho's rows come first.
+    result = feasible([_polyhedron("rho", ground, "<=", rho.values),
+                       _polyhedron("sigma", ground, ">=", lower)])
     if not result:
         raise ValueError("sigma <= rho holds pointwise within the tolerance, but the snapped "
                          "rows conflict: " + "; ".join(result.witness.describe(ground)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import netmatch
-from netmatch import fixtures
+from netmatch import fixtures, regions
 from netmatch.entropy import SourceModel, entropy_profile
 from netmatch.graph import Edge, Network
 from netmatch.mincut import capacity_profile
@@ -21,7 +21,7 @@ from netmatch.regions import (
     sw_polyhedron,
     equivalence_check,
 )
-from netmatch.scalars import snap_to_rational
+from netmatch.scalars import INF, snap_to_rational
 
 from conftest import random_network, random_source_model, raw_instances
 
@@ -42,6 +42,14 @@ def test_regions_is_the_one_lp_entry():
     src = Path(netmatch.__file__).parent
     assert {p.stem for p in src.glob("*.py") if "simplex" in _imported_names(p)} == {"regions"}
     assert not {"simplex", "snap_to_rational"} & _imported_names(src / "setfunc.py")
+
+
+def test_the_row_builder_drops_infinite_upper_bounds_and_rejects_infinite_lower_ones():
+    values = (0, 0.25, INF, INF)
+    assert regions._polyhedron("rho", ("a", "b"), "<=", values).constraints == (
+        (frozenset({"a"}), "<=", Fraction(1, 4)),)
+    with pytest.raises(ValueError, match="infinity"):
+        regions._polyhedron("sigma", ("a", "b"), ">=", values)
 
 
 def constraint_map(cs: ConstraintSet) -> dict:

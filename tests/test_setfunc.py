@@ -281,21 +281,41 @@ def test_sandwich_rows_that_snap_into_conflict_are_named():
     with pytest.raises(ValueError, match="snapped rows conflict") as caught:
         sandwich_feasible(sigma, rho)
     assert str(caught.value).endswith(
-        "sigma: R[a] >= 1250000001/2500000000; sigma: R[b] >= 1250000001/2500000000; "
-        "rho: R[a+b] <= 1")
+        "rho: R[a+b] <= 1; "
+        "sigma: R[a] >= 1250000001/2500000000; sigma: R[b] >= 1250000001/2500000000")
 
 
-def test_sandwich_clamps_a_tolerated_tie_to_rho():
-    sigma = SetFunction(("a",), (0.0, 1 + 5e-10))
-    result = sandwich_feasible(sigma, sf(("a",), 1))
-    assert result.point.rates == {"a": Fraction(1)}
+def test_sandwich_point_on_near_ties_is_pinned():
+    # The simplex's vertex depends on row order; rho's rows come first.
+    sigma = SetFunction(("g0", "g1", "g2"), (
+        0.0, 1.0958195198021755e-10, 0.9999999996092167, 0.9999999997136516,
+        0.49999999982016413, 0.4999999999065258, 1.4999999998509466, 1.4999999996683226))
+    rho = SetFunction(sigma.ground, tuple(map(Fraction, (0, 0, 1, 1, "1/2", "1/2", "3/2", "3/2"))))
+    assert sandwich_feasible(sigma, rho).point.rates == {
+        "g0": 0, "g1": Fraction(124999999993, 125000000000),
+        "g2": Fraction(499999999907, 1000000000000)}
 
 
-def test_sandwich_rejects_an_infinite_sigma_value():
-    sigma = SetFunction(("a", "b"), (0.0, 1.0, INF, INF))
-    rho = SetFunction(("a", "b"), (Fraction(0), Fraction(1), INF, INF))
+@pytest.mark.parametrize("sigma, rho, rate", [
+    (1 + 5e-10, Fraction(1), Fraction(1)),
+    # rho is off the snap grid, within half a step above sigma: sigma is
+    # snapped before the lesser bound is taken, so R(a) is 1/2, not rho.
+    (0.5 + 3e-13, Fraction(1, 2) + Fraction(1, 4 * 10**12), Fraction(1, 2)),
+])
+def test_sandwich_clamps_a_tolerated_tie_to_rho(sigma, rho, rate):
+    result = sandwich_feasible(SetFunction(("a",), (0.0, sigma)), sf(("a",), rho))
+    assert result.point.rates == {"a": rate}
+
+
+@pytest.mark.parametrize("sigma, rho", [
+    ((0.0, 1.0, INF, INF), (0, 1, INF, INF)),
+    # The infinite value on {a} comes before the violation on {b}.
+    ((0.0, INF, 2.0, INF), (0, INF, 1, INF)),
+])
+def test_sandwich_rejects_an_infinite_sigma_value(sigma, rho):
+    rho = SetFunction(("a", "b"), tuple(v if v == INF else Fraction(v) for v in rho))
     with pytest.raises(ValueError, match="infinity"):
-        sandwich_feasible(sigma, rho)
+        sandwich_feasible(SetFunction(("a", "b"), sigma), rho)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
