@@ -178,11 +178,6 @@ class CapacityProfile:
     def rho_n_function(self) -> SetFunction:
         return SetFunction(ground=self.sources, values=self.network_wide)
 
-    def binding_sink(self, mask: int) -> str:
-        """First sink (in sink order) attaining the network-wide minimum on
-        ``mask``: the integer argmin that :func:`capacity_profile` took."""
-        return self.binding[mask]
-
 
 def capacity_profile(net: Network) -> CapacityProfile:
     """Evaluate rho_t and rho_n for all nonempty source subsets and sinks.

@@ -26,6 +26,7 @@ and the verdict is boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
@@ -286,10 +287,12 @@ def sandwich_feasible(sigma: SetFunction, rho: SetFunction, tol=None) -> Sandwic
     raises ValueError otherwise, in which case :func:`feasible` on general
     rows applies).  For such a pair a sandwiched rate point exists exactly
     when sigma(S) <= rho(S) for every subset, so the verdict is the
-    pointwise comparison, within sigma's axiom tolerance.  The point comes
-    from :func:`feasible` on snapped bounds: rho(S) above, and below the
-    lesser of snapped sigma(S) and rho(S).  Tolerated ties can still make
-    those rows conflict; then ValueError names the conflicting rows.
+    pointwise comparison, within sigma's axiom tolerance, made exactly.
+    An infinite sigma(S) violates under a finite rho(S); under an infinite
+    rho(S) no finite rate meets it, and ValueError names S.  The point
+    comes from :func:`feasible` on snapped bounds: rho(S) above, and below
+    the lesser of snapped sigma(S) and rho(S).  Tolerated ties can still
+    make those rows conflict; then ValueError names the conflicting rows.
     """
     if sigma.ground != rho.ground:
         raise ValueError("sigma and rho must share the same ground set")
@@ -299,12 +302,15 @@ def sandwich_feasible(sigma: SetFunction, rho: SetFunction, tol=None) -> Sandwic
         if not report:
             raise ValueError(f"{name} is not a {kind} ({report.axiom} fails on "
                              f"{[sorted(w) for w in report.witness]})")
-    ground, sig_tol = sigma.ground, default_tolerance(sigma, tol)
+    ground, sig_tol = sigma.ground, Fraction(default_tolerance(sigma, tol))
     lower = [0] * len(sigma.values)
     for mask in subset_masks(len(ground)):  # an infinite sigma raises at its own subset
         s, r = sigma.values[mask], rho.values[mask]
-        if s > r + sig_tol:
+        if not is_inf(r) and (is_inf(s) or Fraction(s) > Fraction(r) + sig_tol):
             return SandwichResult(None, members(mask, ground))
+        if is_inf(s):  # rho(S) is infinite too, and no finite rate meets sigma(S)
+            raise ValueError(f"sigma is infinity on {sorted(members(mask, ground))}, "
+                             "which no finite rate meets")
         lower[mask] = min(snap_to_rational(s), r if is_inf(r) else snap_to_rational(r))
     # The vertex found depends on row order: rho's rows come first.
     result = feasible([_polyhedron("rho", ground, "<=", rho.values),

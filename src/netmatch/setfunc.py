@@ -14,9 +14,10 @@ which is the row and witness order everywhere in this package.  Names
 become masks only when input is parsed (and in ``f(names)``), and masks
 become names only where a report or document is built.
 
-The checks read the value tuple directly.  Rational functions at
-tolerance 0 are decided by the local (diamond) rule on integers scaled by
-the common denominator: f(S) <= f(S+i), and f(S+i) + f(S+j) against
+The checks read the value tuple directly: in float64 if every value is a
+float, and otherwise exactly, on integers with inf as a sentinel.  At
+tolerance 0 an exact function without inf is decided by the local
+(diamond) rule: f(S) <= f(S+i), and f(S+i) + f(S+j) against
 f(S+i+j) + f(S), which for exact values is equivalent to the global
 definition and costs O(k^2 2^k).  Whenever a tolerance applies, the local
 rule no longer implies the global one, so the global rule over every
@@ -188,25 +189,17 @@ def _diamonds_hold(vals, k: int, submodular: bool) -> bool:
     return True
 
 
-class _Infinity:
-    """+inf for object arrays that, unlike float inf, adds to a Fraction past 1e308."""
-
-    __add__ = __radd__ = __sub__ = lambda self, other: self
-    __gt__ = lambda self, other: other is not self  # inf > inf is false
-    __lt__ = lambda self, other: False
-
-
-_INFINITY = _Infinity()
-
-
-def _first_violation(vals, order, tol, submodular: bool):
+def _first_violation(vals, order, tol, submodular: bool, big=None):
     """The global pair rule, scanned in canonical row-major order.
 
     Monotone pairs (S strictly inside T, empty set included) come first,
     then pairs S before T of nonempty subsets.  Returns ``(axiom, a, b)``
     with positions in ``order`` of the first violation, or None.  The sums
     and comparisons are those of the pair-by-pair definition, evaluated
-    elementwise in ``vals``'s dtype.
+    elementwise in ``vals``'s dtype.  ``big``, if given, is inf among exact
+    integers: a pair counts only where the side that must stay finite is
+    below it, the right one for submodularity and the left for
+    supermodularity (no value exceeds big + tol, so monotonicity needs none).
     """
     n = len(order)
     rows = max(1, _BLOCK_PAIRS // n)
@@ -226,7 +219,10 @@ def _first_violation(vals, order, tol, submodular: bool):
         S, T = order[a], order[b]
         lhs = vals[S & T] + vals[S | T]
         rhs = w[a] + w[b]
-        bad = np.flatnonzero(lhs > rhs + tol if submodular else lhs < rhs - tol)
+        bad = lhs > rhs + tol if submodular else lhs < rhs - tol
+        if big is not None:
+            bad &= (rhs if submodular else lhs) < big
+        bad = np.flatnonzero(bad)
         if bad.size:
             kind = "submodularity" if submodular else "supermodularity"
             return kind, a[bad[0]], b[bad[0]]
@@ -238,29 +234,29 @@ def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
     # is exactly 0 in whichever arithmetic the check runs.
     masks = (0,) + subset_masks(len(f.ground))
     order = np.array(masks, dtype=np.int64)
-    nonempty = f.values[1:]
-    if f.is_rational():
-        # Exact values stay exact: scaled to integers by the common
-        # denominator (tolerance included), so no sum is ever rounded.
-        tol = Fraction(tol)
-        scale = math.lcm(tol.denominator, *(v.denominator for v in nonempty))
-        tol = tol.numerator * (scale // tol.denominator)
-        ints = [0] + [v.numerator * (scale // v.denominator) for v in nonempty]
-        # int64 when every sum the checks form fits, Python ints otherwise.
-        vals = np.array(ints, dtype=np.int64 if 2 * max(ints) + tol < 2**63 else object)
-        if tol == 0 and _diamonds_hold(vals, len(f.ground), submodular):
-            return AxiomReport(True)
-    elif all(isinstance(v, float) for v in nonempty):
+    big = None
+    if all(isinstance(v, float) for v in f.values[1:]):
         # float64 sums and comparisons are bit-identical to Python's.
         vals, tol = np.array(f.values, dtype=np.float64), float(tol)
     else:
-        vals = np.array(f.values, dtype=object)
-        vals[0] = Fraction(0)
-        if not any(isinstance(v, float) and math.isfinite(v) for v in nonempty):
-            # Rationals and inf: an exact tolerance and inf keep sums exact.
-            tol = Fraction(tol)
-            vals[[is_inf(v) for v in f.values]] = _INFINITY
-    hit = _first_violation(vals, order, tol, submodular)
+        # Exactly, a float (or numpy scalar) as the rational it is: values
+        # and tolerance scaled to integers by their common denominator, so
+        # no sum is rounded, and inf as big, past any finite sum plus tol.
+        tol = Fraction(tol)
+        values = [v.item() if isinstance(v, np.generic) else v for v in f.values]
+        ratios = {m: v.as_integer_ratio() for m, v in enumerate(values) if not is_inf(v)}
+        scale = math.lcm(tol.denominator, *(d for _, d in ratios.values()))
+        tol = tol.numerator * (scale // tol.denominator)
+        ints = {m: n * (scale // d) for m, (n, d) in ratios.items()}
+        top = max(ints.values())
+        if len(ints) < len(values):
+            big = top = 2 * top + tol + 1
+        # int64 when every sum the checks form fits, Python ints otherwise.
+        vals = np.array([ints.get(m, big) for m in range(len(values))],
+                        dtype=np.int64 if 2 * top + tol < 2**63 else object)
+        if big is None and tol == 0 and _diamonds_hold(vals, len(f.ground), submodular):
+            return AxiomReport(True)
+    hit = _first_violation(vals, order, tol, submodular, big)
     if hit is None:
         return AxiomReport(True)
     axiom, a, b = hit
@@ -270,11 +266,11 @@ def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
 def is_polymatroid(f: SetFunction, tol=None) -> AxiomReport:
     """Check normalization, monotonicity and submodularity within ``tol``.
 
-    ``tol`` defaults to 0 for rational-valued functions and 1e-9 for
-    float-valued ones.  Rational functions at tolerance 0 are decided
-    exactly by the local (diamond) rule; otherwise the global rule over
-    every subset pair decides.  The witness of a violation is the first
-    violating pair in canonical order either way.
+    ``tol`` defaults to 0 for rational-valued functions and 1e-9 for any
+    other.  Exact functions without inf at tolerance 0 are decided by the
+    local (diamond) rule; otherwise the global rule over every subset pair
+    decides.  The witness of a violation is the first violating pair in
+    canonical order either way.
     """
     return _check_axioms(f, default_tolerance(f, tol), submodular=True)
 

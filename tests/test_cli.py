@@ -318,6 +318,31 @@ def test_setfunc_verify_explicit_zero_tolerance_with_infinite_values(tmp_path, c
     assert capsys.readouterr().out.strip() == "poly: axioms hold"
 
 
+@pytest.mark.parametrize("kind, code", [("poly", 1), ("copoly", 0)])
+@pytest.mark.parametrize("full", ["inf", "2e400"])
+def test_setfunc_verify_decides_a_float_mixed_with_values_past_the_float_range(
+        tmp_path, capsys, kind, code, full):
+    # 0.5 + 1e400 has no float; the check compares the exact sums, so
+    # f(a+b) breaks submodularity on (a, b) and meets supermodularity.
+    fn = tmp_path / "mixed.json"
+    fn.write_text(json.dumps({"ground": ["a", "b"],
+                              "values": {"a": 0.5, "b": "1e400", "a+b": full}}))
+    assert run(["--format", "json", "setfunc", "verify", "--kind", kind,
+                "--input", str(fn)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = ({"axiom": "submodularity", "holds": False, "witness": ["a", "b"]} if code
+                else {"holds": True})
+    assert json.loads(captured.out) == {"kind": kind, **expected}
+
+
+def test_setfunc_verify_mixed_huge_document_is_pinned(capsys):
+    argv = ["--format", "json", "setfunc", "verify", "--kind", "poly",
+            "--input", str(DATA / "setfunc_mixed_huge.json")]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == (DATA / "setfunc_mixed_huge.stdout.json").read_text()
+
+
 def _assert_one_line_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""

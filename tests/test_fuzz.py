@@ -34,7 +34,7 @@ _names = st.lists(st.sampled_from(["a", "b", "c", "a+b", " a", ""]), max_size=3)
 _setfunc_docs = _json | st.fixed_dictionaries({
     "ground": _names | _json,
     "values": st.dictionaries(st.sampled_from(["a", "b", "c", "a+b", "a+c", "b+c", "a+b+c", "z"]),
-                              _scalars, max_size=7) | _json,
+                              _scalars | st.just("1e400"), max_size=7) | _json,
 })
 
 _source_docs = _json | st.fixed_dictionaries({
@@ -60,6 +60,11 @@ def _run_document(tmp_path, capsys, doc, argv):
 
 @_SETTINGS
 @given(doc=_setfunc_docs, kind=st.sampled_from(["poly", "copoly"]))
+# A float mixed with rationals past the float range and with inf.
+@example(doc={"ground": ["a", "b"], "values": {"a": 0.5, "b": "1e400", "a+b": "inf"}},
+         kind="poly")
+@example(doc={"ground": ["a", "b"], "values": {"a": 0.5, "b": "1e400", "a+b": "2e400"}},
+         kind="copoly")
 def test_setfunc_verify_never_crashes(tmp_path, capsys, doc, kind):
     _run_document(tmp_path, capsys, doc, ["setfunc", "verify", "--kind", kind, "--input"])
 

@@ -151,7 +151,7 @@ def test_capacity_profile_butterfly():
     # Indexed by mask: bit 0 is s1, bit 1 is s2, and the empty set holds 0.
     assert profile.network_wide == (0, 1, 1, 2)
     assert profile.per_sink["t1"] == (0, 2, 1, 2)
-    assert profile.binding_sink(0b01) == "t2"
+    assert profile.binding[0b01] == "t2"
 
 
 def test_capacity_profile_single_source():
@@ -245,7 +245,7 @@ def _assert_profile_matches_cold_rho_t(net: Network, profile) -> None:
         values = [rho_t(net, S, t) for t in net.sinks]
         assert [profile.per_sink[t][mask] for t in net.sinks] == values
         assert profile.network_wide[mask] == min(values)
-        assert profile.binding_sink(mask) == net.sinks[values.index(min(values))]
+        assert profile.binding[mask] == net.sinks[values.index(min(values))]
 
 
 def test_capacity_profile_skips_saturated_subtrees_exactly():

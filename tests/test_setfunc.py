@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -318,6 +319,24 @@ def test_sandwich_rejects_an_infinite_sigma_value(sigma, rho):
         sandwich_feasible(SetFunction(("a", "b"), sigma), rho)
 
 
+def test_sandwich_names_the_subset_of_an_infinite_sigma_value():
+    sigma = SetFunction(("a", "b"), (0.0, 1.0, INF, INF))
+    rho = SetFunction(("a", "b"), (0, 1, INF, INF))
+    with pytest.raises(ValueError, match=r"infinity on \['b'\]"):
+        sandwich_feasible(sigma, rho)
+
+
+def test_sandwich_compares_float_sigma_with_rho_past_the_float_range():
+    # rho(S) + tol has no float: the pointwise test compares exactly.
+    sigma = SetFunction(("a", "b"), (0.0, 0.5, 0.5, 1.0))
+    rho = SetFunction(("a", "b"), (0, 2**1100, 2**1100, 2**1101))
+    point = sandwich_feasible(sigma, rho).point
+    assert point is not None
+    for mask in subset_masks(2):
+        S = members(mask, rho.ground)
+        assert snap_to_rational(sigma.values[mask]) <= point.total(S) <= rho.values[mask]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(k=st.integers(1, 3), data=st.data())
 def test_sandwich_near_ties_give_a_point_within_the_snapped_bounds(k, data):
@@ -478,6 +497,53 @@ def test_axioms_match_oracle_on_capacity_functions_with_infinite_edges():
             for tol in (None, 0, 0.0, 1e-9):
                 _assert_matches_oracle(f, tol)
     assert seen_inf >= 10
+
+
+def test_an_infinite_left_side_meets_supermodularity():
+    # f(a) + f(b) = inf + 1 against f(a+b) + f() = inf: inf >= inf holds.
+    assert is_copolymatroid(SetFunction(("a", "b"), (0, INF, 1, INF))).holds
+
+
+def test_numpy_scalar_values_are_checked_exactly():
+    # f(a) + f(b) = f(a+b) = 1.5 * 2^63, past int64: a modular function,
+    # decided on Python integers, not numpy's fixed-width ones.
+    f = SetFunction(("a", "b"), (0, np.int64(2**62), np.uint64(2**63),
+                                 np.float32(1.5) * np.float32(2**63)))
+    assert is_polymatroid(f, 0).holds and is_copolymatroid(f, 0).holds
+    g = SetFunction(("a", "b"), (0, np.float32("inf"), np.int64(1), np.float32("inf")))
+    assert is_polymatroid(g).holds and is_copolymatroid(g).holds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.integers(1, 4), data=st.data())
+def test_axioms_on_mixed_values_match_the_oracle_on_the_exact_copy(k, data):
+    # A rational co-polymatroid (weights plus a bump on the full set),
+    # scaled, whose values are kept rational, turned into floats near their
+    # value, or made infinite.  At least one stays rational, so no function
+    # is all-float.  At the largest scale a sum of two values passes 2^1024
+    # while each value stays below it, so that the oracle's Fraction + inf
+    # has a float.
+    halves = st.integers(0, 6).map(lambda n: Fraction(n, 2))
+    w = data.draw(st.lists(halves, min_size=k, max_size=k))
+    scale = data.draw(st.sampled_from((1, Fraction(1, 3), 2**1019)))
+    masks = range(1 << k)
+    base = [sum((w[p] for p in range(k) if m >> p & 1), Fraction(0)) for m in masks]
+    base[-1] += data.draw(halves)
+    keep = data.draw(st.integers(1, len(masks) - 1))
+    values = [Fraction(0)]
+    for m in masks[1:]:
+        v = base[m] * scale
+        kind = "rational" if m == keep else data.draw(
+            st.sampled_from(("rational", "float", "inf")))
+        if kind == "float":
+            v = max(0.0, float(v) + data.draw(st.sampled_from((0.0, 1e-12, -1e-12, 0.25))))
+        values.append(INF if kind == "inf" else v)
+    f = SetFunction(_ground(k), values)
+    exact = SetFunction(f.ground, [v if v == INF else Fraction(v) for v in values])
+    for tol in (0, 1e-9, Fraction(1, 3)):
+        assert (is_polymatroid(f, tol), is_copolymatroid(f, tol)) == (
+            reference_axioms(exact, Fraction(tol), submodular=True),
+            reference_axioms(exact, Fraction(tol), submodular=False))
 
 
 @pytest.mark.parametrize("k", [MAX_SOURCES, MAX_SOURCES + 1])
