@@ -15,14 +15,18 @@ become masks only when input is parsed (and in ``f(names)``), and masks
 become names only where a report or document is built.
 
 The checks read the value tuple directly: in float64 if every value is a
-float, and otherwise exactly, on integers with inf as a sentinel.  At
-tolerance 0 an exact function without inf is decided by the local
-(diamond) rule: f(S) <= f(S+i), and f(S+i) + f(S+j) against
-f(S+i+j) + f(S), which for exact values is equivalent to the global
-definition and costs O(k^2 2^k).  Whenever a tolerance applies, the local
-rule no longer implies the global one, so the global rule over every
-subset pair decides.  Either way a reported witness is the first violating
-pair in canonical order, found by the global scan.
+float, and otherwise exactly, on integers with inf as a sentinel.  The
+verdict is that of the global rule over every subset pair, but the local
+rule decides it first whenever it can, in O(k^2 2^k): every chain step
+f(S) - f(S+i), and every diamond f(S+i) + f(S+j) against f(S+i+j) + f(S).
+A pair telescopes into at most k steps or floor(k^2/4) diamonds, so when
+the worst step times k and the worst diamond deficit times floor(k^2/4)
+are within the tolerance, no pair can miss it, and the function passes
+without the O(4^k) scan.  On exact integers that test is exact (at
+tolerance 0 it is the local rule itself); in float64 a slack of
+2^-49 (M + tol), M the largest value, covers every rounding of the test
+and of the scan.  Otherwise the scan runs, and a reported witness is
+always the first violating pair in canonical order.
 """
 
 from __future__ import annotations
@@ -166,27 +170,80 @@ def default_tolerance(f: SetFunction, tol):
 
 #: Pair slots one row block of the global scan evaluates at a time, so its
 #: temporaries stay bounded (0.5 MB per int64 or float64 array) whatever
-#: the ground set size.
+#: the ground set size.  The local rule takes its diamonds in blocks of
+#: the same size; its k 2^(k-1) chain steps are held at once (4 MB at k=16).
 _BLOCK_PAIRS = 1 << 16
 
 
-def _diamonds_hold(vals, k: int, submodular: bool) -> bool:
-    """The local rule on exact values: f(S) <= f(S+i), and
-    f(S+i) + f(S+j) against f(S+i+j) + f(S) for every S and i != j not in S.
+@functools.cache
+def _edges(k: int):
+    """Every chain step (S, S+i) with i not in S, for k elements, as two
+    index arrays ``lo`` (S) and ``hi`` (S+i) of shape (k, 2^(k-1)): row i
+    holds the masks without bit i in increasing order."""
+    t = np.arange(1 << k >> 1)
+    bits = 1 << np.arange(k)[:, None]
+    lo = (t & (bits - 1)) | ((t & -bits) << 1)
+    return lo, lo | bits
 
-    For exact arithmetic it is equivalent to the global pair rule.
+
+def _local_rule_holds(vals, k: int, tol, submodular: bool) -> bool:
+    """Whether the local rule proves that :func:`_first_violation` finds no
+    violation; False means only that the scan must decide.
+
+    Let δ be the worst chain step f(S) - f(S+i), and ε the worst diamond
+    deficit: f(S+i+j) + f(S) - f(S+i) - f(S+j) for submodularity, its
+    negative for supermodularity.  A pair S inside T telescopes into at
+    most k chain steps, and a pair gap, with p = |A-B| and q = |B-A|, into
+    p*q <= floor(k^2/4) diamond gaps (Lovász 1983).  So no pair misses an
+    axiom by more than tol when k*δ <= tol and floor(k^2/4)*ε <= tol.
+
+    On exact integers that test is made as stated, so at tolerance 0 it is
+    the local rule itself.  ``big`` (inf) takes part as an ordinary
+    integer: the scan's guards only drop pairs, so where the plain copy
+    has no violation, inf's arithmetic has none either.
+
+    In float64 let u = 2^-53 and values lie in [0, M].  Unless M + tol is
+    in [2^-1000, 2^1000] the scan decides; inside it nothing below
+    overflows or underflows, and each operation rounds with relative error
+    at most u.  Then a computed step is off by at most u*M and has the
+    exact sign, so δ <= 0 proves monotonicity outright; a computed
+    diamond, the difference of two computed steps, is off by at most
+    4u*M; and the scan's sums f(S) + f(T) and its +- tol round by at most
+    6u*(M + tol) in all, and never turn a deficit of at most 0 into a
+    violation.  So it is enough that k*(δ + u*M) <= tol - 6u*(M + tol),
+    and that ε + 4u*M <= 0 or floor(k^2/4)*(ε + 4u*M) <= tol - 6u*(M + tol).
+    With e = 2^-49 * (M + tol) >= 15u*(M + tol), the float tests
+    ``δ <= 0 or k*(δ + e) <= tol - e`` and ``floor(k^2/4)*(ε + e) <= tol - e``
+    imply those bounds after their own three roundings, which cost a
+    factor of at most 1 + 4u.
     """
-    cube = vals.reshape((2,) * k)
-    for a in range(k):
-        lo, hi = np.moveaxis(cube, a, 0)
-        if np.any(lo > hi):
+    e = 0
+    if vals.dtype == np.float64:
+        scale = float(vals.max()) + tol
+        if not 2.0**-1000 <= scale <= 2.0**1000:  # inf and nan fail too
             return False
-        for b in range(a + 1, k):
-            face = np.moveaxis(cube, (a, b), (0, 1))
-            sides, ends = face[1, 0] + face[0, 1], face[1, 1] + face[0, 0]
-            if np.any(sides < ends if submodular else sides > ends):
-                return False
-    return True
+        e = scale * 2.0**-49
+    lo, hi = _edges(k)
+    steps = vals[hi] - vals[lo]
+    # Python scalars (.item()), so no integer product below wraps.
+    drop = -steps.min(keepdims=True).item()
+    if not (drop <= 0 or k * (drop + e) <= tol - e):
+        return False
+    if k < 2:
+        return True
+    # Step row i is indexed by the masks without bit i, a (k-1)-cube, so
+    # its diamonds, steps at S+j less steps at S, pair the positions that
+    # are the chain steps of k-1 elements.
+    lo, hi = (a.ravel() for a in _edges(k - 1))
+    cols = max(1, _BLOCK_PAIRS // k)
+    worst = []
+    for c0 in range(0, lo.size, cols):
+        # f(S+i+j) - f(S+j) - f(S+i) + f(S), per row i and column (S, j)
+        bends = steps[:, hi[c0:c0 + cols]] - steps[:, lo[c0:c0 + cols]]
+        worst.append(bends.max(keepdims=True).item() if submodular
+                     else -bends.min(keepdims=True).item())
+    bend = max(worst)
+    return (k * k // 4) * (bend + e) <= tol - e
 
 
 def _first_violation(vals, order, tol, submodular: bool, big=None):
@@ -230,10 +287,12 @@ def _first_violation(vals, order, tol, submodular: bool, big=None):
 
 
 def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
-    # The masks in canonical order, empty set first; the empty set's value
-    # is exactly 0 in whichever arithmetic the check runs.
-    masks = (0,) + subset_masks(len(f.ground))
-    order = np.array(masks, dtype=np.int64)
+    """The verdict of the global pair rule within ``tol``, in float64 if
+    every nonempty value is a float and exactly otherwise.  The local rule
+    (:func:`_local_rule_holds`) decides first, in O(k^2 2^k), whenever it
+    proves that the scan would pass; only otherwise does the O(4^k) scan
+    run, so a verdict and its witness are always the scan's."""
+    k = len(f.ground)
     big = None
     if all(isinstance(v, float) for v in f.values[1:]):
         # float64 sums and comparisons are bit-identical to Python's.
@@ -254,9 +313,12 @@ def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
         # int64 when every sum the checks form fits, Python ints otherwise.
         vals = np.array([ints.get(m, big) for m in range(len(values))],
                         dtype=np.int64 if 2 * top + tol < 2**63 else object)
-        if big is None and tol == 0 and _diamonds_hold(vals, len(f.ground), submodular):
-            return AxiomReport(True)
-    hit = _first_violation(vals, order, tol, submodular, big)
+    if _local_rule_holds(vals, k, tol, submodular):
+        return AxiomReport(True)
+    # The masks in canonical order, empty set first; the empty set's value
+    # is exactly 0 in whichever arithmetic the check runs.
+    masks = (0,) + subset_masks(k)
+    hit = _first_violation(vals, np.array(masks, dtype=np.int64), tol, submodular, big)
     if hit is None:
         return AxiomReport(True)
     axiom, a, b = hit
@@ -267,10 +329,12 @@ def is_polymatroid(f: SetFunction, tol=None) -> AxiomReport:
     """Check normalization, monotonicity and submodularity within ``tol``.
 
     ``tol`` defaults to 0 for rational-valued functions and 1e-9 for any
-    other.  Exact functions without inf at tolerance 0 are decided by the
-    local (diamond) rule; otherwise the global rule over every subset pair
-    decides.  The witness of a violation is the first violating pair in
-    canonical order either way.
+    other.  The verdict is the global rule's over every subset pair.  The
+    local rule passes a function without that O(4^k) scan when its worst
+    chain step times k and its worst diamond deficit times floor(k^2/4)
+    are within ``tol``, exactly for exact values and with a rounding slack
+    of 2^-49 (M + tol) in float64.  The witness of a violation is the
+    first violating pair in canonical order.
     """
     return _check_axioms(f, default_tolerance(f, tol), submodular=True)
 
@@ -303,12 +367,22 @@ def parse_setfunction(text: str) -> SetFunction:
         raise DocumentError("'values' must be an object mapping subsets to values")
     bit = {g: 1 << p for p, g in enumerate(ground)}
     values: list = [Fraction(0)] + [None] * ((1 << len(ground)) - 1)
+    # A key that is a subset's label is read by lookup.  The labels are built
+    # for a complete document only, so they cost no more than its keys, and
+    # only where they name what the split below would: for distinct,
+    # nonempty names that stripping keeps.
+    labels = {}
+    if (len(doc["values"]) == len(values) - 1 and len(bit) == len(ground)
+            and all(g.strip() == g != "" for g in ground)):
+        labels = {label: mask for mask, label in enumerate(subset_labels(ground)) if mask}
     keys: dict = {}  # mask -> the key that gave its value
     for key, raw in doc["values"].items():
-        names = frozenset(part.strip() for part in key.split("+"))
-        if not names <= bit.keys():
-            raise DocumentError(f"subset {key!r} uses elements outside the ground set")
-        mask = sum(bit[g] for g in names)
+        mask = labels.get(key)
+        if mask is None:
+            names = frozenset(part.strip() for part in key.split("+"))
+            if not names <= bit.keys():
+                raise DocumentError(f"subset {key!r} uses elements outside the ground set")
+            mask = sum(bit[g] for g in names)
         if mask in keys:
             raise DocumentError(f"subset {key!r} names the same subset as {keys[mask]!r}")
         keys[mask] = key

@@ -293,24 +293,40 @@ def reference_axioms(f: SetFunction, tol=None, *, submodular: bool) -> AxiomRepo
 
     Same tolerance defaults as ``is_polymatroid``/``is_copolymatroid``;
     the witness is the first violating pair in canonical order, monotone
-    pairs (empty set included) before the proper pairs.
+    pairs (empty set included) before the proper pairs.  A function whose
+    nonempty values are all floats is compared in Python floats; any other
+    exactly, every finite value and the tolerance as a Fraction and inf
+    kept apart: inf + x is inf, and a Fraction is never converted to a
+    float, so values past the float range compare too.
     """
     if tol is None:
         tol = 0 if f.is_rational() else 1e-9
-    if f.is_rational():
+    values = {S: f(S) for S in (frozenset(),) + iter_nonempty_subsets(f.ground)}
+    if all(isinstance(v, float) for S, v in values.items() if S):
+        tol = float(tol)
+    else:
         tol = Fraction(tol)
+        values = {S: INF if is_inf(v) else Fraction(v.item() if isinstance(v, np.generic) else v)
+                  for S, v in values.items()}
+
+    def plus(x, y):
+        return INF if is_inf(x) or is_inf(y) else x + y
+
+    def minus_tol(x):
+        return INF if is_inf(x) else x - tol
+
     proper = iter_nonempty_subsets(f.ground)
     subsets = (frozenset(),) + proper
     for S in subsets:
         for T in subsets:
-            if S != T and S <= T and f(S) > f(T) + tol:
+            if S != T and S <= T and values[S] > plus(values[T], tol):
                 return AxiomReport(False, "monotonicity", (S, T))
     kind = "submodularity" if submodular else "supermodularity"
     for i, S in enumerate(proper):
         for T in proper[i + 1:]:
-            lhs = f(S & T) + f(S | T)
-            rhs = f(S) + f(T)
-            bad = lhs > rhs + tol if submodular else lhs < rhs - tol
+            lhs = plus(values[S & T], values[S | T])
+            rhs = plus(values[S], values[T])
+            bad = lhs > plus(rhs, tol) if submodular else lhs < minus_tol(rhs)
             if bad:
                 return AxiomReport(False, kind, (S, T))
     return AxiomReport(True)

@@ -343,6 +343,15 @@ def test_setfunc_verify_mixed_huge_document_is_pinned(capsys):
     assert capsys.readouterr().out == (DATA / "setfunc_mixed_huge.stdout.json").read_text()
 
 
+def test_setfunc_verify_nudged_k6_float_document_is_pinned(capsys):
+    # One lowered value makes its diamonds miss supermodularity by 0.03, so
+    # the local rule declines and the pair scan supplies the witness.
+    argv = ["--format", "json", "setfunc", "verify", "--kind", "copoly", "--tol", "1e-9",
+            "--input", str(DATA / "setfunc_k6_float_nudged.json")]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == (DATA / "setfunc_k6_float_nudged.stdout.json").read_text()
+
+
 def _assert_one_line_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from netmatch import fixtures
+from netmatch import fixtures, setfunc
 from netmatch.entropy import SourceModel, entropy_profile
 from netmatch.errors import DocumentError, LimitError
 from netmatch.graph import Edge, Network
@@ -388,6 +388,54 @@ def test_parse_setfunction_errors():
         parse_setfunction("{")
 
 
+def test_parse_setfunction_reads_labels_and_other_spellings_alike():
+    # Labels are read by lookup; reordered or spaced keys take the split.
+    ground = ["a", "b", "c"]
+    canonical = {"a": "1", "b": 0.5, "c": "inf", "a+b": "3/2", "a+c": "inf", "b+c": "inf",
+                 "a+b+c": "inf"}
+    spelled = {"a": "1", " b ": 0.5, "c": "inf", "b+a": "3/2", " c + a ": "inf",
+               "c+b": "inf", "c+a+b": "inf"}
+    mixed = {**{key: canonical[key] for key in ("a", "b", "a+b", "b+c")},
+             " c": "inf", "c + a": "inf", "b+c+a": "inf"}
+    f, g, h = (parse_setfunction(json.dumps({"ground": ground, "values": values}))
+               for values in (canonical, spelled, mixed))
+    assert f == g == h
+    assert f.values == (0, 1, 0.5, Fraction(3, 2), INF, INF, INF, INF)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"a": "1", "b": "1", "a+b": "2", "b+a": "2"},
+     "subset 'b+a' names the same subset as 'a+b'"),
+    ({"b+a": "2", "a": "1", "b": "1", "a + b": "2"},
+     "subset 'a + b' names the same subset as 'b+a'"),
+    ({"a": "1", "b": "1", "a+c": "2"}, "subset 'a+c' uses elements outside the ground set"),
+    ({"a": "1", "b": "x", "a+b": "2"}, "subset 'b': not a rational value: 'x'"),
+    ({"a": "1", "b": "1/0", "a+b": "2"}, "subset 'b': not a rational value: '1/0'"),
+])
+def test_parse_setfunction_messages_are_kept(values, message):
+    with pytest.raises(DocumentError) as raised:
+        parse_setfunction(json.dumps({"ground": ["a", "b"], "values": values}))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("ground, values, result", [
+    # A name that stripping changes is never matched, as it never was.
+    ([" a", "b"], {" a": "1", "b": "1", " a+b": "2"}, "subset ' a' uses elements outside"),
+    # Two equal names: the later one's bit, as before.
+    (["a", "a"], {"a": "1", "a+a": "2"}, "subset 'a+a' names the same subset as 'a'"),
+    # An empty name, whose subset labels would run together.
+    (["", "b"], {"": "1", "b": "1", "+b": "2"}, (0, 1, 1, 2)),
+])
+def test_parse_setfunction_reads_unusual_names_as_the_split_does(ground, values, result):
+    text = json.dumps({"ground": ground, "values": values})
+    if isinstance(result, str):
+        with pytest.raises(DocumentError) as raised:
+            parse_setfunction(text)
+        assert str(raised.value).startswith(result)
+    else:
+        assert parse_setfunction(text).values == result
+
+
 # --- The axiom engine against the pair-by-pair oracle -----------------------
 
 #: Functions per family and ground set size: the oracle is O(4^k).
@@ -520,12 +568,13 @@ def test_axioms_on_mixed_values_match_the_oracle_on_the_exact_copy(k, data):
     # A rational co-polymatroid (weights plus a bump on the full set),
     # scaled, whose values are kept rational, turned into floats near their
     # value, or made infinite.  At least one stays rational, so no function
-    # is all-float.  At the largest scale a sum of two values passes 2^1024
-    # while each value stays below it, so that the oracle's Fraction + inf
-    # has a float.
+    # is all-float.  At scale 2^1019 a sum of two values passes 2^1024 while
+    # each value stays below it; at 2^1100 the values themselves are past
+    # the float range, and a float stands for the unscaled value, as in
+    # {"a": 0.5, "b": "1e400", "a+b": "inf"}.
     halves = st.integers(0, 6).map(lambda n: Fraction(n, 2))
     w = data.draw(st.lists(halves, min_size=k, max_size=k))
-    scale = data.draw(st.sampled_from((1, Fraction(1, 3), 2**1019)))
+    scale = data.draw(st.sampled_from((1, Fraction(1, 3), 2**1019, 2**1100)))
     masks = range(1 << k)
     base = [sum((w[p] for p in range(k) if m >> p & 1), Fraction(0)) for m in masks]
     base[-1] += data.draw(halves)
@@ -536,7 +585,8 @@ def test_axioms_on_mixed_values_match_the_oracle_on_the_exact_copy(k, data):
         kind = "rational" if m == keep else data.draw(
             st.sampled_from(("rational", "float", "inf")))
         if kind == "float":
-            v = max(0.0, float(v) + data.draw(st.sampled_from((0.0, 1e-12, -1e-12, 0.25))))
+            v = float(v if v < 2**1023 else base[m])
+            v = max(0.0, v + data.draw(st.sampled_from((0.0, 1e-12, -1e-12, 0.25))))
         values.append(INF if kind == "inf" else v)
     f = SetFunction(_ground(k), values)
     exact = SetFunction(f.ground, [v if v == INF else Fraction(v) for v in values])
@@ -544,6 +594,144 @@ def test_axioms_on_mixed_values_match_the_oracle_on_the_exact_copy(k, data):
         assert (is_polymatroid(f, tol), is_copolymatroid(f, tol)) == (
             reference_axioms(exact, Fraction(tol), submodular=True),
             reference_axioms(exact, Fraction(tol), submodular=False))
+
+
+def _near_bound(k, seed, family, level, nudge, tol, kind, spread):
+    """A function whose worst local gap is x = level * (1 + nudge), for the
+    local rule's bounds.  "diamond": modular weights plus
+    ±x*|S & P|*|S & Q|, P the first k // 2 elements and Q the rest, so every
+    diamond across P and Q misses one axiom by x and the pair (P, Q) by
+    floor(k^2/4)*x (values clamped at 0).  "step": k on every nonempty set,
+    less x per element, so every chain step from a nonempty set falls by x.
+    ``level`` is tol/floor(k^2/4), tol/k or tol, and 2^-40 in their place at
+    tolerance 0.  With ``spread``, each weight is scaled by a power of 2
+    from 2^-24 to 2^24, so that the rounding of sums of values, or of a sum
+    plus tol, can outweigh x.  Values are kept rational, or made floats
+    moved by up to one unit in the last place, all of them or (``kind``
+    "mixed") some."""
+    rng = random.Random(seed)
+    exact_tol = Fraction(tol) or Fraction(1, 2**40)
+    x = exact_tol / {"pairs": max(1, k * k // 4), "chain": k, "tol": 1}[level] * (1 + nudge)
+    weights = [Fraction(rng.randint(9, 27), rng.choice((1, 3)))
+               * Fraction(2) ** (rng.randint(-24, 24) if spread else 0) for _ in range(k)]
+    sign = rng.choice((1, -1))
+    values = [Fraction(0)]
+    for m in range(1, 1 << k):
+        inside = [p for p in range(k) if m >> p & 1]
+        if family == "diamond":
+            split = sum(p < k // 2 for p in inside)
+            v = max(0, sum(weights[p] for p in inside) + sign * x * split * (len(inside) - split))
+        else:
+            v = k - x * len(inside)
+        if kind == "float" or kind == "mixed" and rng.random() < 0.5:
+            v = float(v)
+            if v:
+                v = math.nextafter(v, rng.choice((0, v, math.inf)))
+        values.append(v)
+    return SetFunction(_ground(k), values)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(k=st.integers(1, 6), seed=st.integers(0, 2**16),
+       family=st.sampled_from(("diamond", "step")), level=st.sampled_from(("pairs", "chain", "tol")),
+       nudge=st.sampled_from((-1, Fraction(-1, 8), Fraction(-1, 2**20), 0,
+                              Fraction(1, 2**20), Fraction(1, 8))),
+       tol=st.sampled_from((0, 0.0, 1e-9, Fraction(1, 3))),
+       kind=st.sampled_from(("rational", "float", "mixed")), spread=st.booleans())
+@example(k=6, seed=0, family="diamond", level="pairs", nudge=Fraction(1, 2**20),
+         tol=Fraction(1, 3), kind="rational", spread=False)
+@example(k=5, seed=1, family="diamond", level="pairs", nudge=Fraction(1, 8), tol=1e-9,
+         kind="float", spread=False)
+@example(k=6, seed=2, family="diamond", level="pairs", nudge=0, tol=1e-9, kind="float",
+         spread=False)
+@example(k=6, seed=3, family="step", level="chain", nudge=Fraction(1, 2**20), tol=1e-9,
+         kind="mixed", spread=False)
+def test_local_rule_and_scan_agree_near_the_local_bounds(k, seed, family, level, nudge, tol,
+                                                         kind, spread):
+    # Just below a bound the local rule decides; just above it the scan
+    # does, and must find what the oracle finds.
+    _assert_matches_oracle(_near_bound(k, seed, family, level, nudge, tol, kind, spread), tol)
+
+
+@pytest.mark.parametrize("values, tol", [
+    # Modular but for rounding: the scan's sums of values round past 0.
+    ((0.0, 34.57036225396882, 1.0451057077743922e-09, 34.57036225501392, 9.02407408282263,
+      43.594436336791446, 9.024074083867735, 43.59443633783655), 0.0),
+    # A pair gap of tol up to rounding: the scan's sum plus tol rounds below it.
+    ((0.0, 0.0008709523457447847, 0.0012202603521063475, 0.3354245460311845), 1 / 3),
+])
+def test_local_rule_leaves_a_rounding_violation_to_the_scan(values, tol):
+    f = SetFunction(_ground(len(values).bit_length() - 1), values)
+    assert not _assert_matches_oracle(f, tol)[0].holds
+
+
+def test_local_rule_and_scan_agree_on_float_sums_moved_by_an_ulp():
+    # Float modular functions, summed in float, weights from 2^-30 to 2^30
+    # (2^-12 to 2^-4 against tol 1/3, whose own rounding then counts), and
+    # every value moved by up to one unit in the last place.
+    rng = random.Random(4700)
+    for _ in range(2000):
+        k, tol = rng.choice((2, 3)), rng.choice((0.0, 1e-9, 1 / 3))
+        low, high = (-12, -4) if tol == 1 / 3 else (-30, 30)
+        weights = [rng.random() * 2.0 ** rng.randint(low, high) for _ in range(k)]
+        values = [0.0] * (1 << k)
+        for m in range(1, 1 << k):
+            bit = m & -m
+            values[m] = values[m ^ bit] + weights[bit.bit_length() - 1]
+        values[-1] += tol if tol == 1 / 3 else 0.0
+        values = [math.nextafter(v, rng.choice((0.0, v, math.inf))) if v else v for v in values]
+        _assert_matches_oracle(SetFunction(_ground(k), values), tol)
+
+
+def _with_inf(rng, k, upward):
+    """A rational polymatroid or co-polymatroid, some of whose values are
+    inf: on every superset of one to three drawn sets when ``upward``,
+    otherwise on the drawn sets alone."""
+    ground = _ground(k)
+    f = rng.choice((_coverage, _random_copolymatroid, _random_polymatroid))(rng, ground)
+    drawn = rng.sample(range(1, 1 << k), min(rng.randint(1, 3), (1 << k) - 1))
+    values = [INF if any((m & d == d) if upward else m == d for d in drawn) else v
+              for m, v in enumerate(f.values)]
+    return SetFunction(ground, values)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_axioms_match_oracle_on_rational_functions_with_inf(k):
+    rng = random.Random(4500 + k)
+    for _ in range(2 * _PER_SIZE[k]):
+        for upward in (True, False):
+            f = _with_inf(rng, k, upward)
+            for tol in (None, 0, 0.0, 1e-9, Fraction(1, 3)):
+                _assert_matches_oracle(f, tol)
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the pair scan ran")
+
+
+def test_an_inf_closed_upward_polymatroid_at_tolerance_0_takes_no_pair_scan(monkeypatch):
+    # Coverage at k=8 with inf on every set holding g0 or g5.
+    rng = random.Random(4600)
+    f = _coverage(rng, _ground(8))
+    values = [INF if m & 0b100001 else v for m, v in enumerate(f.values)]
+    f = SetFunction(f.ground, values)
+    assert reference_axioms(f, 0, submodular=True).holds
+    monkeypatch.setattr(setfunc, "_first_violation", _no_scan)
+    assert is_polymatroid(f, 0).holds
+
+
+def test_a_passing_float_function_at_k16_takes_no_pair_scan(monkeypatch):
+    # A modular float function: the pair scan over 4^16 pairs took over a
+    # minute; the local rule takes O(k^2 2^k).
+    k = MAX_SOURCES
+    weights = [0.1 * (p + 1) for p in range(k)]
+    values = [0.0] * (1 << k)
+    for m in range(1, 1 << k):
+        low = m & -m
+        values[m] = values[m ^ low] + weights[low.bit_length() - 1]
+    f = SetFunction(_ground(k), values)
+    monkeypatch.setattr(setfunc, "_first_violation", _no_scan)
+    assert is_polymatroid(f, 1e-9).holds and is_copolymatroid(f, 1e-9).holds
 
 
 @pytest.mark.parametrize("k", [MAX_SOURCES, MAX_SOURCES + 1])
