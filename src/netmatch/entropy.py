@@ -17,18 +17,17 @@ follow that rule, so their floats are bit-identical to each other and to
 :func:`joint_entropy`; the engine runs where it is faster and its integer
 tensors cannot overflow.
 
-A model computes its integer weights once, when it is built, and keeps
-them as ``integer_weights``; both routes and :func:`joint_entropy` read
-them.  A rational pmf is checked, and its weights summed, in bulk; any
-other pmf, and any that fails a bulk check, is checked entry by entry,
-so every message names the first bad entry as before.
+A model computes its integer weights once, when it is built, by
+:func:`scalars.integer_ratios`, and keeps them as ``integer_weights``;
+both routes, :func:`joint_entropy` and the one check of the pmf's sum read
+them.  A rational pmf's entries are checked in bulk; any other pmf, and any
+that fails a bulk check, entry by entry, naming the first bad entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,12 +36,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DocumentError, load_json
-from .scalars import parse_probability
+from .scalars import integer_ratios, parse_probability, to_float
 from .setfunc import SetFunction, check_label_names, check_source_count
 
 PMF_TOLERANCE = 1e-12
-_NUMERATOR = operator.attrgetter("numerator")
-_DENOMINATOR = operator.attrgetter("denominator")
 _ENTRY_KEYS = frozenset(("symbols", "p"))
 _NESTED = frozenset((list, dict))  # json.loads makes exact types
 
@@ -54,10 +51,10 @@ class SourceModel:
     ``pmf`` maps symbol tuples (aligned with ``sources``) to probabilities;
     omitted tuples carry probability zero.  Probabilities may be exact
     rationals or floats.  Like a Network, a model is checked when it is
-    built (DocumentError; rational pmfs must sum to 1 exactly) and is then
+    built (DocumentError; its sum once, on ``integer_weights``, the
+    :func:`_integer_weights` of the pmf: exactly 1 if rational) and is then
     frozen: tuples, and ``pmf`` a read-only copy in the given entry order,
     which every marginal, and so every entropy bit, follows.
-    ``integer_weights`` is :func:`_integer_weights` of the pmf.
     """
 
     sources: tuple[str, ...]
@@ -82,34 +79,35 @@ class SourceModel:
         for size in self.alphabet_sizes:
             if isinstance(size, bool) or not isinstance(size, int) or size < 1:
                 raise DocumentError(f"alphabet sizes must be positive integers, got {size!r}")
-        weights = self._rational_weights()
-        if weights is None:
+        if not self._bulk_checks_pass():
             self._check_entries()
-            weights = _integer_weights(self)
-        object.__setattr__(self, "integer_weights", weights)
+        weights, den = _integer_weights(self)
+        total = Fraction(sum(weights.values()), den)
+        if self.is_rational():
+            if total != 1:
+                raise DocumentError(f"pmf sums to {total}, not 1")
+        elif abs(to_float(total) - 1.0) > PMF_TOLERANCE:  # the exact sum, rounded once
+            raise DocumentError(f"pmf sums to {to_float(total)!r}, not 1 within {PMF_TOLERANCE}")
+        object.__setattr__(self, "integer_weights", (weights, den))
 
-    def _rational_weights(self):
-        """:func:`_integer_weights` of a rational pmf, checked in bulk: int
-        symbols of the right arity inside the alphabets, Fraction or int
-        probabilities, none negative, and integer weights that sum to their
-        denominator.  None if any check fails; :meth:`_check_entries`
-        then names the first failure, or passes a float pmf."""
+    def _bulk_checks_pass(self) -> bool:
+        """Whether a rational pmf passes every entry check in bulk: int
+        symbols of the right arity inside the alphabets, and Fraction or
+        int probabilities, none negative.  If not, :meth:`_check_entries`
+        names the first failure, or passes a float pmf."""
         keys, values = self.pmf.keys(), self.pmf.values()
         if (set(map(type, keys)) != {tuple} or set(map(len, keys)) != {len(self.sources)}
                 or set(map(type, itertools.chain.from_iterable(keys))) != {int}
                 or not set(map(type, values)) <= {Fraction, int}):
-            return None
+            return False
         for column, size in zip(zip(*keys), self.alphabet_sizes):
             if min(column) < 0 or max(column) >= size:
-                return None
-        if min(map(_NUMERATOR, values)) < 0:
-            return None
-        weights, den = _integer_weights(self)
-        return (weights, den) if sum(weights.values()) == den else None
+                return False
+        return min([p.numerator for p in values]) >= 0
 
     def _check_entries(self):
-        """Each entry's symbols and probability, then the sum, one at a
-        time, raising DocumentError on the first failure."""
+        """Each entry's symbols and probability, one at a time, raising
+        DocumentError on the first failure."""
         for tup, p in self.pmf.items():
             if not isinstance(tup, tuple) or len(tup) != len(self.sources):
                 raise DocumentError(f"symbol tuple {tup!r} has wrong arity")
@@ -123,12 +121,6 @@ class SourceModel:
                 raise DocumentError(f"non-finite probability for {tup!r}")
             if p < 0:
                 raise DocumentError(f"negative probability for {tup!r}")
-        total = sum(self.pmf.values(), Fraction(0))
-        if self.is_rational():
-            if total != 1:
-                raise DocumentError(f"pmf sums to {total}, not 1")
-        elif abs(float(total) - 1.0) > PMF_TOLERANCE:
-            raise DocumentError(f"pmf sums to {float(total)!r}, not 1 within {PMF_TOLERANCE}")
 
     def __reduce__(self):  # a read-only pmf view does not pickle
         return SourceModel, (self.sources, self.alphabet_sizes, dict(self.pmf))
@@ -218,20 +210,12 @@ def _shannon_bits(probabilities: Iterable) -> float:
 
 
 def _integer_weights(m: SourceModel) -> tuple[dict, int]:
-    """The pmf as exact integer weights over one common denominator.
-
-    Float entries convert exactly through ``Fraction(p)`` first.  Returns
-    ``(weights, den)`` with ``pmf[tup] == weights[tup] / den`` exactly and
-    the pmf's key order.
+    """The pmf as exact integer weights over one common denominator, by
+    :func:`scalars.integer_ratios` (a float entry is the dyadic rational it
+    is).  Returns ``(weights, den)`` with ``pmf[tup] == weights[tup] / den``
+    exactly and the pmf's key order.
     """
-    values = m.pmf.values()
-    if not set(map(type, values)) <= {Fraction, int}:
-        values = list(map(Fraction, values))
-    denominators = list(map(_DENOMINATOR, values))
-    distinct = set(denominators)
-    den = math.lcm(*distinct)
-    scale = {d: den // d for d in distinct}
-    weights = map(operator.mul, map(_NUMERATOR, values), map(scale.__getitem__, denominators))
+    weights, den = integer_ratios(m.pmf.values())
     return dict(zip(m.pmf, weights)), den
 
 

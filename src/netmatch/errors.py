@@ -30,10 +30,11 @@ class CycleError(NetmatchError):
 
 
 class LimitError(NetmatchError):
-    """A fixed work or size bound was exceeded: more sources than
-    ``setfunc.MAX_SOURCES``, more candidate blocks than
-    ``simulator.MAX_ENUMERATION``, a node input domain past int64, or an
-    index set past 2^62."""
+    """A fixed work or size bound was exceeded: more sources, or more
+    set-function ground names, than ``setfunc.MAX_SOURCES``, more candidate
+    blocks than ``simulator.MAX_ENUMERATION``, more (block, source subset)
+    pairs in the typicality test than ``simulator.MAX_TYPICALITY_WORK``, a
+    node input domain past int64, or an index set past 2^62."""
 
 
 def load_json(text: str, kind: str):

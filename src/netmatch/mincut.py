@@ -10,13 +10,12 @@ so that boundary instances are decided bit-exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .graph import Network
-from .scalars import INF, is_inf
+from .scalars import INF, integer_ratios, is_inf
 from .setfunc import SetFunction, check_source_count
 
 
@@ -25,18 +24,18 @@ class _Residual:
     ``sources``.
 
     Arcs are stored flat: ``to[a]`` and ``cap[a]`` for arc ``a``, whose
-    paired reverse arc is ``a ^ 1``.  Finite capacities are scaled by the
-    LCM of their denominators; ``inf`` becomes ``big``, one more than the
-    total scaled finite capacity, so a flow value of at least ``big``
-    means every cut is infinite.  The super-source arc of ``sources[i]``
-    is ``source_arc[i]``, created with capacity 0 (disabled).
+    paired reverse arc is ``a ^ 1``.  Finite capacities are integers over
+    their common denominator ``scale`` (:func:`scalars.integer_ratios`);
+    ``inf`` becomes ``big``, one more than the total scaled finite
+    capacity, so a flow value of at least ``big`` means every cut is
+    infinite.  The super-source arc of ``sources[i]`` is
+    ``source_arc[i]``, created with capacity 0 (disabled).
     """
 
     def __init__(self, net: Network, sources):
         self.index = {name: k for k, name in enumerate(net.nodes)}
         finite = [e.capacity for e in net.edges if not is_inf(e.capacity)]
-        self.scale = math.lcm(*(c.denominator for c in finite))
-        scaled = [c.numerator * (self.scale // c.denominator) for c in finite]
+        scaled, self.scale = integer_ratios(finite)
         self.big = sum(scaled) + 1
         self.root = len(net.nodes)
         self.adj: list[list[int]] = [[] for _ in range(self.root + 1)]
@@ -108,11 +107,10 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
     The source set is contracted through a virtual super-source attached
     by infinite-capacity arcs, so node identities survive in the cut.
 
-    Runs Edmonds-Karp on Python ints: finite capacities are scaled by the
-    LCM of their denominators and ``inf`` by a sentinel above their total
-    (see :class:`_Residual`).  The member set is the residual-reachable
-    set, the inclusion-minimal minimum cut, which does not depend on the
-    maximum flow found.
+    Runs Edmonds-Karp on Python ints, the capacities scaled as in
+    :class:`_Residual`.  The member set is the residual-reachable set, the
+    inclusion-minimal minimum cut, which does not depend on the maximum
+    flow found.
     """
     sources = list(dict.fromkeys(source_set))
     if not sources:

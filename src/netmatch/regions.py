@@ -192,7 +192,7 @@ def equivalence_check(
     tol: float = DEFAULT_TOLERANCE,
 ) -> EquivalenceReport:
     """Evaluate the matching condition and the per-sink region test."""
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     analysis = prepare_profiles(net, m)
     profile, sw = analysis.capacity, sw_polyhedron(analysis.entropy)
     # The rows are in canonical order, as are the masks.

@@ -4,7 +4,8 @@ Finite quantities (capacities, cut values, rate bounds) are
 :class:`fractions.Fraction`; the single infinite sentinel is ``math.inf``,
 which orders above every rational and absorbs addition, exactly the
 semantics needed for capacity arithmetic.  Entropies are ordinary floats
-and are snapped to rationals only at the LP boundary.
+and are snapped to rationals only at the LP boundary.  Every exact
+decision runs on the integers of one rule, :func:`integer_ratios`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+
+import numpy as np
 
 INF = math.inf
 
@@ -58,14 +61,26 @@ def parse_scalar(value, *, allow_inf: bool = True):
 
 
 def check_tolerance(tol):
-    """Return ``tol`` if it is a finite nonnegative number.
+    """Return ``tol`` if it is a finite nonnegative number, a numpy scalar
+    as its Python value, so every consumer sees an int, float or Fraction.
 
     Raises ValueError for NaN, infinities and negative values: compared
     against such a tolerance, every margin would still yield a verdict.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    return tol
+    return tol.item() if isinstance(tol, np.generic) else tol
+
+
+def integer_ratios(values) -> tuple[list[int], int]:
+    """Ints, Fractions and finite floats (each the dyadic rational it is)
+    as ``(numerators, den)``: ``den`` is the lcm of their denominators (1
+    for none), and ``numerators[i] / den == values[i]`` exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    distinct = {d for _, d in ratios}
+    den = math.lcm(*distinct)
+    scale = {d: den // d for d in distinct}
+    return [n * scale[d] for n, d in ratios], den
 
 
 def parse_probability(value):

@@ -32,16 +32,16 @@ always the first violating pair in canonical order.
 from __future__ import annotations
 
 import functools
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DocumentError, LimitError, load_json
-from .scalars import check_tolerance, is_inf, parse_scalar
+from .scalars import check_tolerance, integer_ratios, is_inf, parse_scalar
 
 #: The most sources whose 2^k subsets get enumerated.
 MAX_SOURCES = 16
@@ -124,8 +124,10 @@ class SetFunction:
         check_label_names(self.ground)
         if len(set(self.ground)) != len(self.ground):
             raise DocumentError("duplicate ground element")
+        check_source_count(len(self.ground))
         values, required = self.values, (1 << len(self.ground)) - 1
-        given = len(values) - 1 - values.count(None)  # unassigned slots hold None
+        # Unassigned slots hold None, counted by identity, not by __eq__.
+        given = len(values) - 1 - sum(map(operator.is_, values, repeat(None)))
         if len(values) != required + 1 or given != required:
             raise DocumentError("set function must assign a value to every nonempty subset "
                                 f"({given} given, {required} required)")
@@ -298,20 +300,18 @@ def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
         # float64 sums and comparisons are bit-identical to Python's.
         vals, tol = np.array(f.values, dtype=np.float64), float(tol)
     else:
-        # Exactly, a float (or numpy scalar) as the rational it is: values
-        # and tolerance scaled to integers by their common denominator, so
-        # no sum is rounded, and inf as big, past any finite sum plus tol.
-        tol = Fraction(tol)
+        # Exactly, a float (or numpy scalar) as the rational it is: the
+        # tolerance and the finite values as integers over their common
+        # denominator (integer_ratios), so no sum is rounded, and inf as
+        # big, past any finite sum plus tol.
         values = [v.item() if isinstance(v, np.generic) else v for v in f.values]
-        ratios = {m: v.as_integer_ratio() for m, v in enumerate(values) if not is_inf(v)}
-        scale = math.lcm(tol.denominator, *(d for _, d in ratios.values()))
-        tol = tol.numerator * (scale // tol.denominator)
-        ints = {m: n * (scale // d) for m, (n, d) in ratios.items()}
-        top = max(ints.values())
+        (tol, *ints), _ = integer_ratios([tol] + [v for v in values if not is_inf(v)])
+        top = max(ints)
         if len(ints) < len(values):
             big = top = 2 * top + tol + 1
+        ints = iter(ints)
         # int64 when every sum the checks form fits, Python ints otherwise.
-        vals = np.array([ints.get(m, big) for m in range(len(values))],
+        vals = np.array([big if is_inf(v) else next(ints) for v in values],
                         dtype=np.int64 if 2 * top + tol < 2**63 else object)
     if _local_rule_holds(vals, k, tol, submodular):
         return AxiomReport(True)
@@ -365,6 +365,7 @@ def parse_setfunction(text: str) -> SetFunction:
     check_label_names(ground)
     if not isinstance(doc["values"], dict):
         raise DocumentError("'values' must be an object mapping subsets to values")
+    check_source_count(len(ground))  # before 2^k slots are allocated
     bit = {g: 1 << p for p, g in enumerate(ground)}
     values: list = [Fraction(0)] + [None] * ((1 << len(ground)) - 1)
     # A key that is a subset's label is read by lookup.  The labels are built

@@ -10,7 +10,7 @@ joins every row, pivots in at the most negative bound (lowest row on
 ties), and -x0 is maximised by Bland's rule on variable ids (x0 is 0,
 x_1..x_k are 1..k in variable order, row r's slack is k + 1 + r): the
 lowest id with a positive objective coefficient enters, and min-ratio
-ties leave at the lowest basic id.
+ties leave at the lowest basic id.  The scaling is :func:`scalars.integer_ratios`.
 
 Vertex rule: a feasible system returns the vertex where that pivot
 sequence stops (the origin if it is feasible).  Otherwise the objective
@@ -29,9 +29,10 @@ every row would keep.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .scalars import integer_ratios
 
 
 def _rows(variables: Sequence[str], constraints: Sequence[tuple]) -> list[tuple]:
@@ -53,8 +54,7 @@ def _solve(rows: Sequence[tuple], k: int) -> tuple:
     """(point, None) with x >= 0 meeting every row, or (None, y) with y a
     Farkas certificate {row index: positive int}."""
     m = len(rows)
-    scale = math.lcm(*(b.denominator for _, b in rows))
-    bounds = [b.numerator * (scale // b.denominator) for _, b in rows]
+    bounds, scale = integer_ratios([b for _, b in rows])
     # The dictionary of the rows scaled by `scale`, times the common
     # denominator d: table[r] = [constant, coefficients of the nonbasic
     # variables] for basic[r]; the last row is the objective, -x0.

@@ -38,7 +38,8 @@ n symbols the same way in base |X_i|.
 
 Typicality is decided once per candidate space by enumerating every
 block, so this is strictly a desk-scale tool; the enumeration stops at
-:data:`MAX_ENUMERATION` blocks, and a node's input domain must fit int64.
+:data:`MAX_ENUMERATION` blocks or :data:`MAX_TYPICALITY_WORK` block-subset
+pairs, and a node's input domain must fit int64.
 Everything is deterministic given the seed.
 """
 
@@ -54,7 +55,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entropy import SourceModel, aligned, joint_entropy
+from .entropy import SourceModel, aligned, entropy_profile
 from .errors import LimitError, dump_json
 from .graph import Network, validate_acyclic
 from .scalars import format_scalar, is_inf, round_float, to_float
@@ -62,6 +63,8 @@ from .setfunc import check_source_count, subset_masks
 
 #: Largest candidate space the typicality decoder will enumerate.
 MAX_ENUMERATION = 1 << 24
+#: Most (block, source subset) pairs, (2^k - 1) |X|^n, the typicality test checks.
+MAX_TYPICALITY_WORK = MAX_ENUMERATION << 6
 _INT64_MAX = (1 << 63) - 1
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the increment, then the
 # finaliser's (shift, multiplier) rounds and its last shift.
@@ -390,6 +393,10 @@ class _CandidateSpace:
         if total > MAX_ENUMERATION:
             raise LimitError(f"candidate space has {joint}^{n} sequences, "
                              f"past the bound {MAX_ENUMERATION}")
+        subsets = (1 << len(m.sources)) - 1
+        if subsets * total > MAX_TYPICALITY_WORK:
+            raise LimitError(f"typicality test checks {subsets} subsets of {joint}^{n} "
+                             f"sequences, past the bound {MAX_TYPICALITY_WORK}")
         self.joint_size = joint
         self.total = total
         self.place = joint ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -418,10 +425,11 @@ class _CandidateSpace:
     def _typical(self, m: SourceModel) -> np.ndarray:
         """Mask of the candidates whose every nonempty subset's empirical
         rate is within lambda of its entropy."""
-        sources, sizes = m.sources, m.alphabet_sizes
+        sizes = m.alphabet_sizes
+        entropies = entropy_profile(m).joint.values
         typical = np.ones(self.total, dtype=bool)
-        for mask in subset_masks(len(sources)):
-            kept = [k for k in range(len(sources)) if mask >> k & 1]
+        for mask in subset_masks(len(sizes)):
+            kept = [k for k in range(len(sizes)) if mask >> k & 1]
             key = np.ravel_multi_index([self.symbols[k] for k in kept], [sizes[k] for k in kept])
             marginal = np.zeros(math.prod(sizes[k] for k in kept))
             np.add.at(marginal, key, self.probs)  # in joint-symbol order
@@ -439,7 +447,7 @@ class _CandidateSpace:
             # |-logp / n - h| < lambda, in place.
             np.negative(logp, out=logp)
             logp /= self.n
-            logp -= joint_entropy(m, [sources[k] for k in kept])
+            logp -= entropies[mask]
             with np.errstate(invalid="ignore"):
                 typical &= np.abs(logp, out=logp) < self.lam
         return typical

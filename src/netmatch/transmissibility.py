@@ -114,7 +114,7 @@ def check(
     Margins and statuses are read off the profiles' mask-indexed values;
     no row object is built here.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     analysis = prepare_profiles(net, m)
     profile, sigma = analysis.capacity, analysis.entropy.sigma.values
     rho = profile.network_wide

@@ -940,6 +940,16 @@ def test_more_sources_than_the_cap_is_data_error(tmp_path, capsys, args):
     assert captured.err == "error: 17 sources exceed the subset enumeration bound 16\n"
 
 
+def test_a_set_function_past_the_source_cap_is_data_error(capsys):
+    # 40 names and no values: refused before 2^40 value slots are allocated.
+    argv = ["--format", "json", "setfunc", "verify", "--kind", "poly",
+            "--input", str(DATA / "setfunc_k40_names.json")]
+    assert run(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 40 sources exceed the subset enumeration bound 16\n"
+
+
 @pytest.mark.parametrize("args", [
     ["check", *_NETWORK_AND_SOURCE],
     ["mincut", "--network", "network", "--all"],

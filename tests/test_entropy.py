@@ -499,3 +499,16 @@ def test_a_float_pmf_keeps_its_values_and_weights():
     assert m.integer_weights == ({t: 1 for t in floats}, 8)
     with pytest.raises(DocumentError, match=r"^pmf sums to 1\.125, not 1 within 1e-12$"):
         SourceModel(("a", "b", "c"), (2, 2, 2), {**floats, (0, 0, 0): 0.25})
+
+
+def test_a_float_pmf_sum_is_the_exact_sum_rounded_once():
+    # Left to right in floats, 0.1 + 0.2 + 0.3 is 0.6000000000000001; the
+    # exact sum of the three binary fractions rounds to 0.6.
+    with pytest.raises(DocumentError, match=r"^pmf sums to 0\.6, not 1 within 1e-12$"):
+        SourceModel(("a",), (3,), {(0,): 0.1, (1,): 0.2, (2,): 0.3})
+
+
+def test_a_float_pmf_whose_sum_passes_the_float_range_is_a_document_error():
+    # A rational entry of 10^400 next to a float one: the sum prints as inf.
+    with pytest.raises(DocumentError, match=r"^pmf sums to inf, not 1 within 1e-12$"):
+        SourceModel(("a",), (2,), {(0,): Fraction(10**400), (1,): 0.0})

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,38 @@ def test_invalid_tolerance_rejected(tol):
         is_polymatroid(f, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
         is_copolymatroid(f, tol=tol)
+
+
+_NUMPY_TOLERANCES = [np.float32(0.5), np.float64(0.5), np.float32(0.25), np.float64(0.125),
+                     np.int64(0), np.int64(1)]
+
+
+@pytest.mark.parametrize("tol", _NUMPY_TOLERANCES, ids=lambda t: f"{type(t).__name__}-{t}")
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_numpy_tolerance_gives_what_the_equal_python_scalar_gives(tol, exact):
+    # sigma misses submodularity by 1/2 and exceeds rho on {a, b} by 1/4.
+    sigma = sf(("a", "b"), 1, 1, Fraction(5, 2))
+    rho = sf(("a", "b"), 1, Fraction(3, 2), Fraction(9, 4))
+    if not exact:
+        sigma, rho = (SetFunction(f.ground, [float(v) for v in f.values]) for f in (sigma, rho))
+    python = tol.item()
+    assert type(python) in (int, float)
+    for f in (sigma, rho):
+        assert is_polymatroid(f, tol) == is_polymatroid(f, python)
+        assert is_copolymatroid(f, tol) == is_copolymatroid(f, python)
+    assert sandwich_feasible(sigma, rho, tol) == sandwich_feasible(sigma, rho, python)
+    assert is_polymatroid(sigma, tol).holds == (python >= 0.5)
+    assert bool(sandwich_feasible(sigma, rho, tol)) == (python >= 0.25)
+
+
+@pytest.mark.parametrize("tol", [np.int64(0), np.int64(1)])
+def test_an_int64_tolerance_is_scaled_as_a_python_int(tol):
+    # Over the values' common denominator 2^70 an int64 tolerance would
+    # overflow; f misses submodularity by 1 - 2^-70.
+    e = Fraction(1, 2**70)
+    f = SetFunction(("a", "b"), (0, e, e, 1 + e))
+    assert is_polymatroid(f, tol) == is_polymatroid(f, tol.item())
+    assert is_polymatroid(f, tol).holds == (tol == 1)
 
 
 def test_submodularity_violation_witness():
@@ -751,3 +784,30 @@ def test_both_subset_walks_stop_past_the_source_cap(k):
         with pytest.raises(LimitError) as raised:
             walk()
         assert str(raised.value) == f"{k} sources exceed the subset enumeration bound 16"
+
+
+def test_a_ground_set_past_the_source_cap_is_refused_before_allocating():
+    # 40 names would ask for 2^40 value slots; the cap is checked first.
+    doc = json.dumps({"ground": [f"g{i}" for i in range(40)], "values": {}})
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="^40 sources exceed the subset enumeration bound"):
+            parse_setfunction(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("k", [MAX_SOURCES, MAX_SOURCES + 1])
+def test_a_set_function_takes_at_most_the_source_cap(k):
+    values = [Fraction(0)] * (1 << k)
+    if k <= MAX_SOURCES:
+        assert len(SetFunction(_ground(k), values).values) == 1 << k
+        # A document of k names is read up to its missing values.
+        doc = json.dumps({"ground": list(_ground(k)), "values": {}})
+        with pytest.raises(DocumentError, match=r"\(0 given, 65535 required\)"):
+            parse_setfunction(doc)
+        return
+    with pytest.raises(LimitError, match=f"^{k} sources exceed the subset enumeration bound 16$"):
+        SetFunction(_ground(k), values)

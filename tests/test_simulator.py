@@ -1,5 +1,6 @@
 """Random-binning codes, propagation, typicality decoding, Monte-Carlo runs."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -951,3 +952,28 @@ def test_candidate_cap_stops_before_enumerating(monkeypatch):
     code = build_code(net, ALPHABETS, 13, tau, delta, seed=0)
     with pytest.raises(LimitError, match=message):
         decode(code, model, "t1", (1, 1), lam)
+
+
+@pytest.mark.parametrize("k, n", [(8, 3), (6, 4)])
+def test_typicality_cap_stops_before_the_subset_scan(monkeypatch, k, n):
+    # k uniform binary sources at block length n: (2^k - 1) 2^(kn) block-subset
+    # pairs, past the 2^30 cap at k=8, n=3 (255 * 2^24) and within it at
+    # k=6, n=4 (63 * 2^24), where the scan would start.
+    def scan(*args):
+        raise AssertionError("the candidate space was enumerated")
+
+    monkeypatch.setattr(_CandidateSpace, "_typical", scan)
+    names = tuple(f"s{i}" for i in range(k))
+    net = Network(names + ("t",), tuple(Edge(s, "t", Fraction(n)) for s in names),
+                  names, ("t",))
+    model = SourceModel(names, (2,) * k,
+                        {tup: Fraction(1, 1 << k) for tup in itertools.product((0, 1), repeat=k)})
+    args = (net, model, n, Fraction(1, 4), Fraction(1, 20), Fraction(3, 32))
+    if k == 8:
+        message = (f"typicality test checks 255 subsets of 256\\^3 sequences, "
+                   f"past the bound {1 << 30}")
+        with pytest.raises(LimitError, match=message):
+            estimate_error(*args, trials=1, seed=0)
+    else:
+        with pytest.raises(AssertionError, match="enumerated"):
+            estimate_error(*args, trials=1, seed=0)
