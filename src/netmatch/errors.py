@@ -3,6 +3,7 @@ a malformed document into a :class:`DocumentError`, and the JSON writer
 that prints every output document."""
 
 import functools
+import gc
 import itertools
 import json
 
@@ -43,6 +44,11 @@ def load_json(text: str, kind: str):
     Invalid JSON, an integer past ``sys.get_int_max_str_digits()``, and an
     object that repeats a key (which ``json.loads`` would settle silently
     by keeping the last value) raise :class:`DocumentError`.
+
+    The cyclic garbage collector is paused while the text is decoded: a
+    large document allocates many containers and no garbage, so the
+    collections they would set off find nothing.  It runs again
+    afterwards, whatever the outcome, if it ran before.
     """
     def unique_keys(pairs: list) -> dict:
         doc = dict(pairs)
@@ -54,12 +60,17 @@ def load_json(text: str, kind: str):
                 seen.add(key)
         return doc
 
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{kind} document is not valid JSON: {exc}") from exc
     except ValueError as exc:  # the int-string limit, which JSONDecodeError does not cover
         raise DocumentError(f"{kind} document holds an integer too long to read: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})

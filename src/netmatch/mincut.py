@@ -5,7 +5,9 @@ from sinks.
 source subset S on one side and sink t on the other; ``rho_n(S)`` is its
 minimum over all sinks (the network-wide capacity function).  Max-flow
 computes these exactly, on integers scaled from the rational capacities,
-so that boundary instances are decided bit-exactly.
+so that boundary instances are decided bit-exactly.  One search does all
+max-flow work: shortest augmenting paths guided by distance-to-sink
+labels (Ahuja & Orlin, Naval Res. Logistics 1991).
 """
 
 from __future__ import annotations
@@ -21,81 +23,153 @@ from .setfunc import SetFunction, check_source_count
 
 class _Residual:
     """Integer residual graph of a network with a super-source in front of
-    ``sources``.
+    ``sources``, searched for shortest augmenting paths.
 
-    Arcs are stored flat: ``to[a]`` and ``cap[a]`` for arc ``a``, whose
-    paired reverse arc is ``a ^ 1``.  Finite capacities are integers over
-    their common denominator ``scale`` (:func:`scalars.integer_ratios`);
-    ``inf`` becomes ``big``, one more than the total scaled finite
-    capacity, so a flow value of at least ``big`` means every cut is
-    infinite.  The super-source arc of ``sources[i]`` is
+    Arcs are numbered flat: ``cap[a]`` is the residual capacity of arc
+    ``a``, whose paired reverse arc is ``a ^ 1``, and ``arcs[u]`` lists
+    the ``(arc, head)`` pairs leaving node ``u``.  Finite capacities are
+    integers over their common denominator ``scale``
+    (:func:`scalars.integer_ratios`); ``inf`` becomes ``big``, one more
+    than the total scaled finite capacity, so a flow value of at least
+    ``big`` means every cut is infinite.  ``out[u]`` and ``into[u]`` are
+    the scaled capacities of the edges leaving and entering ``u``.  The
+    super-source is node ``root``; its arc to ``sources[i]`` is
     ``source_arc[i]``, created with capacity 0 (disabled).
+
+    A search keeps distance-to-sink labels ``d`` beside ``cap``: ``d[sink]
+    == 0`` and ``d[u] <= d[v] + 1`` on every arc u -> v with residual
+    capacity, so ``d[u]`` is at most u's residual distance to the sink,
+    and a label of ``len(d)`` or more proves that u cannot reach it.
     """
 
     def __init__(self, net: Network, sources):
-        self.index = {name: k for k, name in enumerate(net.nodes)}
+        index = self.index = {name: k for k, name in enumerate(net.nodes)}
         finite = [e.capacity for e in net.edges if not is_inf(e.capacity)]
         scaled, self.scale = integer_ratios(finite)
-        self.big = sum(scaled) + 1
-        self.root = len(net.nodes)
-        self.adj: list[list[int]] = [[] for _ in range(self.root + 1)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        caps = iter(scaled)
-        for e in net.edges:
-            cap = self.big if is_inf(e.capacity) else next(caps)
-            self._add_arc(self.index[e.tail], self.index[e.head], cap)
-        self.source_arc = [self._add_arc(self.root, self.index[s], 0) for s in sources]
+        big = self.big = sum(scaled) + 1
+        if len(scaled) < len(net.edges):
+            finite = iter(scaled)
+            scaled = [big if is_inf(e.capacity) else next(finite) for e in net.edges]
+        root = self.root = len(net.nodes)
+        arcs = self.arcs = [[] for _ in range(root + 1)]
+        out = self.out = [0] * (root + 1)
+        into = self.into = [0] * (root + 1)
+        cap = self.cap = []
+        for e, c in zip(net.edges, scaled):
+            u, v = index[e.tail], index[e.head]
+            out[u] += c
+            into[v] += c
+            arcs[u].append((len(cap), v))
+            arcs[v].append((len(cap) + 1, u))
+            cap.append(c)
+            cap.append(0)
+        self.source_arc = []
+        for name in sources:
+            v = index[name]
+            self.source_arc.append(len(cap))
+            arcs[root].append((len(cap), v))
+            arcs[v].append((len(cap) + 1, root))
+            cap.append(0)
+            cap.append(0)
 
-    def _add_arc(self, u: int, v: int, cap: int) -> int:
-        a = len(self.to)
-        self.adj[u].append(a)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(a + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return a
+    def label(self, cap: list, sink: int) -> list:
+        """Exact labels: the residual distances to ``sink``, by one reverse
+        breadth-first search; a node that cannot reach it gets the node
+        count."""
+        arcs = self.arcs
+        n = len(arcs)
+        d = [n] * n
+        d[sink] = 0
+        queue = [sink]
+        for v in queue:
+            dv = d[v] + 1
+            for a, u in arcs[v]:
+                if d[u] == n and cap[a ^ 1]:
+                    d[u] = dv
+                    queue.append(u)
+        return d
 
-    def augment(self, cap: list, sink: int, value: int):
-        """Edmonds-Karp from the feasible flow held in ``cap`` (residual
-        capacities, updated in place) whose value is ``value``.
+    def augment(self, cap: list, d: list, sink: int, start: int, value: int, bound: int) -> int:
+        """Push flow from ``start`` to ``sink`` until no augmenting path is
+        left or the flow value reaches ``bound``; return the value.
 
-        Returns ``(value, reach)``: the maximum flow value and the node
-        indices reachable from the super-source in the final residual
-        graph, or ``reach = None`` once ``value >= big`` (infinite).
+        ``cap`` holds the residual capacities of a feasible flow of value
+        ``value`` and ``d`` valid labels for them; both are updated in
+        place, and the labels stay valid.  A depth-first search follows
+        admissible arcs (``cap[a] > 0`` and ``d[u] == d[v] + 1``) from
+        ``start``, each node resuming at its current arc, and pushes the
+        bottleneck of every path that reaches the sink.  A node with no
+        admissible arc left takes one more than the least label over its
+        residual arcs, and the search retreats from it.  ``start`` does
+        the same the first time it is stuck; stuck again before the next
+        push, it gets exact labels from one reverse breadth-first search
+        (:meth:`label`).  The flow is maximal once ``start``'s label
+        proves that it cannot reach the sink.  Labels never decrease and
+        every push follows a shortest path, so the search keeps the
+        O(V^2 E) bound of shortest augmenting paths whatever the
+        capacities.  ``start == sink`` pushes up to ``bound`` at once.
         """
-        to, adj, root, big = self.to, self.adj, self.root, self.big
-        n = root + 1
-        while value < big:
-            parent = [-1] * n
-            parent[root] = -2
-            queue = [root]
-            for u in queue:
-                for a in adj[u]:
-                    v = to[a]
-                    if parent[v] == -1 and cap[a] > 0:
-                        parent[v] = a
-                        queue.append(v)
-                if parent[sink] != -1:
+        n = len(d)
+        if value >= bound or d[start] >= n:
+            return value
+        if start == sink:
+            return bound
+        arcs = self.arcs
+        cur = [0] * n
+        path: list[int] = []
+        tails: list[int] = []
+        u = start
+        relabelled = False  # start, since the last push or exact labels
+        while True:
+            out = arcs[u]
+            below = d[u] - 1
+            k = cur[u]
+            for a, v in out[k:] if k else out:
+                if d[v] == below and cap[a]:
                     break
+                k += 1
             else:
-                return value, queue
-            bottleneck = big
-            v = sink
-            while v != root:
-                a = parent[v]
-                if cap[a] < bottleneck:
-                    bottleneck = cap[a]
-                v = to[a ^ 1]
-            v = sink
-            while v != root:
-                a = parent[v]
-                cap[a] -= bottleneck
-                cap[a ^ 1] += bottleneck
-                v = to[a ^ 1]
-            value += bottleneck
-        return value, None
+                if u == start and relabelled:
+                    d[:] = self.label(cap, sink)
+                    if d[start] >= n:
+                        return value
+                    relabelled = False
+                    cur = [0] * n
+                    continue
+                low = n
+                for a, v in out:
+                    if cap[a] and d[v] < low:
+                        low = d[v]
+                d[u] = low + 1 if low < n else n
+                cur[u] = 0
+                if u == start:
+                    if low >= n:
+                        return value
+                    relabelled = True
+                else:
+                    path.pop()
+                    u = tails.pop()
+                continue
+            cur[u] = k
+            path.append(a)
+            tails.append(u)
+            if v != sink:
+                u = v
+                continue
+            delta, back = bound - value, -1
+            for j, a in enumerate(path):
+                if cap[a] < delta:
+                    delta, back = cap[a], j
+            for a in path:
+                cap[a] -= delta
+                cap[a ^ 1] += delta
+            value += delta
+            if back < 0:
+                return value  # at the bound
+            # Resume at the tail of the first saturated arc.
+            u = tails[back]
+            del path[back:], tails[back:]
+            relabelled = False
 
 
 def max_flow(net: Network, source_set: Iterable[str], sink: str):
@@ -107,10 +181,11 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
     The source set is contracted through a virtual super-source attached
     by infinite-capacity arcs, so node identities survive in the cut.
 
-    Runs Edmonds-Karp on Python ints, the capacities scaled as in
-    :class:`_Residual`.  The member set is the residual-reachable set, the
-    inclusion-minimal minimum cut, which does not depend on the maximum
-    flow found.
+    Runs :meth:`_Residual.augment` from the super-source on Python ints,
+    the capacities scaled as in :class:`_Residual`, then one forward
+    breadth-first search.  The member set is the residual-reachable set,
+    the inclusion-minimal minimum cut, which does not depend on the
+    maximum flow found.
     """
     sources = list(dict.fromkeys(source_set))
     if not sources:
@@ -121,14 +196,23 @@ def max_flow(net: Network, source_set: Iterable[str], sink: str):
     if sink in sources:
         raise ValueError(f"sink {sink!r} is inside the source set")
     residual = _Residual(net, sources)
+    root, big, t = residual.root, residual.big, residual.index[sink]
     cap = list(residual.cap)
     for a in residual.source_arc:
-        cap[a] = residual.big
-    value, reach = residual.augment(cap, residual.index[sink], 0)
-    if reach is None:
+        cap[a] = big
+    d = residual.label(cap, t)
+    value = residual.augment(cap, d, t, root, 0, big)
+    if value == big:
         # Every admissible cut is infinite; any member set is a witness.
         return INF, frozenset(net.nodes) - {sink}
-    members = frozenset(net.nodes[u] for u in reach if u != residual.root)
+    reach = [root]
+    seen = {root}
+    for u in reach:
+        for a, v in residual.arcs[u]:
+            if cap[a] and v not in seen:
+                seen.add(v)
+                reach.append(v)
+    members = frozenset(net.nodes[u] for u in reach if u != root)
     return Fraction(value, residual.scale), members
 
 
@@ -183,19 +267,35 @@ def capacity_profile(net: Network) -> CapacityProfile:
     Subset enumeration is exponential in the number of sources by design;
     raises :class:`LimitError` past ``setfunc.MAX_SOURCES``.
 
-    One integer residual graph (see :func:`max_flow`) is built per network.
-    For each sink the subset lattice is walked depth-first, S -> S+{i}
-    with i after every source already in S, so each subset is visited
-    once.  Enabling source i's super-source arc keeps the parent's flow
-    feasible, so a child only augments the difference.  A sink inside S
-    is reached by its own super-source arc, so rho_t(S) is infinite; an
-    edge into a source of S never leaves the source side.  Each DFS level
-    holds one copy of the residual capacities.
+    One integer residual graph (see :class:`_Residual`) is built per
+    network, and each sink's walk starts from exact labels.  For each sink
+    the subset lattice is walked depth-first, S -> S+{i} with i after
+    every source already in S, so each subset is visited once.  Adding a
+    source only raises its super-source arc from 0 to infinity, the
+    parametric setting (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989)
+    where a maximum flow for S stays feasible for S+{i} and its labels
+    stay valid.  So a child keeps its parent's flow and labels and pushes
+    only the difference, searching from i alone.  That is exact: the set
+    reachable from the super-source in the parent's residual graph holds
+    S, and no residual arc leaves it, so once the arc to i is enabled
+    every augmenting path leaves that set through i.  The walk therefore
+    adds no super-source arcs and searches from i in the network's own
+    residual graph; an edge into a source of S never leaves the source
+    side.  Every child but the last of its parent copies the parent's
+    capacities and labels; the last one has no children, and nothing
+    reads its parent's lists after it, so it pushes on them.
+
+    A child's push stops at an upper bound on its value, the least of
+    three: rho_t(S) + c(out of i), as U + {i} separates S+{i} from t
+    whenever U is a minimum cut for S; c(into t), the cut that holds every
+    node but t; and rho_t(V) once known.  A source that is the sink makes
+    rho_t infinite at once (``augment`` pushes up to the bound), and then
+    only the sentinel bounds the values.
 
     The walk first goes down the chain {0} ⊂ {0, 1} ⊂ ... ⊂ V, so it
     learns rho_t(V) before any other subset.  From then on a subset S
-    whose flow value equals rho_t(V) (with infinite values clamped to the
-    sentinel, so an infinite S saturates too) runs no augment for its
+    whose flow value equals rho_t(V) (an infinite value is the sentinel,
+    so an infinite S saturates too) runs no augment for its
     remaining children: every subset in their DFS subtrees is a superset
     of S, and rho_t(S) <= rho_t(S') <= rho_t(V) for S ⊆ S', as rho_t is
     monotone, so each takes the value rho_t(V).
@@ -208,16 +308,16 @@ def capacity_profile(net: Network) -> CapacityProfile:
     """
     k = len(net.sources)
     check_source_count(k)
-    residual = _Residual(net, net.sources)
-    big, source_arc = residual.big, residual.source_arc
+    residual = _Residual(net, ())
+    big = residual.big
+    starts = list(map(residual.index.__getitem__, net.sources))
     full = (1 << k) - 1
-    levels = [list(residual.cap) for _ in range(k)]
 
-    def grow(mask: int, cap: list, value: int, depth: int):
-        # Children of ``mask`` add one source after its highest member;
-        # ``levels[depth]`` holds their residual capacities in turn.  The
-        # walked sink, its values and its ``top`` are the loop's below.
-        nonlocal top
+    def grow(mask: int, cap: list, d: list, value: int):
+        # Children of ``mask`` add one source after its highest member.  The
+        # walked sink, its values, ``bounds``, ``top`` and ``limit`` are the
+        # loop's below.
+        nonlocal top, limit
         for i in range(mask.bit_length(), k):
             if value == top:
                 # The subtrees of children i.. are the masks that agree
@@ -225,20 +325,33 @@ def capacity_profile(net: Network) -> CapacityProfile:
                 found[mask + (1 << i)::1 << i] = [top] * ((1 << k - i) - 1)
                 return
             child = mask | 1 << i
-            child_cap = levels[depth]
-            child_cap[:] = cap
-            child_cap[source_arc[i]] = big
-            child_value = min(residual.augment(child_cap, sink, value)[0], big)
+            last = i + 1 == k
+            # The last child has no children, and nothing reads the
+            # parent's flow after it, so it pushes on the parent's lists.
+            child_cap, child_d = (cap, d) if last else (cap[:], d[:])
+            bound = value + bounds[i]
+            if bound > limit:
+                bound = limit
+            child_value = residual.augment(child_cap, child_d, sink, starts[i], value, bound)
             found[child] = child_value
             if child == full:
-                top = child_value
-            grow(child, child_cap, child_value, depth + 1)
+                top = limit = child_value
+            if not last:
+                grow(child, child_cap, child_d, child_value)
 
     scaled = []
+    out = list(map(residual.out.__getitem__, starts))
     for t in net.sinks:
         sink, found = residual.index[t], [0] * (full + 1)
         top = -1  # this sink's scaled rho_t(V), once the first chain reaches V
-        grow(0, residual.cap, 0, 0)
+        # No value exceeds the capacity into the sink, nor top once known.
+        limit = min(residual.into[sink], big)
+        bounds = out
+        if sink in starts:
+            # A source that is the sink is infinite at once, and so is V.
+            limit = big
+            bounds = [big if u == sink else c for u, c in zip(starts, out)]
+        grow(0, list(residual.cap), residual.label(residual.cap, sink), 0)
         scaled.append(found)
     columns = list(zip(*scaled))
     wide = [min(column) for column in columns]

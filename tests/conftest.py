@@ -257,6 +257,72 @@ def cut_value(net: Network, member_set: Iterable[str]):
     return total
 
 
+def reference_max_flow(net: Network, sources: Iterable[str], sink: str):
+    """Edmonds-Karp: breadth-first augmenting paths from a super-source
+    joined to ``sources`` by infinite arcs, on the capacities times the lcm
+    of their denominators.
+
+    The max-flow oracle, sharing no code with ``mincut``.  Returns
+    ``(value, members)`` as :func:`mincut.max_flow` does: inf and every
+    node but the sink when every cut is infinite (an infinite capacity
+    counts as one more than the total finite capacity), else the flow
+    value and the node set reachable from the sources in the final
+    residual graph.  A sink among the sources is reached at once, so its
+    value is inf.
+    """
+    finite = [Fraction(e.capacity) for e in net.edges if not is_inf(e.capacity)]
+    den = math.lcm(*(c.denominator for c in finite))
+    big = sum(c.numerator * (den // c.denominator) for c in finite) + 1
+
+    def scaled(c) -> int:
+        if is_inf(c):
+            return big
+        c = Fraction(c)
+        return c.numerator * (den // c.denominator)
+
+    index = {name: k for k, name in enumerate(net.nodes)}
+    root = len(net.nodes)
+    adj: list = [[] for _ in range(root + 1)]
+    to: list = []
+    cap: list = []
+
+    def add(u: int, v: int, c) -> None:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+
+    for e in net.edges:
+        add(index[e.tail], index[e.head], scaled(e.capacity))
+    for name in dict.fromkeys(sources):
+        add(root, index[name], big)
+    t = index[sink]
+    value = 0
+    while value < big:
+        parent = {root: None}
+        queue = [root]
+        for u in queue:
+            for a in adj[u]:
+                if cap[a] > 0 and to[a] not in parent:
+                    parent[to[a]] = a
+                    queue.append(to[a])
+        if t not in parent:
+            return Fraction(value, den), frozenset(net.nodes[u] for u in queue if u != root)
+        path = []
+        v = t
+        while v != root:
+            path.append(parent[v])
+            v = to[parent[v] ^ 1]
+        delta = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= delta
+            cap[a ^ 1] += delta
+        value += delta
+    return INF, frozenset(net.nodes) - {sink}
+
+
 #: Node-count guard for exhaustive cut enumeration.
 MAX_ENUMERATION_NODES = 24
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, document output, round-trips."""
 
 import ast
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 import netmatch
 from netmatch import cli, fixtures, mincut, regions, scalars, transmissibility
 from netmatch.cli import run
+from netmatch.errors import DocumentError, load_json
 from netmatch.scalars import parse_probability, parse_scalar
 
 from conftest import network_to_document, source_model_to_document
@@ -678,6 +680,26 @@ def test_integer_past_the_int_string_limit_is_data_error(tmp_path, capsys, kind)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ['{"a": [1, {"b": 2}]}', '{"a": 1, "a": 2}', '{"a": ',
+                                  '{"a": ' + "1" * 5000 + "}"],
+                         ids=["valid", "repeated-key", "truncated", "long-int"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_json_leaves_the_collector_as_it_found_it(text, enabled):
+    # The collector is paused while a document is decoded, and runs again
+    # afterwards only if it ran before: after a document, after each kind
+    # of DocumentError, and when the caller had already turned it off.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            assert load_json(text, "network") == json.loads(text)
+        except DocumentError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 @pytest.mark.parametrize("text, value", [
     ("1e4300", Fraction(10**4300)), ("1e-4300", Fraction(1, 10**4300)),
     ("2.5E+1", Fraction(25)), ("1e4_3_00", Fraction(10**4300)),
@@ -721,6 +743,9 @@ _RENAMED_SIMULATE = ["simulate", "--network", str(DATA / "check_renamed_fail.net
     ("regions_separation_order_ab", ["regions", "--separation", *_ORDER, *_ORDER_AB_SOURCE], 1),
     ("simulate_renamed_fail", _RENAMED_SIMULATE, 0),
     ("simulate_renamed_fail_fixed", [*_RENAMED_SIMULATE, "--fixed-code"], 0),
+    # Every value of the capacity walk: 3 sinks x 63 subsets.
+    ("mincut_all_k6_pass", ["mincut", "--all", "--network",
+                            str(DATA / "check_k6_pass.network.json")], 0),
 ])
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt")])
 def test_cli_output_bytes_are_pinned(capsys, name, argv, code, fmt, ext):

@@ -1,5 +1,7 @@
-"""Max-flow capacity functions against the exhaustive cut-enumeration oracle."""
+"""Max-flow capacity functions against the exhaustive cut-enumeration oracle
+and a breadth-first Edmonds-Karp one."""
 
+import collections
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +16,7 @@ from netmatch.scalars import INF
 from netmatch.setfunc import is_polymatroid
 
 from conftest import (cut_value, enumerate_min_cut, layered_network, random_network,
-                      random_raw_network)
+                      random_raw_network, reference_max_flow)
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,11 +240,12 @@ def _count_augments(monkeypatch) -> list:
     return calls
 
 
-def _assert_profile_matches_cold_rho_t(net: Network, profile) -> None:
-    # Every (S, t) against a cold flow; rho_N and its binding sink against
-    # the min over sinks and the first sink, in sink order, attaining it.
+def _assert_profile_matches_reference(net: Network, profile) -> None:
+    # Every (S, t) against the Edmonds-Karp oracle; rho_N and its binding
+    # sink against the min over sinks and the first sink, in sink order,
+    # attaining it.
     for mask, S in enumerate(_nonempty_subsets(net.sources), start=1):
-        values = [rho_t(net, S, t) for t in net.sinks]
+        values = [reference_max_flow(net, S, t)[0] for t in net.sinks]
         assert [profile.per_sink[t][mask] for t in net.sinks] == values
         assert profile.network_wide[mask] == min(values)
         assert profile.binding[mask] == net.sinks[values.index(min(values))]
@@ -260,7 +263,7 @@ def test_capacity_profile_skips_saturated_subtrees_exactly():
     seen_inf = 0
     for net in nets:
         profile = capacity_profile(net)
-        _assert_profile_matches_cold_rho_t(net, profile)
+        _assert_profile_matches_reference(net, profile)
         seen_inf += any(INF in values for values in profile.per_sink.values())
     assert seen_inf >= 100
 
@@ -286,7 +289,7 @@ def test_capacity_profile_fills_the_subtrees_of_saturated_subsets(
     calls = _count_augments(monkeypatch)
     profile = capacity_profile(net)
     assert calls[0] == augments
-    _assert_profile_matches_cold_rho_t(net, profile)
+    _assert_profile_matches_reference(net, profile)
 
 
 @pytest.mark.parametrize("name, augments", [("check_k6_pass", 72), ("check_k6_fail", 70)])
@@ -311,4 +314,42 @@ def test_capacity_profile_at_k14_runs_few_augments(monkeypatch):
     for mask in [1, (1 << 14) - 1] + rng.sample(range(2, (1 << 14) - 1), 30):
         S = {s for p, s in enumerate(net.sources) if mask >> p & 1}
         for t in net.sinks:
-            assert profile.per_sink[t][mask] == rho_t(net, S, t)
+            assert profile.per_sink[t][mask] == reference_max_flow(net, S, t)[0]
+
+
+def test_capacity_profile_and_max_flow_match_the_reference_max_flow():
+    # Every profile value of every sink, and max_flow's value and member set
+    # for every subset and every sink outside it, against breadth-first
+    # Edmonds-Karp.  Raw networks have sources with in-edges, sources that
+    # are sinks and infinite edges; the normalized ones have infinite edges
+    # in every other one; the layered ones go up to k = 9.  A child S+{i}
+    # of the walk stops pushing at rho_t(S) + c(out of i); the cases that
+    # attain that bound and those that stay below it are both counted.
+    rng = random.Random(3141)
+    nets = [random_raw_network(rng) for _ in range(100)]
+    for trial in range(40):
+        net = random_network(rng, max_nodes=10, max_sources=5, max_sinks=3)
+        nets.append(_with_infinite_edges(rng, net) if trial % 2 else net)
+    nets += [layered_network(random.Random(seed), k) for seed, k in ((1, 3), (2, 6), (3, 9))]
+    seen = collections.Counter()
+    for net in nets:
+        profile = capacity_profile(net)
+        out = [cut_value(net, {s}) for s in net.sources]
+        for t in net.sinks:
+            values = profile.per_sink[t]
+            for mask in range(1, 1 << len(net.sources)):
+                S = [s for p, s in enumerate(net.sources) if mask >> p & 1]
+                value, members = reference_max_flow(net, S, t)
+                assert values[mask] == value
+                if t in S:
+                    seen["sink in S"] += 1
+                    continue
+                assert max_flow(net, S, t) == (value, members)
+                i = mask.bit_length() - 1
+                parent = mask ^ 1 << i
+                if parent and value != INF:
+                    attained = value == values[parent] + out[i]
+                    seen["attained" if attained else "below"] += 1
+        seen["infinite"] += any(INF in values for values in profile.per_sink.values())
+    assert min(seen["sink in S"], seen["infinite"]) >= 50
+    assert min(seen["attained"], seen["below"]) >= 100
