@@ -436,6 +436,38 @@ def test_setfunc_verify_rejects_invalid_tolerance(tmp_path, capsys, tol):
     _assert_one_line_usage_error(capsys)
 
 
+_ONE_EDGE = '{"nodes": ["s", "t"], "edges": [{"from": "s", "to": "t", "capacity": %s}], ' \
+            '"sources": ["s"], "sinks": ["t"]}'
+_ONE_SYMBOL = '{"sources": ["a"], "alphabets": [2], ' \
+              '"pmf": [{"symbols": [0], "p": %s}, {"symbols": [1], "p": 1}]}'
+_ONE_NAME = '{"ground": ["a"], "values": {"a": %s}}'
+
+
+@pytest.mark.parametrize("argv, document, code, message", [
+    (["mincut", "--all", "--network"], _ONE_EDGE % '"-1"', 65,
+     "error: negative capacity on edge ('s', 't')\n"),
+    (["entropy", "--source"], _ONE_SYMBOL % "1e400", 65,
+     "error: non-finite probability for (0,)\n"),
+    (["entropy", "--source"], _ONE_SYMBOL % "-0.5", 65,
+     "error: negative probability for (0,)\n"),
+    (["setfunc", "verify", "--kind", "poly", "--input"], _ONE_NAME % "NaN", 65,
+     "error: NaN value on subset ['a']\n"),
+    (["setfunc", "verify", "--kind", "poly", "--tol", "-1", "--input"], _ONE_NAME % '"1"', 64,
+     "usage error: tolerance must be finite and nonnegative, got -1.0\n"),
+    (["setfunc", "verify", "--kind", "poly", "--tol", "nan", "--input"], _ONE_NAME % '"1"', 64,
+     "usage error: tolerance must be finite and nonnegative, got nan\n"),
+], ids=["negative-capacity", "infinite-probability", "negative-probability", "nan-value",
+        "negative-tolerance", "nan-tolerance"])
+def test_numeric_refusals_are_pinned(tmp_path, capsys, argv, document, code, message):
+    # Every number a document or flag gives is admitted by one rule; these
+    # are the lines each refusal prints, byte for byte.
+    fn = tmp_path / "doc.json"
+    fn.write_text(document)
+    assert run([*argv, str(fn)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
 @pytest.mark.parametrize("name, kind, tol, code", [
     ("verify_k6_rational_pass", "poly", [], 0),
     ("verify_k6_rational_fail", "poly", [], 1),
