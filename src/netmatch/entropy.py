@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DocumentError, load_json
-from .scalars import integer_ratios, parse_probability, to_float
+from .scalars import admit, integer_ratios, parse_probability, to_float
 from .setfunc import SetFunction, check_label_names, check_source_count
 
 PMF_TOLERANCE = 1e-12
@@ -49,8 +49,9 @@ class SourceModel:
     """Joint pmf of one symbol time over the named source nodes.
 
     ``pmf`` maps symbol tuples (aligned with ``sources``) to probabilities;
-    omitted tuples carry probability zero.  Probabilities may be exact
-    rationals or floats.  Like a Network, a model is checked when it is
+    omitted tuples carry probability zero.  Each probability is stored as
+    :func:`scalars.admit` reads it, so an int64 pmf is rational.  Like a
+    Network, a model is checked when it is
     built (DocumentError; its sum once, on ``integer_weights``, the
     :func:`_integer_weights` of the pmf: exactly 1 if rational) and is then
     frozen: tuples, and ``pmf`` a read-only copy in the given entry order,
@@ -80,7 +81,7 @@ class SourceModel:
             if isinstance(size, bool) or not isinstance(size, int) or size < 1:
                 raise DocumentError(f"alphabet sizes must be positive integers, got {size!r}")
         if not self._bulk_checks_pass():
-            self._check_entries()
+            object.__setattr__(self, "pmf", MappingProxyType(self._check_entries()))
         weights, den = _integer_weights(self)
         total = Fraction(sum(weights.values()), den)
         if self.is_rational():
@@ -94,7 +95,7 @@ class SourceModel:
         """Whether a rational pmf passes every entry check in bulk: int
         symbols of the right arity inside the alphabets, and Fraction or
         int probabilities, none negative.  If not, :meth:`_check_entries`
-        names the first failure, or passes a float pmf."""
+        names the first failure, or admits every probability."""
         keys, values = self.pmf.keys(), self.pmf.values()
         if (set(map(type, keys)) != {tuple} or set(map(len, keys)) != {len(self.sources)}
                 or set(map(type, itertools.chain.from_iterable(keys))) != {int}
@@ -105,22 +106,22 @@ class SourceModel:
                 return False
         return min([p.numerator for p in values]) >= 0
 
-    def _check_entries(self):
+    def _check_entries(self) -> dict:
         """Each entry's symbols and probability, one at a time, raising
-        DocumentError on the first failure."""
+        DocumentError on the first failure; returns the pmf of the admitted
+        probabilities."""
+        pmf = {}
         for tup, p in self.pmf.items():
             if not isinstance(tup, tuple) or len(tup) != len(self.sources):
                 raise DocumentError(f"symbol tuple {tup!r} has wrong arity")
             for sym, size in zip(tup, self.alphabet_sizes):
                 if isinstance(sym, bool) or not isinstance(sym, int) or not 0 <= sym < size:
                     raise DocumentError(f"symbol {sym!r} outside alphabet of size {size}")
-            if isinstance(p, bool) or not isinstance(p, (Fraction, int, float)):
-                raise DocumentError(
-                    f"probability {p!r} for {tup!r} is not a Fraction, int or float")
-            if isinstance(p, float) and not math.isfinite(p):
-                raise DocumentError(f"non-finite probability for {tup!r}")
-            if p < 0:
-                raise DocumentError(f"negative probability for {tup!r}")
+            try:
+                pmf[tup] = admit(p, "probability")
+            except ValueError as exc:
+                raise DocumentError(f"{exc} for {tup!r}") from None
+        return pmf
 
     def __reduce__(self):  # a read-only pmf view does not pickle
         return SourceModel, (self.sources, self.alphabet_sizes, dict(self.pmf))

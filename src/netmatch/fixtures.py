@@ -17,22 +17,21 @@ from fractions import Fraction
 
 from .entropy import SourceModel, binary_entropy
 from .graph import Edge, Network
-from .scalars import snap_to_rational
+from .scalars import admit, snap_to_rational
 
 
 def butterfly_network() -> Network:
     """Two-source butterfly: all edges capacity 1."""
-    one = Fraction(1)
     return Network(
         nodes=("s1", "s2", "u", "w", "t1", "t2"),
         edges=(
-            Edge("s1", "u", one),
-            Edge("s2", "u", one),
-            Edge("u", "w", one),
-            Edge("w", "t1", one),
-            Edge("w", "t2", one),
-            Edge("s1", "t1", one),
-            Edge("s2", "t2", one),
+            Edge("s1", "u", 1),
+            Edge("s2", "u", 1),
+            Edge("u", "w", 1),
+            Edge("w", "t1", 1),
+            Edge("w", "t2", 1),
+            Edge("s1", "t1", 1),
+            Edge("s2", "t2", 1),
         ),
         sources=("s1", "s2"),
         sinks=("t1", "t2"),
@@ -51,7 +50,7 @@ def uniform_pair_source() -> SourceModel:
 
 def dsbs_source(p) -> SourceModel:
     """Doubly symmetric binary source: uniform X1, X2 = X1 flipped w.p. p."""
-    p = Fraction(p)
+    p = Fraction(admit(p, "parameter"))
     if not 0 <= p <= 1:
         raise ValueError(f"crossover probability {p} outside [0, 1]")
     same = (1 - p) / 2
@@ -74,18 +73,17 @@ def dsbs_network(p) -> Network:
     network-wide one is {h, h, 2} for every h in (0, 1].
     """
     h = snap_to_rational(binary_entropy(float(p)))
-    one = Fraction(1)
     return Network(
         nodes=("s1", "s2", "v1", "v2", "t1", "t2"),
         edges=(
-            Edge("s1", "t1", one),
-            Edge("s1", "v1", one),
+            Edge("s1", "t1", 1),
+            Edge("s1", "v1", 1),
             Edge("s2", "v1", h),
-            Edge("v1", "t1", one),
-            Edge("s2", "t2", one),
-            Edge("s2", "v2", one),
+            Edge("v1", "t1", 1),
+            Edge("s2", "t2", 1),
+            Edge("s2", "v2", 1),
             Edge("s1", "v2", h),
-            Edge("v2", "t2", one),
+            Edge("v2", "t2", 1),
         ),
         sources=("s1", "s2"),
         sinks=("t1", "t2"),
@@ -98,7 +96,7 @@ def scaled_butterfly(factor) -> Network:
     ``factor=1/2`` gives the standard non-transmissible variant used to
     exercise failing verdicts and the converse side of the simulator.
     """
-    factor = Fraction(factor)
+    factor = Fraction(admit(factor, "parameter"))
     base = butterfly_network()
     return Network(
         nodes=base.nodes,

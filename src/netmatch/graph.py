@@ -16,14 +16,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CycleError, DocumentError, load_json
-from .scalars import is_inf, parse_scalar
+from .scalars import admit, is_inf, parse_scalar
 from .setfunc import check_label_names
 
 
 class Edge(NamedTuple):
     tail: str
     head: str
-    capacity: object  # Fraction, or INF
+    capacity: object  # a Network stores a Fraction, or INF, from any number admit takes
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,9 @@ class Network:
 
     Parallel edges are allowed and kept distinct; their capacities add up
     in every cut.  Construction validates local shape only (endpoints,
-    self-loops, capacity signs); acyclicity is a separate check.  The
-    in- and out-edge index lists of every node are built once, here.
+    self-loops, capacities); acyclicity is a separate check.  Each capacity
+    is admitted by :func:`scalars.admit` and stored as its exact Fraction,
+    or INF.  The in- and out-edge index lists of every node are built once.
     """
 
     nodes: tuple[str, ...]
@@ -63,20 +64,21 @@ class Network:
         check_label_names(self.sources)
         if len(set(self.sinks)) != len(self.sinks):
             raise DocumentError("duplicate sink node")
+        edges = []
         for edge in self.edges:
             if edge.tail not in node_set or edge.head not in node_set:
                 raise DocumentError(f"edge ({edge.tail!r}, {edge.head!r}) uses an unknown node")
             if edge.tail == edge.head:
                 raise DocumentError(f"self-loop edge at node {edge.tail!r}")
             cap = edge.capacity
-            if is_inf(cap):
-                continue
-            if not isinstance(cap, Fraction):
-                raise DocumentError(
-                    f"capacity of edge ({edge.tail!r}, {edge.head!r}) must be a Fraction or inf"
-                )
-            if cap < 0:
-                raise DocumentError(f"negative capacity on edge ({edge.tail!r}, {edge.head!r})")
+            if not (type(cap) is Fraction and cap.numerator >= 0):  # a parsed capacity passes as is
+                try:
+                    cap = admit(cap, "capacity")
+                except ValueError as exc:
+                    raise DocumentError(f"{exc} on edge ({edge.tail!r}, {edge.head!r})") from None
+                edge = Edge(edge.tail, edge.head, cap if is_inf(cap) else Fraction(cap))
+            edges.append(edge)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_node_set", node_set)
         in_edges = {name: [] for name in self.nodes}
         out_edges = {name: [] for name in self.nodes}

@@ -6,6 +6,9 @@ which orders above every rational and absorbs addition, exactly the
 semantics needed for capacity arithmetic.  Entropies are ordinary floats
 and are snapped to rationals only at the LP boundary.  Every exact
 decision runs on the integers of one rule, :func:`integer_ratios`.
+
+A caller's number enters by one rule, :func:`admit`: every constructor,
+tolerance and simulator parameter keeps only the plain number it returns.
 """
 
 from __future__ import annotations
@@ -60,16 +63,39 @@ def parse_scalar(value, *, allow_inf: bool = True):
     raise ValueError(f"not a numeric value: {value!r}")
 
 
-def check_tolerance(tol):
-    """Return ``tol`` if it is a finite nonnegative number, a numpy scalar
-    as its Python value, so every consumer sees an int, float or Fraction.
+#: The types :func:`admit` returns.
+PLAIN_TYPES = frozenset((int, Fraction, float))
 
-    Raises ValueError for NaN, infinities and negative values: compared
-    against such a tolerance, every margin would still yield a verdict.
+
+def admit(value, role: str):
+    """``value`` as the int, Fraction, finite float or INF it stands for as a
+    "capacity", "probability", "value" (of a set function), "tolerance" or
+    "parameter" (of the simulator); a numpy scalar as its ``.item()``.
+
+    Other types (``bool`` too), NaN and -inf are refused; so are negative
+    values but parameters, and infinities but capacities and values.  The
+    ValueError names the fault and role ("negative capacity"), or a
+    tolerance's Python value, for the caller to say where it stood.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    return tol.item() if isinstance(tol, np.generic) else tol
+    if isinstance(value, np.generic):
+        value = value.item()
+    if type(value) not in PLAIN_TYPES:
+        raise ValueError(f"{role} {value!r} is not a Fraction, int or float")
+    inf_ok, signed = role in ("capacity", "value"), role == "parameter"
+    # Not NaN, +inf only where it may stand, and negative (never -inf) only if signed.
+    if value == value and (inf_ok or value < INF) and (value >= 0 or signed and value > -INF):
+        return value
+    if role == "tolerance":
+        raise ValueError(f"tolerance must be finite and nonnegative, got {value!r}")
+    if not (inf_ok or -INF < value < INF):  # NaN fails too
+        raise ValueError(f"non-finite {role}")
+    raise ValueError(f"{'NaN' if value != value else 'negative'} {role}")
+
+
+def check_tolerance(tol):
+    """``tol`` admitted as a tolerance: against NaN, inf or a negative one,
+    every margin would still yield a verdict."""
+    return admit(tol, "tolerance")
 
 
 def integer_ratios(values) -> tuple[list[int], int]:

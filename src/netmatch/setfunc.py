@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DocumentError, LimitError, load_json
-from .scalars import check_tolerance, integer_ratios, is_inf, parse_scalar
+from .scalars import PLAIN_TYPES, admit, check_tolerance, integer_ratios, is_inf, parse_scalar
 
 #: The most sources whose 2^k subsets get enumerated.
 MAX_SOURCES = 16
@@ -111,6 +111,7 @@ class SetFunction:
     (bit p is ``ground[p]``), so ``values`` holds 2^k entries and
     ``values[0]``, the empty set, is 0.  Values may be exact rationals,
     floats (entropies) or infinity; they must be nonnegative and not NaN.
+    Any other value (a numpy scalar) is stored as :func:`scalars.admit` reads it.
     """
 
     ground: tuple[str, ...]
@@ -133,10 +134,14 @@ class SetFunction:
                                 f"({given} given, {required} required)")
         if values[0] != 0:
             raise DocumentError("the empty set must have value 0")
-        if not all(v >= 0 for v in values):  # false for NaN too
-            mask, v = next((m, v) for m, v in enumerate(values) if not v >= 0)
-            what = "NaN" if v != v else "negative"
-            raise DocumentError(f"{what} value on subset {sorted(members(mask, self.ground))}")
+        if not PLAIN_TYPES.issuperset(map(type, values)) or not all(v >= 0 for v in values):
+            object.__setattr__(self, "values", tuple(map(self._admit, range(len(values)), values)))
+
+    def _admit(self, mask: int, value):
+        try:
+            return admit(value, "value")
+        except ValueError as exc:
+            raise DocumentError(f"{exc} on subset {sorted(members(mask, self.ground))}") from None
 
     def __call__(self, subset: Iterable[str]):
         """The value of a subset given by its members' names."""
@@ -300,18 +305,17 @@ def _check_axioms(f: SetFunction, tol, *, submodular: bool) -> AxiomReport:
         # float64 sums and comparisons are bit-identical to Python's.
         vals, tol = np.array(f.values, dtype=np.float64), float(tol)
     else:
-        # Exactly, a float (or numpy scalar) as the rational it is: the
-        # tolerance and the finite values as integers over their common
-        # denominator (integer_ratios), so no sum is rounded, and inf as
-        # big, past any finite sum plus tol.
-        values = [v.item() if isinstance(v, np.generic) else v for v in f.values]
-        (tol, *ints), _ = integer_ratios([tol] + [v for v in values if not is_inf(v)])
+        # Exactly, a float as the rational it is: the tolerance and the
+        # finite values as integers over their common denominator
+        # (integer_ratios), so no sum is rounded, and inf as big, past any
+        # finite sum plus tol.
+        (tol, *ints), _ = integer_ratios([tol] + [v for v in f.values if not is_inf(v)])
         top = max(ints)
-        if len(ints) < len(values):
+        if len(ints) < len(f.values):
             big = top = 2 * top + tol + 1
         ints = iter(ints)
         # int64 when every sum the checks form fits, Python ints otherwise.
-        vals = np.array([big if is_inf(v) else next(ints) for v in values],
+        vals = np.array([big if is_inf(v) else next(ints) for v in f.values],
                         dtype=np.int64 if 2 * top + tol < 2**63 else object)
     if _local_rule_holds(vals, k, tol, submodular):
         return AxiomReport(True)

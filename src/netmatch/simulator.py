@@ -58,7 +58,7 @@ import numpy as np
 from .entropy import SourceModel, aligned, entropy_profile
 from .errors import LimitError, dump_json
 from .graph import Network, validate_acyclic
-from .scalars import format_scalar, is_inf, round_float, to_float
+from .scalars import admit, format_scalar, is_inf, round_float, to_float
 from .setfunc import check_source_count, subset_masks
 
 #: Largest candidate space the typicality decoder will enumerate.
@@ -164,8 +164,7 @@ def _code_layout(net: Network, alphabets, n: int, tau, delta) -> CodeInstance:
     seed: the checks, the input domains and the index-set sizes.  Returns
     a code whose ``seed`` is None and whose ``keys`` map every finite edge
     to None, for :func:`_draw_code` to fill in."""
-    tau = Fraction(tau)
-    delta = Fraction(delta)
+    tau, delta = Fraction(admit(tau, "parameter")), Fraction(admit(delta, "parameter"))
     if not 0 < delta < tau:
         raise ValueError("need 0 < delta < tau")
     if n < 1:
@@ -379,7 +378,7 @@ class _CandidateSpace:
             raise ValueError("block length n must be positive")
         if not lam > 0:  # NaN too
             raise ValueError("typicality slack must be positive")
-        self.lam = to_float(lam)
+        self.lam = to_float(admit(lam, "parameter"))
         if self.lam == 0:
             raise ValueError("typicality slack is positive but underflows a float")
         m = aligned(m, net.sources)  # joint symbols follow net order
@@ -818,8 +817,8 @@ def estimate_error(
 
     return SimResult(
         n=n,
-        tau=Fraction(tau),
-        delta=Fraction(delta),
+        tau=layout.tau,
+        delta=layout.delta,
         lam=space.lam,
         trials=trials,
         seed=seed,

@@ -2,8 +2,10 @@
 
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netmatch import fixtures
@@ -212,3 +214,37 @@ def test_infinite_cut_value():
         sinks=("t",),
     )
     assert cut_value(net, {"s"}) == INF
+
+
+def _one_edge(capacity) -> Network:
+    return Network(nodes=("s", "t"), edges=(Edge("s", "t", capacity),), sources=("s",),
+                   sinks=("t",))
+
+
+@pytest.mark.parametrize("capacity, message", [
+    (-INF, "negative capacity on edge ('s', 't')"),
+    (np.float64(-INF), "negative capacity on edge ('s', 't')"),
+    (float("nan"), "NaN capacity on edge ('s', 't')"),
+    (Fraction(-1, 2), "negative capacity on edge ('s', 't')"),
+    (-1, "negative capacity on edge ('s', 't')"),
+    (True, "capacity True is not a Fraction, int or float on edge ('s', 't')"),
+    (Decimal(1), "capacity Decimal('1') is not a Fraction, int or float on edge ('s', 't')"),
+    ("1", "capacity '1' is not a Fraction, int or float on edge ('s', 't')"),
+], ids=["-inf", "numpy-inf", "nan", "fraction", "int", "bool", "decimal", "str"])
+def test_a_capacity_the_rule_refuses_never_reaches_a_cut(capacity, message):
+    # -inf used to be accepted, and capacity_profile read it as +inf.
+    with pytest.raises(DocumentError) as caught:
+        capacity_profile(_one_edge(capacity))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("capacity, stored", [
+    (1, Fraction(1)), (1.0, Fraction(1)), (0.375, Fraction(3, 8)), (np.int64(2), Fraction(2)),
+    (np.float32(0.25), Fraction(1, 4)), (Fraction(3, 2), Fraction(3, 2)), (INF, INF),
+    (np.float64(INF), INF),
+])
+def test_a_capacity_is_stored_as_its_exact_fraction_or_inf(capacity, stored):
+    net = _one_edge(capacity)
+    assert type(net.edges[0].capacity) is type(stored) and net.edges[0].capacity == stored
+    assert net == _one_edge(stored)
+    assert capacity_profile(net).per_sink["t"] == (0, stored)

@@ -250,6 +250,19 @@ def test_sandwich_pointwise_violation():
     assert result.violating_subset == frozenset({"a"})
 
 
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5)])
+@pytest.mark.parametrize("side", ["sigma", "rho"])
+def test_sandwich_on_numpy_values_gives_what_their_python_values_give(value, side):
+    # The int64 used to end in OverflowError, the float32 in TypeError.
+    def pair(v):
+        f = SetFunction(("a",), (0, v))
+        if side == "sigma":
+            return f, SetFunction(("a",), (0, Fraction(2)))
+        return SetFunction(("a",), (0, Fraction(1, 4))), f
+    got, want = sandwich_feasible(*pair(value)), sandwich_feasible(*pair(value.item()))
+    assert got == want and repr(got) == repr(want) and got.point is not None
+
+
 def test_sandwich_requires_axioms():
     not_copoly = sf(("a", "b"), 2, 2, 3)  # submodular, not supermodular
     rho = sf(("a", "b"), 3, 3, 4)

@@ -541,6 +541,20 @@ def test_slack_must_be_positive(lam):
         decode(code, m, "t1", z["t1"], lam)
 
 
+def test_numpy_parameters_run_as_their_python_values_and_bools_are_refused():
+    # An np.float32 tau used to raise TypeError inside Fraction(), and
+    # tau=True ran as tau = 1.
+    net, m = fixtures.butterfly_network(), fixtures.uniform_pair_source()
+    got = estimate_error(net, m, 2, np.float32(0.25), np.float16(0.0625), np.float64(3 / 32),
+                         trials=5, seed=1)
+    assert got.to_json() == estimate_error(net, m, 2, 0.25, 0.0625, 3 / 32, trials=5,
+                                           seed=1).to_json()
+    for tau, delta, lam in ((True, 0.0625, 3 / 32), (0.25, np.bool_(True), 3 / 32),
+                            (0.25, 0.0625, True)):
+        with pytest.raises(ValueError, match="^parameter True is not a Fraction, int or float$"):
+            estimate_error(net, m, 2, tau, delta, lam, trials=5, seed=1)
+
+
 def test_empty_typical_set_errs_everywhere_without_hiding_limits():
     net = fixtures.butterfly_network()
     m = fixtures.dsbs_source(Fraction(11, 100))
