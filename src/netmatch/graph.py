@@ -21,9 +21,12 @@ from .setfunc import check_label_names
 
 
 class Edge(NamedTuple):
+    """A directed edge.  ``capacity`` is any number :func:`scalars.admit` takes
+    as a capacity; a :class:`Network` stores it as its exact Fraction, or INF."""
+
     tail: str
     head: str
-    capacity: object  # a Network stores a Fraction, or INF, from any number admit takes
+    capacity: object
 
 
 @dataclass(frozen=True)
